@@ -538,7 +538,13 @@ mod tests {
     fn wrong_shape_op_is_flagged() {
         struct BrokenTransposeOp;
         impl Op for BrokenTransposeOp {
-            fn backward(&self, _: &Matrix, grad: &Matrix, _: &[&Matrix]) -> Vec<Option<Matrix>> {
+            fn backward(
+                &self,
+                _: &Matrix,
+                grad: &Matrix,
+                _: &[&Matrix],
+                _wants: &[bool],
+            ) -> Vec<Option<Matrix>> {
                 vec![Some(grad.clone())]
             }
             fn name(&self) -> &'static str {
@@ -580,7 +586,13 @@ mod tests {
     fn dynamic_arity_op_is_reported_not_skipped() {
         struct OpaqueOp;
         impl Op for OpaqueOp {
-            fn backward(&self, _: &Matrix, grad: &Matrix, _: &[&Matrix]) -> Vec<Option<Matrix>> {
+            fn backward(
+                &self,
+                _: &Matrix,
+                grad: &Matrix,
+                _: &[&Matrix],
+                _wants: &[bool],
+            ) -> Vec<Option<Matrix>> {
                 vec![Some(grad.clone())]
             }
             fn name(&self) -> &'static str {

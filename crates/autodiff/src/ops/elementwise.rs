@@ -42,8 +42,14 @@ fn binary_shape_check(tape: &Tape, a: Tensor, b: Tensor, what: &str) {
 
 struct AddOp;
 impl Op for AddOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
-        vec![Some(pool::clone_of(grad)), Some(pool::clone_of(grad))]
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
+        wants.iter().map(|&w| w.then(|| pool::clone_of(grad))).collect()
     }
     fn name(&self) -> &'static str {
         "add"
@@ -66,7 +72,13 @@ impl Op for AddOp {
 
 struct SubOp;
 impl Op for SubOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let mut neg = pool::clone_of(grad);
         neg.scale_inplace(-1.0);
         vec![Some(pool::clone_of(grad)), Some(neg)]
@@ -92,16 +104,22 @@ impl Op for SubOp {
 
 struct MulOp;
 impl Op for MulOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
-        let mut ga = pool::clone_of(grad);
-        for (g, b) in ga.data_mut().iter_mut().zip(inputs[1].data()) {
-            *g *= b;
-        }
-        let mut gb = pool::clone_of(grad);
-        for (g, a) in gb.data_mut().iter_mut().zip(inputs[0].data()) {
-            *g *= a;
-        }
-        vec![Some(ga), Some(gb)]
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
+        // d(a⊙b)/da = grad⊙b and d/db = grad⊙a.
+        let side = |other: &Matrix| {
+            let mut g = pool::clone_of(grad);
+            for (g, o) in g.data_mut().iter_mut().zip(other.data()) {
+                *g *= o;
+            }
+            g
+        };
+        vec![wants[0].then(|| side(inputs[1])), wants[1].then(|| side(inputs[0]))]
     }
     fn name(&self) -> &'static str {
         "mul"
@@ -124,7 +142,13 @@ impl Op for MulOp {
 
 struct ScaleOp(f32);
 impl Op for ScaleOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let mut g = pool::clone_of(grad);
         g.scale_inplace(self.0);
         vec![Some(g)]
@@ -161,7 +185,13 @@ impl Op for ScaleOp {
 /// interval (backward never needs it).
 struct AddScalarOp(f32);
 impl Op for AddScalarOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         vec![Some(pool::clone_of(grad))]
     }
     fn name(&self) -> &'static str {
@@ -190,12 +220,22 @@ impl Op for AddScalarOp {
 /// `a * s` where `s` is a `1 x 1` tensor (differentiable scalar gate).
 struct MulScalarTensorOp;
 impl Op for MulScalarTensorOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
-        let s = inputs[1].as_scalar();
-        let mut ga = pool::clone_of(grad);
-        ga.scale_inplace(s);
-        let gs: f32 = grad.data().iter().zip(inputs[0].data()).map(|(g, a)| g * a).sum();
-        vec![Some(ga), Some(Matrix::scalar(gs))]
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
+        let ga = wants[0].then(|| {
+            let mut ga = pool::clone_of(grad);
+            ga.scale_inplace(inputs[1].as_scalar());
+            ga
+        });
+        let gs = wants[1].then(|| {
+            Matrix::scalar(grad.data().iter().zip(inputs[0].data()).map(|(g, a)| g * a).sum())
+        });
+        vec![ga, gs]
     }
     fn name(&self) -> &'static str {
         "mul_scalar_tensor"
@@ -229,7 +269,13 @@ impl Op for MulScalarTensorOp {
 
 struct ReluOp;
 impl Op for ReluOp {
-    fn backward(&self, out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let mut g = pool::clone_of(grad);
         for (g, &o) in g.data_mut().iter_mut().zip(out.data()) {
             if o <= 0.0 {
@@ -259,7 +305,13 @@ impl Op for ReluOp {
 
 struct LeakyReluOp(f32);
 impl Op for LeakyReluOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let mut g = pool::clone_of(grad);
         for (g, &x) in g.data_mut().iter_mut().zip(inputs[0].data()) {
             if x <= 0.0 {
@@ -297,7 +349,13 @@ impl Op for LeakyReluOp {
 
 struct EluOp;
 impl Op for EluOp {
-    fn backward(&self, out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         // For x <= 0: out = exp(x) - 1, so d/dx = exp(x) = out + 1.
         let mut g = pool::clone_of(grad);
         for (g, &o) in g.data_mut().iter_mut().zip(out.data()) {
@@ -332,7 +390,13 @@ impl Op for EluOp {
 
 struct TanhOp;
 impl Op for TanhOp {
-    fn backward(&self, out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let mut g = pool::clone_of(grad);
         for (g, &o) in g.data_mut().iter_mut().zip(out.data()) {
             *g *= 1.0 - o * o;
@@ -360,7 +424,13 @@ impl Op for TanhOp {
 
 struct SigmoidOp;
 impl Op for SigmoidOp {
-    fn backward(&self, out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let mut g = pool::clone_of(grad);
         for (g, &o) in g.data_mut().iter_mut().zip(out.data()) {
             *g *= o * (1.0 - o);
@@ -389,7 +459,13 @@ impl Op for SigmoidOp {
 
 struct AbsOp;
 impl Op for AbsOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let mut g = pool::clone_of(grad);
         for (g, &x) in g.data_mut().iter_mut().zip(inputs[0].data()) {
             // Subgradient 0 at x == 0.
@@ -427,7 +503,13 @@ struct DropoutOp {
     mask: Arc<Vec<f32>>,
 }
 impl Op for DropoutOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let mut g = pool::clone_of(grad);
         for (g, &m) in g.data_mut().iter_mut().zip(self.mask.iter()) {
             *g *= m;

@@ -145,7 +145,13 @@ struct GatherRowsOp {
     idx: Arc<Vec<u32>>,
 }
 impl Op for GatherRowsOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         // Scatter-add to arbitrary destination rows: different gather
         // indices may collide on one target row, so this stays serial.
@@ -196,7 +202,13 @@ struct SegmentSumOp {
     segs: Arc<Segments>,
 }
 impl Op for SegmentSumOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         let segs = &self.segs;
         // Scratch, not zeros: the segments partition the rows, so every edge
@@ -256,7 +268,13 @@ struct SegmentMeanOp {
     segs: Arc<Segments>,
 }
 impl Op for SegmentMeanOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         let segs = &self.segs;
         // Scratch is safe despite the empty-segment `continue`: a segment
@@ -330,7 +348,13 @@ struct SegmentMaxOp {
     winners: Arc<Vec<u32>>,
 }
 impl Op for SegmentMaxOp {
-    fn backward(&self, out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         let segs = &self.segs;
         let winners = &self.winners;
@@ -403,7 +427,13 @@ struct SegmentSoftmaxOp {
     segs: Arc<Segments>,
 }
 impl Op for SegmentSoftmaxOp {
-    fn backward(&self, out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let segs = &self.segs;
         // Scratch: every edge row of the score column is assigned below.
         let mut g = pool::scratch(out.rows(), 1);
@@ -484,7 +514,13 @@ impl Drop for SegmentAttentionOp {
     }
 }
 impl Op for SegmentAttentionOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[1].shape();
         let msgs = inputs[1];
         let segs = &self.segs;
@@ -618,54 +654,66 @@ impl Drop for GatherAttentionOp {
     }
 }
 impl Op for GatherAttentionOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let xv = inputs[1];
         let (nrows, cols) = xv.shape();
         let segs = &self.segs;
         let alpha = self.alpha.data();
-        let total = segs.total_len();
         // Scores are written exactly once per edge (scratch); the node
         // gradient is a scatter-add over arbitrary destination rows, so it
         // must start from zeros and, like `gather_rows`, stay serial —
         // different edges may collide on one target row.
-        let mut gs = pool::scratch(total, 1);
-        let mut gx = pool::zeros(nrows, cols);
+        let mut gs = wants[0].then(|| pool::scratch(segs.total_len(), 1));
+        let mut gx = wants[1].then(|| pool::zeros(nrows, cols));
         let fl = crate::simd::flavour();
-        let gs_data = gs.data_mut();
         for s in 0..segs.num_segments() {
             let range = segs.range(s);
             if range.is_empty() {
                 continue;
             }
             let grow = grad.row(s);
-            let sseg = &mut gs_data[range.clone()];
-            if cols == 0 {
-                sseg.fill(0.0);
-                continue;
-            }
             let aseg = &alpha[range.clone()];
-            let iseg = &self.idx[range];
+            let iseg = &self.idx[range.clone()];
             // Same two sweeps as the materialised backward, with the same
             // arithmetic order, so results are bitwise identical to
             // `gather_rows` + `segment_attention`: the dot accumulation
             // matches `dot_scale`, and the scatter adds `alpha * grad` per
             // edge in global edge order (segments partition the edges in
             // order, and the unfused scatter also walks edges in order).
-            let mut dot_s = 0.0f32;
-            for ((slot, &a), &i) in sseg.iter_mut().zip(aseg).zip(iseg) {
-                let da = fl.dot(xv.row(i as usize), grow); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
-                *slot = da;
-                dot_s += a * da;
+            // The two gradients share no arithmetic, so either may be
+            // skipped.
+            if let Some(gs) = gs.as_mut() {
+                let sseg = &mut gs.data_mut()[range];
+                if cols == 0 {
+                    sseg.fill(0.0);
+                } else {
+                    let mut dot_s = 0.0f32;
+                    for ((slot, &a), &i) in sseg.iter_mut().zip(aseg).zip(iseg) {
+                        let da = fl.dot(xv.row(i as usize), grow); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
+                        *slot = da;
+                        dot_s += a * da;
+                    }
+                    for (slot, &a) in sseg.iter_mut().zip(aseg) {
+                        *slot = a * (*slot - dot_s);
+                    }
+                }
             }
-            for ((slot, &a), &i) in sseg.iter_mut().zip(aseg).zip(iseg) {
-                *slot = a * (*slot - dot_s);
-                let target = gx.row_mut(i as usize); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
-                for (t, &g) in target.iter_mut().zip(grow) {
-                    *t += a * g;
+            if let Some(gx) = gx.as_mut() {
+                for (&a, &i) in aseg.iter().zip(iseg) {
+                    let target = gx.row_mut(i as usize); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
+                    for (t, &g) in target.iter_mut().zip(grow) {
+                        *t += a * g;
+                    }
                 }
             }
         }
-        vec![Some(gs), Some(gx)]
+        vec![gs, gx]
     }
     fn name(&self) -> &'static str {
         "gather_attention"
@@ -738,7 +786,13 @@ impl Op for GatherAttentionOp {
 /// tensor (attention weighting of gathered neighbor features).
 struct MulColBroadcastOp;
 impl Op for MulColBroadcastOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         let (a, w) = (inputs[0], inputs[1]);
         // Scratch: the row loop assigns every element of both planes.

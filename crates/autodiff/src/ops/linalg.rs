@@ -26,11 +26,19 @@ fn dim_product(r: Dim, c: Dim) -> Dim {
 
 pub(crate) struct MatMulOp;
 impl Op for MatMulOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
-        // C = A·B  =>  dA = dC·Bᵀ, dB = Aᵀ·dC
-        let ga = grad.matmul_a_bt(inputs[1]);
-        let gb = inputs[0].matmul_at_b(grad);
-        vec![Some(ga), Some(gb)]
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
+        // C = A·B  =>  dA = dC·Bᵀ, dB = Aᵀ·dC; an operand the sweep does
+        // not want (constant features, or W in the α-only step) costs no
+        // GEMM.
+        let ga = wants[0].then(|| grad.matmul_a_bt(inputs[1]));
+        let gb = wants[1].then(|| inputs[0].matmul_at_b(grad));
+        vec![ga, gb]
     }
     fn name(&self) -> &'static str {
         "matmul"
@@ -65,7 +73,13 @@ struct SpmmOp {
     sparse: Arc<Csr>,
 }
 impl Op for SpmmOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         // C = S·B  =>  dB = Sᵀ·dC (S is a constant operator).
         vec![Some(self.sparse.t().spmm(grad))]
     }
@@ -116,8 +130,14 @@ impl Op for SpmmOp {
 
 struct AddBiasOp;
 impl Op for AddBiasOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
-        vec![Some(pool::clone_of(grad)), Some(grad.col_sums())]
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
+        vec![wants[0].then(|| pool::clone_of(grad)), wants[1].then(|| grad.col_sums())]
     }
     fn name(&self) -> &'static str {
         "add_bias"
@@ -156,18 +176,26 @@ struct ConcatColsOp {
     widths: Vec<usize>,
 }
 impl Op for ConcatColsOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let rows = grad.rows();
         let mut grads = Vec::with_capacity(inputs.len());
         let mut offset = 0;
-        for &w in &self.widths {
-            // Scratch: every row of each slice is copied from the gradient.
-            let mut g = pool::scratch(rows, w);
-            for r in 0..rows {
-                g.row_mut(r).copy_from_slice(&grad.row(r)[offset..offset + w]);
-            }
+        for (&w, &want) in self.widths.iter().zip(wants) {
+            grads.push(want.then(|| {
+                // Scratch: every row of the slice is copied from the gradient.
+                let mut g = pool::scratch(rows, w);
+                for r in 0..rows {
+                    g.row_mut(r).copy_from_slice(&grad.row(r)[offset..offset + w]);
+                }
+                g
+            }));
             offset += w;
-            grads.push(Some(g));
         }
         grads
     }
@@ -229,7 +257,13 @@ struct SliceColsOp {
     end: usize,
 }
 impl Op for SliceColsOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         let mut g = pool::zeros(rows, cols);
         for r in 0..rows {
@@ -269,7 +303,13 @@ impl Op for SliceColsOp {
 
 struct RowSumOp;
 impl Op for RowSumOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         // Scratch: every row is filled with its broadcast gradient.
         let mut g = pool::scratch(rows, cols);
@@ -306,7 +346,13 @@ impl Op for RowSumOp {
 
 struct SumAllOp;
 impl Op for SumAllOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         vec![Some(pool::full(rows, cols, grad.as_scalar()))]
     }
@@ -337,7 +383,13 @@ impl Op for SumAllOp {
 
 struct MeanAllOp;
 impl Op for MeanAllOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
         let n = (rows * cols) as f32; // lint:allow(lossy-cast) -- count stays far below 2^24
         vec![Some(pool::full(rows, cols, grad.as_scalar() / n))]
@@ -377,7 +429,13 @@ impl Op for MeanAllOp {
 
 struct SoftmaxRowsOp;
 impl Op for SoftmaxRowsOp {
-    fn backward(&self, out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         // dX[r] = P[r] ⊙ (dY[r] - <dY[r], P[r]>)
         // Scratch: the row loop assigns every element.
         let mut g = pool::scratch(out.rows(), out.cols());
@@ -414,7 +472,13 @@ impl Op for SoftmaxRowsOp {
 
 struct LogSoftmaxRowsOp;
 impl Op for LogSoftmaxRowsOp {
-    fn backward(&self, out: &Matrix, grad: &Matrix, _inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        out: &Matrix,
+        grad: &Matrix,
+        _inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         // dX[r] = dY[r] - exp(out[r]) * sum(dY[r])
         // Scratch: the row loop assigns every element.
         let mut g = pool::scratch(out.rows(), out.cols());
@@ -451,7 +515,13 @@ struct MaxStackOp {
     winners: Arc<Vec<u8>>,
 }
 impl Op for MaxStackOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let shape = inputs[0].shape();
         let mut grads: Vec<Matrix> =
             (0..inputs.len()).map(|_| pool::zeros(shape.0, shape.1)).collect();

@@ -34,7 +34,13 @@ impl Drop for CrossEntropyOp {
     }
 }
 impl Op for CrossEntropyOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (n, c) = inputs[0].shape();
         let scale = grad.as_scalar() / self.rows.len() as f32; // lint:allow(lossy-cast) -- count stays far below 2^24
         let mut g = pool::zeros(n, c);
@@ -120,7 +126,13 @@ struct BceWithLogitsOp {
     rows: Arc<Vec<u32>>,
 }
 impl Op for BceWithLogitsOp {
-    fn backward(&self, _out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        _wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
         let (n, c) = inputs[0].shape();
         let scale = grad.as_scalar() / (self.rows.len() * c) as f32; // lint:allow(lossy-cast) -- count stays far below 2^24
         let mut g = pool::zeros(n, c);

@@ -5,7 +5,9 @@
 //! forward byproducts its backward pass needs (dropout masks, arg-max
 //! indices, softmax outputs). [`Tape::backward`] then runs a single reverse
 //! sweep and returns the gradient of a scalar output with respect to every
-//! [`Param`] that participated.
+//! parameter that participated; [`Tape::backward_wrt`] restricts the sweep
+//! to a chosen set. Either way the sweep is demand-driven: nodes that feed
+//! no wanted parameter never receive a gradient.
 //!
 //! Parameters live outside the tape in a [`VarStore`], so the tape can be
 //! rebuilt cheaply every training step (the idiom used by all GNN models in
@@ -47,11 +49,24 @@ impl ParamId {
 
 /// One differentiable operation.
 ///
-/// Implementations receive the forward output, the incoming gradient and the
-/// forward values of their inputs, and return one optional gradient per
-/// input (in the same order the inputs were wired on the tape).
+/// Implementations receive the forward output, the incoming gradient, the
+/// forward values of their inputs and the sweep's demand for each input,
+/// and return one optional gradient per input (in the same order the inputs
+/// were wired on the tape).
+///
+/// `wants[k]` is false when nothing the sweep differentiates depends on
+/// input `k`. An op may skip that gradient and return `None`, or ignore the
+/// mask: the driver discards gradients of unwanted inputs. Skipping one
+/// side must leave the arithmetic of the other sides unchanged, so a
+/// pruned sweep stays bitwise identical to a full one.
 pub(crate) trait Op: Send + Sync {
-    fn backward(&self, out: &Matrix, grad: &Matrix, inputs: &[&Matrix]) -> Vec<Option<Matrix>>;
+    fn backward(
+        &self,
+        out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        wants: &[bool],
+    ) -> Vec<Option<Matrix>>;
 
     /// Human-readable name for error messages.
     fn name(&self) -> &'static str;
@@ -106,7 +121,7 @@ pub(crate) trait Op: Send + Sync {
 /// Leaf op for constants / external inputs: no gradient flows past it.
 struct InputOp;
 impl Op for InputOp {
-    fn backward(&self, _: &Matrix, _: &Matrix, _: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(&self, _: &Matrix, _: &Matrix, _: &[&Matrix], _: &[bool]) -> Vec<Option<Matrix>> {
         Vec::new()
     }
     fn name(&self) -> &'static str {
@@ -127,7 +142,7 @@ impl Op for InputOp {
 /// accumulated gradient into [`Gradients`].
 struct ParamOp;
 impl Op for ParamOp {
-    fn backward(&self, _: &Matrix, _: &Matrix, _: &[&Matrix]) -> Vec<Option<Matrix>> {
+    fn backward(&self, _: &Matrix, _: &Matrix, _: &[&Matrix], _: &[bool]) -> Vec<Option<Matrix>> {
         Vec::new()
     }
     fn name(&self) -> &'static str {
@@ -275,83 +290,177 @@ impl Tape {
     /// Reverse sweep from `output`, which must be scalar (`1 x 1`).
     ///
     /// Returns the gradients of all parameters reachable from `output`.
+    /// Nodes that depend on no parameter (constants and chains of ops over
+    /// them) are pruned from the sweep: see [`Tape::backward_wrt`].
     ///
     /// # Panics
     /// Panics if `output` is not `1 x 1`.
     pub fn backward(&self, output: Tensor) -> Gradients {
+        self.assert_scalar(output);
+        self.backward_seeded(output, Matrix::scalar(1.0))
+    }
+
+    /// Reverse sweep from the scalar `output` that differentiates with
+    /// respect to `params` only.
+    ///
+    /// Before the sweep, one forward pass over the Wengert list marks the
+    /// nodes that depend on a wanted parameter. Only those receive a
+    /// gradient, so only their backward runs, and each op is told which of
+    /// its inputs are wanted (a `matmul` with a constant left operand forms
+    /// `dW` and never `dX`). Every consumer of a marked node is itself
+    /// marked, so the wanted gradients accumulate the same terms in the
+    /// same order as under [`Tape::backward`] and are bitwise identical to
+    /// its; every other slot of the result is `None`.
+    ///
+    /// # Panics
+    /// Panics if `output` is not `1 x 1`.
+    pub fn backward_wrt(&self, output: Tensor, params: &[ParamId]) -> Gradients {
+        self.assert_scalar(output);
+        let mut bits = vec![0u64; params.iter().map(|p| p.0 / 64 + 1).max().unwrap_or(0)];
+        for p in params {
+            bits[p.0 / 64] |= 1 << (p.0 % 64);
+        }
+        let wanted = |p: ParamId| bits.get(p.0 / 64).is_some_and(|w| (w >> (p.0 % 64)) & 1 == 1);
+        crate::parallel::timed("tape_backward", || {
+            self.sweep(output, Matrix::scalar(1.0), &self.needs(wanted))
+        })
+    }
+
+    /// Reverse sweep with an explicit seed gradient (same shape as
+    /// `output`), with respect to every parameter.
+    pub fn backward_seeded(&self, output: Tensor, seed: Matrix) -> Gradients {
+        crate::parallel::timed("tape_backward", || self.sweep(output, seed, &self.needs(|_| true)))
+    }
+
+    fn assert_scalar(&self, output: Tensor) {
         assert_eq!(
             self.value(output).shape(),
             (1, 1),
             "backward requires a scalar output, got {:?}",
             self.value(output).shape()
         );
-        self.backward_seeded(output, Matrix::scalar(1.0))
     }
 
-    /// Reverse sweep with an explicit seed gradient (same shape as `output`).
-    pub fn backward_seeded(&self, output: Tensor, seed: Matrix) -> Gradients {
-        crate::parallel::timed("tape_backward", || self.backward_seeded_inner(output, seed))
+    /// The demand mask of one reverse sweep: `needs[i]` holds iff node `i`
+    /// is a parameter leaf that `wanted` accepts, or any of its inputs
+    /// needs. Inputs precede their consumers, so one forward pass settles
+    /// it. Both sweeps ([`Tape::backward_wrt`] and
+    /// [`Tape::backward_measured`]) prune with this mask.
+    fn needs(&self, wanted: impl Fn(ParamId) -> bool) -> Vec<bool> {
+        let mut needs = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let need = match node.param {
+                Some(pid) => wanted(pid),
+                None => node.inputs.iter().any(|t| needs[t.0]),
+            };
+            needs.push(need);
+        }
+        needs
     }
 
-    fn backward_seeded_inner(&self, output: Tensor, seed: Matrix) -> Gradients {
+    fn sweep(&self, output: Tensor, seed: Matrix, needs: &[bool]) -> Gradients {
         assert_eq!(seed.shape(), self.value(output).shape(), "seed gradient shape mismatch");
+        let mut result = Gradients::default();
+        if !needs[output.0] {
+            pool::put(seed);
+            return result;
+        }
         let mut grads: Vec<Option<Matrix>> = (0..self.nodes.len()).map(|_| None).collect();
         grads[output.0] = Some(seed);
-        let mut result = Gradients::default();
-
-        for i in (0..self.nodes.len()).rev() {
-            let Some(grad) = grads[i].take() else { continue };
-            let node = &self.nodes[i];
-            if let Some(pid) = node.param {
-                result.accumulate(pid, grad);
-                continue;
+        // Nodes recorded after `output` cannot feed it.
+        for i in (0..=output.0).rev() {
+            if let Some(grad) = grads[i].take() {
+                self.backward_step(i, grad, needs, &mut grads, &mut result, None);
             }
-            if node.inputs.is_empty() {
-                // Constant/input leaf: the gradient stops here.
-                pool::put(grad);
-                continue;
-            }
-            let input_vals: Vec<&Matrix> = node.inputs.iter().map(|t| self.value(*t)).collect();
-            let input_grads = node.op.backward(&node.value, &grad, &input_vals);
-            assert_eq!(
-                input_grads.len(),
-                node.inputs.len(),
-                "op `{}` returned {} gradients for {} inputs",
-                node.op.name(),
-                input_grads.len(),
-                node.inputs.len()
-            );
-            for (t, g) in node.inputs.iter().zip(input_grads) {
-                let Some(g) = g else { continue };
-                assert_eq!(
-                    g.shape(),
-                    self.value(*t).shape(),
-                    "op `{}` (node {i}) produced a gradient of the wrong shape \
-                     for input node {}",
-                    node.op.name(),
-                    t.0
-                );
-                match &mut grads[t.0] {
-                    Some(acc) => {
-                        acc.add_assign(&g);
-                        pool::put(g);
-                    }
-                    slot @ None => *slot = Some(g),
-                }
-            }
-            // `grad` was fully distributed to the inputs; recycle it.
-            pool::put(grad);
         }
         result
+    }
+
+    /// One node's step of a reverse sweep, shared by both sweeps.
+    ///
+    /// A parameter leaf banks `grad` in `result`. An op node runs
+    /// [`Op::backward`] with its inputs' demand, accumulates the gradients
+    /// of demanded inputs into `grads`, and recycles the rest along with
+    /// `grad`. Only demanded nodes receive a gradient, so constant leaves
+    /// never get here. `plan` supplies the recorded shapes of inputs a
+    /// planned sweep has already released.
+    ///
+    /// Returns `(held, freed)`: bytes of gradient buffers this step newly
+    /// holds in `grads` or `result`, and bytes it released.
+    fn backward_step(
+        &self,
+        i: usize,
+        grad: Matrix,
+        needs: &[bool],
+        grads: &mut [Option<Matrix>],
+        result: &mut Gradients,
+        plan: Option<&MemPlan>,
+    ) -> (usize, usize) {
+        let node = &self.nodes[i];
+        let bytes = grad.len() * 4;
+        if let Some(pid) = node.param {
+            // Merging into an existing accumulator recycles `grad`; a
+            // fresh slot keeps it resident until the caller is done with
+            // the gradient set.
+            let merged = result.get(pid).is_some();
+            result.accumulate(pid, grad);
+            return (0, if merged { bytes } else { 0 });
+        }
+        let input_vals: Vec<&Matrix> =
+            node.inputs.iter().map(|t| &*self.nodes[t.0].value).collect();
+        let wants: Vec<bool> = node.inputs.iter().map(|t| needs[t.0]).collect();
+        let input_grads = node.op.backward(&node.value, &grad, &input_vals, &wants);
+        assert_eq!(
+            input_grads.len(),
+            node.inputs.len(),
+            "op `{}` returned {} gradients for {} inputs",
+            node.op.name(),
+            input_grads.len(),
+            node.inputs.len()
+        );
+        let mut held = 0;
+        for (t, g) in node.inputs.iter().zip(input_grads) {
+            let Some(g) = g else { continue };
+            if !needs[t.0] {
+                pool::put(g);
+                continue;
+            }
+            // Released inputs have lost their shape; the plan remembers
+            // what was recorded.
+            let expected = match plan {
+                Some(p) => p.values[t.0].shape,
+                None => self.nodes[t.0].value.shape(),
+            };
+            assert_eq!(
+                g.shape(),
+                expected,
+                "op `{}` (node {i}) produced a gradient of the wrong shape for input node {}",
+                node.op.name(),
+                t.0
+            );
+            match &mut grads[t.0] {
+                Some(acc) => {
+                    acc.add_assign(&g);
+                    pool::put(g);
+                }
+                slot @ None => {
+                    held += g.len() * 4;
+                    *slot = Some(g);
+                }
+            }
+        }
+        // `grad` was fully distributed to the inputs; recycle it.
+        pool::put(grad);
+        (held, bytes)
     }
 
     /// Reverse sweep with memory instrumentation and, optionally,
     /// plan-driven buffer release.
     ///
     /// With `plan: None` this is an instrumented [`Tape::backward`]: the
-    /// same sweep, plus exact accounting of resident bytes (all forward
-    /// values held by the tape, plus every gradient buffer in flight,
-    /// including accumulated parameter gradients). With a verified
+    /// same demand-pruned sweep, plus exact accounting of resident bytes
+    /// (all forward values held by the tape, plus every gradient buffer in
+    /// flight, including accumulated parameter gradients). With a verified
     /// [`MemPlan`], each non-pinned value is additionally *released* into
     /// the [`crate::pool`] the moment its planned interval closes — values
     /// dead before backward go first, the rest retire step by step — so
@@ -372,16 +481,12 @@ impl Tape {
         output: Tensor,
         plan: Option<&MemPlan>,
     ) -> (Gradients, ExecStats) {
-        assert_eq!(
-            self.value(output).shape(),
-            (1, 1),
-            "backward requires a scalar output, got {:?}",
-            self.value(output).shape()
-        );
+        self.assert_scalar(output);
         let n = self.nodes.len();
         if let Some(plan) = plan {
             assert_eq!(plan.values.len(), n, "memory plan does not cover this tape");
         }
+        let needs = self.needs(|_| true);
 
         // Planned release schedule: values whose last use predates the
         // backward sweep go before it; a value last used at backward time
@@ -432,71 +537,19 @@ impl Tape {
             }
         }
 
-        let seed = Matrix::scalar(1.0);
         let mut grads: Vec<Option<Matrix>> = (0..n).map(|_| None).collect();
-        grad_bytes += seed.len() * 4;
-        grads[output.0] = Some(seed);
+        if needs[output.0] {
+            grad_bytes += 4;
+            grads[output.0] = Some(Matrix::scalar(1.0));
+        }
         peak = peak.max(value_bytes + grad_bytes);
         let mut result = Gradients::default();
 
         for i in (0..n).rev() {
             if let Some(grad) = grads[i].take() {
-                let node = &self.nodes[i];
-                if let Some(pid) = node.param {
-                    // Merging into an existing accumulator recycles `grad`;
-                    // a fresh slot keeps it resident until the caller is
-                    // done with the gradient set.
-                    let existing = result.get(pid).is_some();
-                    let bytes = grad.len() * 4;
-                    result.accumulate(pid, grad);
-                    if existing {
-                        grad_bytes -= bytes;
-                    }
-                } else if node.inputs.is_empty() {
-                    grad_bytes -= grad.len() * 4;
-                    pool::put(grad);
-                } else {
-                    let input_vals: Vec<&Matrix> =
-                        node.inputs.iter().map(|t| &*self.nodes[t.0].value).collect();
-                    let input_grads = node.op.backward(&node.value, &grad, &input_vals);
-                    assert_eq!(
-                        input_grads.len(),
-                        node.inputs.len(),
-                        "op `{}` returned {} gradients for {} inputs",
-                        node.op.name(),
-                        input_grads.len(),
-                        node.inputs.len()
-                    );
-                    for (t, g) in node.inputs.iter().zip(input_grads) {
-                        let Some(g) = g else { continue };
-                        // Released inputs have lost their shape; the plan
-                        // remembers what was recorded.
-                        let expected = match plan {
-                            Some(p) => p.values[t.0].shape,
-                            None => self.nodes[t.0].value.shape(),
-                        };
-                        assert_eq!(
-                            g.shape(),
-                            expected,
-                            "op `{}` (node {i}) produced a gradient of the wrong \
-                             shape for input node {}",
-                            node.op.name(),
-                            t.0
-                        );
-                        match &mut grads[t.0] {
-                            Some(acc) => {
-                                acc.add_assign(&g);
-                                pool::put(g);
-                            }
-                            slot @ None => {
-                                grad_bytes += g.len() * 4;
-                                *slot = Some(g);
-                            }
-                        }
-                    }
-                    grad_bytes -= grad.len() * 4;
-                    pool::put(grad);
-                }
+                let (held, freed) =
+                    self.backward_step(i, grad, &needs, &mut grads, &mut result, plan);
+                grad_bytes = grad_bytes + held - freed;
             }
             if plan.is_some() {
                 // Take the list to end the borrow of `release_after`
@@ -774,6 +827,111 @@ mod tests {
         let mut tape = Tape::new(0);
         let t = tape.constant(Matrix::zeros(2, 2));
         let _ = tape.backward(t);
+    }
+
+    /// Runs `f` under a memory-sink recorder with kernel timing on and
+    /// returns its result with how many times each kernel ran, read from
+    /// the `kernel.<name>.ns` summaries that `parallel::timed` feeds.
+    fn with_kernel_calls<R>(f: impl FnOnce() -> R) -> (R, impl Fn(&str) -> u64) {
+        use sane_telemetry::Value;
+        let buf = sane_telemetry::MemoryBuffer::default();
+        let guard = sane_telemetry::Recorder::new("kernel-calls")
+            .with_memory(buf.clone())
+            .with_kernel_timing(true)
+            .install();
+        let out = f();
+        sane_telemetry::flush_metrics();
+        drop(guard);
+        let text = buf.borrow().clone();
+        let metrics = text
+            .lines()
+            .rev()
+            .map(|l| Value::parse(l).expect("trace line parses"))
+            .find(|r| r.get("kind").and_then(Value::as_str) == Some("metrics"))
+            .expect("a metrics record");
+        let calls = move |kernel: &str| {
+            metrics
+                .get("summaries")
+                .and_then(|s| s.get(&format!("kernel.{kernel}.ns")))
+                .and_then(|s| s.get("count"))
+                .and_then(Value::as_u64)
+                .unwrap_or(0)
+        };
+        (out, calls)
+    }
+
+    #[test]
+    fn constant_times_param_backward_runs_one_gemm() {
+        let mut store = VarStore::new();
+        let w = store.add("w", Matrix::from_fn(6, 3, |i, j| (i + 2 * j) as f32 * 0.1));
+        let mut tape = Tape::new(0);
+        let x = tape.constant(Matrix::from_fn(5, 6, |i, j| (i * j) as f32 * 0.01));
+        let tw = tape.param(&store, w);
+        let h = tape.matmul(x, tw);
+        let loss = tape.sum_all(h);
+        let (grads, calls) = with_kernel_calls(|| tape.backward(loss));
+        // dW = Xᵀ·dY only: the constant's dX = dY·Wᵀ is never formed.
+        assert_eq!(calls("gemm"), 1);
+        assert_eq!(calls("tape_backward"), 1);
+        let expected = tape.value(x).matmul_at_b(&Matrix::full(5, 3, 1.0));
+        assert_eq!(grads.get(w).expect("dW").data(), expected.data());
+    }
+
+    #[test]
+    fn constant_only_chain_runs_no_backward() {
+        let adj = Arc::new(crate::sparse::Csr::from_coo(
+            4,
+            4,
+            &[(0, 1, 0.5), (1, 0, 0.5), (2, 3, 1.0), (3, 2, 1.0), (3, 3, 1.0)],
+        ));
+        let mut store = VarStore::new();
+        let w = store.add("w", Matrix::from_fn(3, 2, |i, j| (i + j) as f32 * 0.25));
+        let mut tape = Tape::new(5);
+        let x = tape.constant(Matrix::from_fn(4, 3, |i, j| (i * 3 + j) as f32 * 0.1));
+        let d = tape.dropout(x, 0.5);
+        let s = tape.spmm(&adj, d);
+        let tw = tape.param(&store, w);
+        let h = tape.matmul(s, tw);
+        let loss = tape.mean_all(h);
+        assert!(!tape.needs(|_| true)[s.index()], "the constant chain carries no demand");
+        let (grads, calls) = with_kernel_calls(|| tape.backward(loss));
+        assert_eq!(calls("spmm"), 0, "the spmm backward ran on a constant chain");
+        assert_eq!(calls("gemm"), 1);
+        assert!(grads.get(w).is_some());
+    }
+
+    #[test]
+    fn backward_wrt_matches_backward_on_wanted_params_only() {
+        let mut store = VarStore::new();
+        let a = store.add("a", Matrix::from_fn(3, 3, |i, j| (i as f32 - j as f32) * 0.3));
+        let b = store.add("b", Matrix::from_fn(3, 3, |i, j| (i * j) as f32 * 0.2 + 0.1));
+        let s = store.add("s", Matrix::scalar(0.7));
+        let mut tape = Tape::new(0);
+        let ta = tape.param(&store, a);
+        let tb = tape.param(&store, b);
+        let ts = tape.param(&store, s);
+        let ab = tape.matmul(ta, tb);
+        let t = tape.tanh(ab);
+        let m = tape.mul(t, ta);
+        let g = tape.mul_scalar_tensor(m, ts);
+        let loss = tape.sum_all(g);
+        let full = tape.backward(loss);
+        for wanted in [vec![a], vec![b], vec![s], vec![s, a]] {
+            let part = tape.backward_wrt(loss, &wanted);
+            for id in store.ids() {
+                match part.get(id) {
+                    Some(g) if wanted.contains(&id) => {
+                        let f = full.get(id).expect("full sweep reaches every param");
+                        assert_eq!(g.data(), f.data(), "{id:?} diverged for {wanted:?}");
+                    }
+                    None if !wanted.contains(&id) => {}
+                    other => panic!("{id:?} for {wanted:?}: got {:?}", other.map(Matrix::shape)),
+                }
+            }
+            part.recycle();
+        }
+        assert!(tape.backward_wrt(loss, &[]).is_empty());
+        full.recycle();
     }
 
     #[test]

@@ -145,9 +145,7 @@ pub fn sane_search(task: &Task, cfg: &SaneSearchConfig) -> SaneSearchOutput {
                 if cfg.xi > 0.0 {
                     step_alpha_second_order(task, &net, &mut store, &mut opt_alpha, cfg, epoch);
                 } else {
-                    let grads = mixed_grads(task, &net, &store, Split::Val, cfg.seed, epoch);
-                    opt_alpha.step_subset(&mut store, &grads, net.alpha_params());
-                    grads.recycle();
+                    step_alpha_first_order(task, &net, &mut store, &mut opt_alpha, cfg.seed, epoch);
                 }
             }
             // Line 4–5: update w on the training loss.
@@ -264,17 +262,35 @@ fn eval_mixed_val(task: &Task, net: &Supernet, store: &VarStore) -> f64 {
     }
 }
 
-/// Gradients of the fully-mixed supernet loss on one split.
-pub(crate) fn mixed_grads(
+/// Gradients of the fully-mixed supernet loss on one split, with respect
+/// to `wrt` only (every other slot stays `None`).
+fn mixed_grads(
     task: &Task,
     net: &Supernet,
     store: &VarStore,
     split: Split,
     seed: u64,
     epoch: usize,
+    wrt: &[ParamId],
 ) -> Gradients {
     let (tape, loss) = mixed_loss_tape(task, net, store, split, seed, epoch);
-    tape.backward(loss)
+    tape.backward_wrt(loss, wrt)
+}
+
+/// The first-order (ξ = 0) α update, lines 2–3 of Algorithm 1: one Adam
+/// step on the validation loss, differentiated with respect to α alone so
+/// the sweep forms no weight gradients.
+pub(crate) fn step_alpha_first_order(
+    task: &Task,
+    net: &Supernet,
+    store: &mut VarStore,
+    opt_alpha: &mut Adam,
+    seed: u64,
+    epoch: usize,
+) {
+    let grads = mixed_grads(task, net, store, Split::Val, seed, epoch, net.alpha_params());
+    opt_alpha.step_subset(store, &grads, net.alpha_params());
+    grads.recycle();
 }
 
 /// Records the fully-mixed supernet forward + loss on one split and returns
@@ -337,36 +353,36 @@ fn step_alpha_second_order(
     cfg: &SaneSearchConfig,
     epoch: usize,
 ) {
-    let w_ids: Vec<ParamId> = net.weight_params().to_vec();
+    let w_ids = net.weight_params();
+    let alpha_ids = net.alpha_params();
+    let all_ids: Vec<ParamId> = store.ids().collect();
     let backup = store.snapshot();
 
     // w' = w - ξ ∇w L_tra(w, α).
-    let g_tra = mixed_grads(task, net, store, Split::Train, cfg.seed, epoch);
-    apply_delta(store, &w_ids, &g_tra, -cfg.xi);
+    let g_tra = mixed_grads(task, net, store, Split::Train, cfg.seed, epoch, w_ids);
+    apply_delta(store, w_ids, &g_tra, -cfg.xi);
     g_tra.recycle();
 
     // ∇ L_val at (w', α): the α part is term 1, the w' part drives the
     // finite difference.
-    let mut g_val = mixed_grads(task, net, store, Split::Val, cfg.seed, epoch);
-    let gw_norm = g_val.l2_norm_subset(&w_ids);
+    let mut g_val = mixed_grads(task, net, store, Split::Val, cfg.seed, epoch, &all_ids);
+    let gw_norm = g_val.l2_norm_subset(w_ids);
     store.restore(&backup);
 
     if gw_norm > 1e-12 {
         let eps = 0.01 / gw_norm;
-        apply_delta(store, &w_ids, &g_val, eps);
-        let g_plus = mixed_grads(task, net, store, Split::Train, cfg.seed, epoch);
+        apply_delta(store, w_ids, &g_val, eps);
+        let g_plus = mixed_grads(task, net, store, Split::Train, cfg.seed, epoch, alpha_ids);
         store.restore(&backup);
-        apply_delta(store, &w_ids, &g_val, -eps);
-        let g_minus = mixed_grads(task, net, store, Split::Train, cfg.seed, epoch);
+        apply_delta(store, w_ids, &g_val, -eps);
+        let g_minus = mixed_grads(task, net, store, Split::Train, cfg.seed, epoch, alpha_ids);
         store.restore(&backup);
-        // g_val's weight slots also accumulate the correction; harmless —
-        // the optimizer below only reads the α slots.
         g_val.add_scaled(&g_plus, -cfg.xi / (2.0 * eps));
         g_val.add_scaled(&g_minus, cfg.xi / (2.0 * eps));
         g_plus.recycle();
         g_minus.recycle();
     }
-    opt_alpha.step_subset(store, &g_val, net.alpha_params());
+    opt_alpha.step_subset(store, &g_val, alpha_ids);
     g_val.recycle();
 }
 
@@ -554,6 +570,41 @@ mod tests {
         // mixture branches, so accumulation points must exist.
         assert!(report.fan.accumulation_points > 0, "{report}");
         assert_eq!(report.reachable_nodes, report.num_nodes, "{report}");
+    }
+
+    /// The α step's pruned sweep must hand Adam exactly the α gradients
+    /// the full sweep computes, at every worker count, and form no weight
+    /// gradient at all.
+    #[test]
+    fn alpha_only_sweep_matches_full_sweep_bitwise() {
+        use sane_autodiff::parallel::with_threads;
+        let task = tiny_task();
+        let cfg = tiny_cfg(1);
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut store = VarStore::new();
+        let net = Supernet::new(
+            cfg.supernet.clone(),
+            task.feature_dim(),
+            task.num_outputs(),
+            &mut store,
+            &mut rng,
+        );
+        let (tape, loss) = mixed_loss_tape(&task, &net, &store, Split::Val, cfg.seed, 0);
+        for threads in [1usize, 2, 4] {
+            let (full, alpha) = with_threads(threads, || {
+                (tape.backward(loss), tape.backward_wrt(loss, net.alpha_params()))
+            });
+            for &id in net.alpha_params() {
+                let f = full.get(id).expect("α reaches the loss");
+                let a = alpha.get(id).unwrap_or_else(|| panic!("{threads} threads: no {id:?}"));
+                assert_eq!(a.data(), f.data(), "{threads} threads: α {id:?} diverged");
+            }
+            for &id in net.weight_params() {
+                assert!(alpha.get(id).is_none(), "{threads} threads: weight {id:?} got a gradient");
+            }
+            full.recycle();
+            alpha.recycle();
+        }
     }
 
     #[test]

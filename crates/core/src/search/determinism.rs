@@ -11,7 +11,8 @@
 //! does not compare a kernel in isolation. It runs a **full search step**
 //! (fully-mixed supernet forward, backward, α Adam update on the
 //! validation loss, then w Adam update on the training loss — exactly
-//! Algorithm 1's epoch body in first-order mode) and fingerprints every
+//! Algorithm 1's epoch body in first-order mode, through the same α-step
+//! helper and α-only backward sweep `sane_search` runs) and fingerprints every
 //! observable: the loss scalar, every gradient matrix, every parameter
 //! after the updates, and the softmaxed α rows.
 //!
@@ -30,7 +31,7 @@ use rand::SeedableRng;
 use sane_autodiff::optim::Adam;
 use sane_autodiff::VarStore;
 
-use super::darts::{mixed_grads, mixed_loss_tape, SaneSearchConfig, Split};
+use super::darts::{mixed_loss_tape, step_alpha_first_order, SaneSearchConfig, Split};
 use crate::supernet::Supernet;
 use crate::train::Task;
 
@@ -118,10 +119,9 @@ pub fn search_step_fingerprint(task: &Task, cfg: &SaneSearchConfig) -> StepFinge
     let mut opt_w = Adam::new(cfg.lr_w, cfg.wd_w);
     let mut opt_alpha = Adam::new(cfg.lr_alpha, cfg.wd_alpha);
 
-    // Lines 2–3 of Algorithm 1: α Adam step on the validation loss.
-    let alpha_grads = mixed_grads(task, &net, &store, Split::Val, cfg.seed, 0);
-    opt_alpha.step_subset(&mut store, &alpha_grads, net.alpha_params());
-    alpha_grads.recycle();
+    // Lines 2–3 of Algorithm 1: α Adam step on the validation loss, the
+    // same α-only sweep `sane_search` runs.
+    step_alpha_first_order(task, &net, &mut store, &mut opt_alpha, cfg.seed, 0);
 
     // Lines 4–5: w Adam step on the training loss.
     let (tape, loss) = mixed_loss_tape(task, &net, &store, Split::Train, cfg.seed, 0);

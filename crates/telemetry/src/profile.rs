@@ -461,46 +461,59 @@ impl fmt::Display for Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{self, Recorder};
-    use crate::sink::MemoryBuffer;
 
-    fn recorded_trace(run: impl FnOnce()) -> String {
-        let buf = MemoryBuffer::default();
-        let guard = Recorder::new("prof").with_memory(buf.clone()).install();
-        run();
-        drop(guard);
-        let text = buf.borrow().clone();
-        text
-    }
-
-    fn spin(ms: u64) {
-        let start = std::time::Instant::now();
-        while start.elapsed().as_millis() < u128::from(ms) {
-            std::hint::black_box(0u64);
-        }
-    }
-
-    fn busy_trace() -> String {
-        recorded_trace(|| {
-            let _outer = recorder::span("search");
-            for _ in 0..2 {
-                let _epoch = recorder::span("search.epoch");
-                {
-                    let _arch = recorder::phase_span("search.arch_step", "arch_step");
-                    recorder::kernel_sample("spmm", 400_000);
-                    spin(2);
-                }
-                {
-                    let _w = recorder::phase_span("search.weight_step", "weight_step");
-                    recorder::kernel_sample("spmm", 900_000);
-                    recorder::kernel_sample("gemm", 300_000);
-                    spin(3);
-                }
-            }
-            recorder::kernel_sample("spmm", 50_000);
-            recorder::flush_metrics();
-        })
-    }
+    /// Two search epochs, each an arch step (one 400 µs spmm) and a weight
+    /// step (a 900 µs spmm and a 300 µs gemm), plus one 50 µs spmm outside
+    /// any phase. Timestamps are synthetic round numbers, so every
+    /// attribution below is exact.
+    const BUSY_TRACE: &str = concat!(
+        r#"{"t_ns":0,"kind":"run_start","level":"info","run":"prof"}"#,
+        "\n",
+        r#"{"t_ns":1000,"kind":"span_open","level":"debug","id":1,"name":"search"}"#,
+        "\n",
+        r#"{"t_ns":2000,"kind":"span_open","level":"debug","id":2,"name":"search.epoch","parent":1}"#,
+        "\n",
+        r#"{"t_ns":3000,"kind":"span_open","level":"debug","id":3,"name":"search.arch_step","parent":2,"phase":"arch_step"}"#,
+        "\n",
+        r#"{"t_ns":2003000,"kind":"span_close","level":"debug","id":3,"name":"search.arch_step","elapsed_ns":2000000}"#,
+        "\n",
+        r#"{"t_ns":2004000,"kind":"span_open","level":"debug","id":4,"name":"search.weight_step","parent":2,"phase":"weight_step"}"#,
+        "\n",
+        r#"{"t_ns":5004000,"kind":"span_close","level":"debug","id":4,"name":"search.weight_step","elapsed_ns":3000000}"#,
+        "\n",
+        r#"{"t_ns":5005000,"kind":"span_close","level":"debug","id":2,"name":"search.epoch","elapsed_ns":5003000}"#,
+        "\n",
+        r#"{"t_ns":5006000,"kind":"span_open","level":"debug","id":5,"name":"search.epoch","parent":1}"#,
+        "\n",
+        r#"{"t_ns":5007000,"kind":"span_open","level":"debug","id":6,"name":"search.arch_step","parent":5,"phase":"arch_step"}"#,
+        "\n",
+        r#"{"t_ns":7007000,"kind":"span_close","level":"debug","id":6,"name":"search.arch_step","elapsed_ns":2000000}"#,
+        "\n",
+        r#"{"t_ns":7008000,"kind":"span_open","level":"debug","id":7,"name":"search.weight_step","parent":5,"phase":"weight_step"}"#,
+        "\n",
+        r#"{"t_ns":10008000,"kind":"span_close","level":"debug","id":7,"name":"search.weight_step","elapsed_ns":3000000}"#,
+        "\n",
+        r#"{"t_ns":10009000,"kind":"span_close","level":"debug","id":5,"name":"search.epoch","elapsed_ns":5003000}"#,
+        "\n",
+        r#"{"t_ns":10010000,"kind":"metrics","level":"info","counters":{},"gauges":{},"#,
+        r#""summaries":{"#,
+        r#""kernel.gemm.ns":{"count":2,"sum":600000,"min":300000,"max":300000,"mean":300000,"dropped":0},"#,
+        r#""kernel.spmm.ns":{"count":5,"sum":2650000,"min":50000,"max":900000,"mean":530000,"dropped":0},"#,
+        r#""phase.arch_step.kernel.spmm.ns":{"count":2,"sum":800000,"min":400000,"max":400000,"mean":400000,"dropped":0},"#,
+        r#""phase.weight_step.kernel.gemm.ns":{"count":2,"sum":600000,"min":300000,"max":300000,"mean":300000,"dropped":0},"#,
+        r#""phase.weight_step.kernel.spmm.ns":{"count":2,"sum":1800000,"min":900000,"max":900000,"mean":900000,"dropped":0}},"#,
+        r#""hists":{"#,
+        r#""kernel.gemm.ns":{"count":2,"dropped":0,"sum":600000,"min":300000,"max":300000,"p50":300000,"p90":300000,"p99":300000,"buckets":[[145,2]]},"#,
+        r#""kernel.spmm.ns":{"count":5,"dropped":0,"sum":2650000,"min":50000,"max":900000,"p50":425984,"p90":900000,"p99":900000,"buckets":[[124,1],[148,2],[157,2]]},"#,
+        r#""phase.arch_step.kernel.spmm.ns":{"count":2,"dropped":0,"sum":800000,"min":400000,"max":400000,"p50":400000,"p90":400000,"p99":400000,"buckets":[[148,2]]},"#,
+        r#""phase.weight_step.kernel.gemm.ns":{"count":2,"dropped":0,"sum":600000,"min":300000,"max":300000,"p50":300000,"p90":300000,"p99":300000,"buckets":[[145,2]]},"#,
+        r#""phase.weight_step.kernel.spmm.ns":{"count":2,"dropped":0,"sum":1800000,"min":900000,"max":900000,"p50":900000,"p90":900000,"p99":900000,"buckets":[[157,2]]}}}"#,
+        "\n",
+        r#"{"t_ns":10011000,"kind":"span_close","level":"debug","id":1,"name":"search","elapsed_ns":10010000}"#,
+        "\n",
+        r#"{"t_ns":10012000,"kind":"run_end","level":"info","elapsed_ns":10012000,"open_spans":0}"#,
+        "\n",
+    );
 
     fn frame<'a>(p: &'a Profile, path: &[&str]) -> &'a FrameStat {
         p.frames
@@ -511,7 +524,7 @@ mod tests {
 
     #[test]
     fn span_tree_attribution_is_additive() {
-        let p = profile(&busy_trace()).expect("valid trace");
+        let p = profile(BUSY_TRACE).expect("valid trace");
         assert_eq!(p.run, "prof");
         let search = frame(&p, &["search"]);
         let epoch = frame(&p, &["search", "search.epoch"]);
@@ -522,17 +535,20 @@ mod tests {
         assert_eq!(arch.count, 2);
         assert_eq!(weight.count, 2);
         // Totals nest; self time excludes children.
-        assert!(search.total_ns >= epoch.total_ns);
-        assert!(epoch.total_ns >= arch.total_ns + weight.total_ns);
+        assert_eq!(search.total_ns, 10_010_000);
+        assert_eq!(epoch.total_ns, 10_006_000);
+        assert_eq!(arch.total_ns, 4_000_000);
+        assert_eq!(weight.total_ns, 6_000_000);
         assert_eq!(search.self_ns, search.total_ns - epoch.total_ns);
         assert_eq!(epoch.self_ns, epoch.total_ns - arch.total_ns - weight.total_ns);
-        // Nearly all wall time is inside the spans here.
-        assert!(p.attributed_fraction() > 0.9, "{}", p.attributed_fraction());
+        // Only the 2 µs outside the root span goes unattributed.
+        assert_eq!(p.wall_ns, 10_012_000);
+        assert_eq!(p.attributed_ns(), 10_010_000);
     }
 
     #[test]
     fn kernels_split_by_phase_with_remainder() {
-        let p = profile(&busy_trace()).expect("valid trace");
+        let p = profile(BUSY_TRACE).expect("valid trace");
         let get = |name: &str, phase: Option<&str>| {
             p.kernels
                 .iter()
@@ -558,7 +574,7 @@ mod tests {
 
     #[test]
     fn collapsed_stacks_round_trip_and_stay_additive() {
-        let p = profile(&busy_trace()).expect("valid trace");
+        let p = profile(BUSY_TRACE).expect("valid trace");
         let text = p.to_collapsed();
         let rows = parse_collapsed(&text).expect("own output parses");
         assert!(!rows.is_empty());
@@ -589,8 +605,8 @@ mod tests {
     #[test]
     fn truncated_or_empty_traces_are_rejected() {
         assert!(profile("").is_err());
-        let text = busy_trace();
-        let without_end: Vec<&str> = text.lines().filter(|l| !l.contains("run_end")).collect();
+        let without_end: Vec<&str> =
+            BUSY_TRACE.lines().filter(|l| !l.contains("run_end")).collect();
         assert!(profile(&without_end.join("\n")).is_err());
     }
 }
