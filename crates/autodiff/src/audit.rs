@@ -646,7 +646,7 @@ mod tests {
         let b = tape.constant(Matrix::from_vec(2, 2, vec![1.0; 4]));
         let bad = tape.push_op(
             Matrix::from_vec(2, 2, vec![0.0; 4]),
-            Box::new(crate::ops::linalg::MatMulOp),
+            Box::new(crate::ops::linalg::MatMulOp { view: None }),
             vec![a, b],
         );
         let loss = tape.sum_all(bad);
@@ -669,7 +669,7 @@ mod tests {
         // matmul declares exactly 2 inputs; wire it with 3.
         let bad = tape.push_op(
             Matrix::from_vec(2, 2, vec![0.0; 4]),
-            Box::new(crate::ops::linalg::MatMulOp),
+            Box::new(crate::ops::linalg::MatMulOp { view: None }),
             vec![x, y, x],
         );
         let loss = tape.sum_all(bad);

@@ -8,7 +8,9 @@
 //! The engine is deliberately small and auditable:
 //!
 //! * [`Matrix`] — row-major dense matrix with parallel blocked GEMM.
-//! * [`Csr`] — sparse operator for neighborhood aggregation (`A_norm · H`).
+//! * [`Csr`] — sparse operator for neighborhood aggregation (`A_norm · H`),
+//!   and the sparse view through which [`Tape::matmul`] skips the zeros of
+//!   a mostly-zero left operand.
 //! * [`Tape`] / [`VarStore`] — define-by-run Wengert list; every op computes
 //!   its value eagerly and stores whatever its backward pass needs.
 //! * Graph-specific ops — [`Tape::gather_rows`], segment reductions and

@@ -359,9 +359,9 @@ impl fmt::Debug for Matrix {
 ///
 /// Each output row is owned by exactly one worker and accumulates its k
 /// terms serially through `simd::axpy`, so the reduction order per element
-/// is fixed regardless of thread count. There is deliberately no zero-skip
-/// on `av`: the data-dependent branch costs more than the multiplies it
-/// saves and blocks the 8-wide `mul_add` unrolling.
+/// is fixed regardless of thread count. Zeros in `a` are multiplied like
+/// any other value; `Tape::matmul` skips them by running mostly-zero left
+/// operands through a CSR view instead (DESIGN.md §17, "Sparse views").
 fn gemm_ikj(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let fl = crate::simd::flavour();
     let run = |rows: std::ops::Range<usize>, out_chunk: &mut [f32]| {

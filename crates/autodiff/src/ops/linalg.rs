@@ -24,7 +24,58 @@ fn dim_product(r: Dim, c: Dim) -> Dim {
     }
 }
 
-pub(crate) struct MatMulOp;
+/// A value gets a sparse view when at most one entry in this many is
+/// nonzero. Set well below the measured crossover (DESIGN.md §17); the
+/// route is bitwise identical to the dense kernels, so this constant
+/// changes speed, never results.
+const VIEW_DENSITY_DENOM: usize = 8;
+
+/// 2^-100. When the smallest nonzero magnitudes of the two operands
+/// multiply to at least this, every product of nonzeros is a multiple of
+/// 2^-149, the smallest subnormal.
+const EXACT_PRODUCT_FLOOR: f64 = 7.888_609_052_210_118e-31;
+
+/// A CSR copy of a mostly-zero tape value, built at most once per node
+/// (the first time the node is the left operand of [`Tape::matmul`]).
+pub(crate) struct SparseView {
+    csr: Csr,
+    /// Smallest nonzero magnitude stored in `csr` (`inf` when none).
+    min_abs: f32,
+}
+
+impl SparseView {
+    /// The view of `value`, or `None` when `value` is too dense for one.
+    pub(crate) fn of(value: &Matrix) -> Option<Arc<SparseView>> {
+        let csr = Csr::from_dense_within(value, value.len() / VIEW_DENSITY_DENOM)?;
+        let min_abs = csr.values().iter().fold(f32::INFINITY, |m, v| m.min(v.abs()));
+        Some(Arc::new(SparseView { csr, min_abs }))
+    }
+
+    /// Whether multiplying through the view gives the dense kernel's bits
+    /// when `dense` is the other operand.
+    ///
+    /// The dense kernels fold `o = fma(a, b, o)` (or `o += a·b`) over every
+    /// `a` of a row, zeros included, from `o = +0`; the view skips the zero
+    /// `a`s. A skipped term is an exact no-op unless `0·b` is NaN (`b` not
+    /// finite) or `o` is `-0`. An accumulator that starts at `+0` only
+    /// becomes `-0` when an FMA's exact result rounds to zero from below,
+    /// which needs a nonzero result smaller than 2^-149. Once the smallest
+    /// nonzeros multiply to at least 2^-100, every term and every
+    /// accumulator is a multiple of 2^-149, so that cannot happen.
+    fn exact_against(&self, dense: &Matrix) -> bool {
+        let (finite, min_abs) =
+            dense.data().iter().fold((true, f32::INFINITY), |(finite, m), &v| {
+                let a = v.abs();
+                (finite & a.is_finite(), if a == 0.0 { m } else { m.min(a) })
+            });
+        finite && f64::from(self.min_abs) * f64::from(min_abs) >= EXACT_PRODUCT_FLOOR
+    }
+}
+
+pub(crate) struct MatMulOp {
+    /// The left operand's sparse view, when it has one.
+    pub(crate) view: Option<Arc<SparseView>>,
+}
 impl Op for MatMulOp {
     fn backward(
         &self,
@@ -35,9 +86,13 @@ impl Op for MatMulOp {
     ) -> Vec<Option<Matrix>> {
         // C = A·B  =>  dA = dC·Bᵀ, dB = Aᵀ·dC; an operand the sweep does
         // not want (constant features, or W in the α-only step) costs no
-        // GEMM.
+        // GEMM. Through a view, row i of dB sums A[r,i]·dC[r,:] over the
+        // nonzeros of column i in increasing r, as `matmul_at_b` does.
         let ga = wants[0].then(|| grad.matmul_a_bt(inputs[1]));
-        let gb = wants[1].then(|| inputs[0].matmul_at_b(grad));
+        let gb = wants[1].then(|| match &self.view {
+            Some(v) if v.exact_against(grad) => v.csr.t().spmm(grad),
+            _ => inputs[0].matmul_at_b(grad),
+        });
         vec![ga, gb]
     }
     fn name(&self) -> &'static str {
@@ -602,10 +657,21 @@ pub(crate) fn softmax_rows_value(x: &Matrix) -> Matrix {
 }
 
 impl Tape {
-    /// Dense product `a · b`.
+    /// Product `a · b`.
+    ///
+    /// When `a` is mostly zeros the product runs through its sparse view
+    /// ([`Csr::spmm`], timed as `spmm`) whenever skipping the zeros
+    /// provably changes no bit of the result (DESIGN.md §17); otherwise it
+    /// is a dense GEMM.
     pub fn matmul(&mut self, a: Tensor, b: Tensor) -> Tensor {
-        let out = self.value(a).matmul(self.value(b));
-        self.push_op(out, Box::new(MatMulOp), vec![a, b])
+        let view = self.node(a.0).view.get_or_init(|| SparseView::of(self.value(a))).clone();
+        let bv = self.value(b);
+        let out = match &view {
+            // A shape mismatch takes the dense kernel, whose assert names it.
+            Some(v) if v.csr.cols() == bv.rows() && v.exact_against(bv) => v.csr.spmm(bv),
+            _ => self.value(a).matmul(bv),
+        };
+        self.push_op(out, Box::new(MatMulOp { view }), vec![a, b])
     }
 
     /// Sparse·dense product with a constant sparse operator (e.g. the
@@ -748,6 +814,142 @@ mod tests {
         // dA = 1·Bᵀ broadcast over rows; dB = Aᵀ·1
         assert_eq!(g.get(a).unwrap().data(), &[5.0, 6.0, 5.0, 6.0]);
         assert_eq!(g.get(b).unwrap().data(), &[4.0, 6.0]);
+    }
+
+    mod sparse_views {
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        use super::*;
+        use crate::parallel::with_threads;
+        use crate::simd::{with_scalar, Flavour};
+        use crate::tape::tests::with_kernel_calls;
+
+        fn bits(m: &Matrix) -> Vec<u32> {
+            m.data().iter().map(|v| v.to_bits()).collect()
+        }
+
+        /// A magnitude in `[0.25, 2)` with a random sign.
+        fn nonzero(rng: &mut StdRng) -> f32 {
+            let v = rng.gen_range(0.25f32..2.0);
+            if rng.gen_bool(0.5) {
+                v
+            } else {
+                -v
+            }
+        }
+
+        /// Each entry nonzero with probability `density`; a third of the
+        /// zeros are `-0.0`; with `empty_rows`, every third row is zero.
+        fn operand(
+            rng: &mut StdRng,
+            rows: usize,
+            cols: usize,
+            density: f64,
+            empty_rows: bool,
+        ) -> Matrix {
+            Matrix::from_fn(rows, cols, |r, _| {
+                if !(empty_rows && r % 3 == 0) && rng.gen_bool(density) {
+                    nonzero(rng)
+                } else if rng.gen_bool(1.0 / 3.0) {
+                    -0.0
+                } else {
+                    0.0
+                }
+            })
+        }
+
+        /// `a·b` on a tape whose backward is seeded with `grad`: the
+        /// product, `dA`, `dB` and how many `spmm` calls they made.
+        fn taped(a: &Matrix, b: &Matrix, grad: &Matrix) -> ([Matrix; 3], u64) {
+            let (out, calls) = with_kernel_calls(|| {
+                let mut store = VarStore::new();
+                let (pa, pb) = (store.add("a", a.clone()), store.add("b", b.clone()));
+                let mut tape = Tape::new(0);
+                let (ta, tb) = (tape.param(&store, pa), tape.param(&store, pb));
+                let c = tape.matmul(ta, tb);
+                let value = tape.value(c).clone();
+                let g = tape.backward_seeded(c, grad.clone());
+                let grad_of = |p| g.get(p).cloned().expect("both operands are wanted");
+                [value, grad_of(pa), grad_of(pb)]
+            });
+            (out, calls("spmm"))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            /// The view route gives the dense kernels' bits on the product,
+            /// `dA` and `dB` at 1/2/4 threads in both flavours, and falls
+            /// back to them when `b` or the gradient is not finite.
+            #[test]
+            fn view_route_is_bitwise_identical_to_the_dense_kernels(
+                seed in 0u64..1_000_000,
+                (m, k, n) in (1usize..12, 1usize..40, 1usize..8),
+                pick in 0u8..4,
+                between in 0.0f64..1.0,
+                empty_rows in 0u8..2,
+                plant in 0u8..5,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let density = match pick {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => between / VIEW_DENSITY_DENOM as f64,
+                    _ => between,
+                };
+                let a = operand(&mut rng, m, k, density, empty_rows == 1);
+                let mut b = operand(&mut rng, k, n, 0.8, false);
+                let mut grad = operand(&mut rng, m, n, 0.8, false);
+                let poison = [f32::NAN, f32::INFINITY, f32::NAN, f32::NEG_INFINITY];
+                let target = if plant <= 2 { &mut b } else { &mut grad };
+                if plant > 0 {
+                    let at = rng.gen_range(0..target.len());
+                    target.data_mut()[at] = poison[usize::from(plant - 1)];
+                }
+                let nnz = a.data().iter().filter(|&&v| v != 0.0).count();
+                let viewed = nnz <= a.len() / VIEW_DENSITY_DENOM;
+                let routed = u64::from(viewed && !b.has_non_finite())
+                    + u64::from(viewed && !grad.has_non_finite());
+                for scalar in [false, true] {
+                    for threads in [1, 2, 4] {
+                        let run = || {
+                            let dense =
+                                [a.matmul(&b), grad.matmul_a_bt(&b), a.matmul_at_b(&grad)];
+                            (dense, taped(&a, &b, &grad))
+                        };
+                        let (dense, (got, spmm)) = with_threads(threads, || {
+                            if scalar { with_scalar(run) } else { run() }
+                        });
+                        let pairs = dense.iter().zip(&got);
+                        for (what, (d, g)) in ["a·b", "dA", "dB"].iter().zip(pairs) {
+                            let at = format!("{what} (scalar {scalar}, {threads} threads)");
+                            prop_assert_eq!(bits(g), bits(d), "{}", at);
+                        }
+                        prop_assert_eq!(spmm, routed, "density {} plant {}", density, plant);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn a_product_that_could_round_to_negative_zero_stays_dense() {
+            // fma(2^-100, -2^-100, +0) rounds to -0, and the dense kernel's
+            // next term, fma(0, 1, -0), makes it +0 again: skipping the
+            // zero would leave -0. The view must not be used here.
+            let tiny = f32::from_bits(27 << 23); // 2^-100
+            let a = Matrix::from_fn(1, 16, |_, j| if j == 0 { tiny } else { 0.0 });
+            let b = Matrix::from_fn(16, 1, |i, _| if i == 0 { -tiny } else { 1.0 });
+            let dense = a.matmul(&b);
+            if crate::simd::flavour() == Flavour::Vector {
+                let skipped = Csr::from_dense_within(&a, 2).expect("one nonzero").spmm(&b);
+                assert_ne!(bits(&skipped), bits(&dense), "the skip must be observable");
+            }
+            let ([got, ..], spmm) = taped(&a, &b, &Matrix::scalar(1.0));
+            assert_eq!(bits(&got), bits(&dense));
+            assert_eq!(spmm, 1, "only dB = aᵀ·grad may take the view");
+        }
     }
 
     #[test]

@@ -111,6 +111,45 @@ impl Csr {
         Self { rows, cols, indptr, indices, values, transpose: OnceLock::new() }
     }
 
+    /// CSR copy of `dense` if it has at most `max_nnz` nonzeros, else `None`.
+    ///
+    /// The count runs row by row and gives up once the budget is spent, so
+    /// a dense matrix costs a scan of about `max_nnz` elements. Only the
+    /// build is timed, as the `sparse_view` kernel. Both zeros (`0.0`,
+    /// `-0.0`) are dropped; NaN and ±inf are kept like any other nonzero.
+    pub(crate) fn from_dense_within(dense: &Matrix, max_nnz: usize) -> Option<Csr> {
+        let (rows, cols) = dense.shape();
+        u32::try_from(cols).ok()?;
+        let mut nnz = 0;
+        for r in 0..rows {
+            nnz += dense.row(r).iter().filter(|&&v| v != 0.0).count();
+            if nnz > max_nnz {
+                return None;
+            }
+        }
+        Some(crate::parallel::timed("sparse_view", || {
+            // Every element is written at the fill mark, which only advances
+            // past a nonzero: no branch to mispredict at 1-10% density.
+            // Zeros after the last nonzero land one slot past the end.
+            let mut indices = vec![0u32; nnz + 1];
+            let mut values = vec![0.0f32; nnz + 1];
+            let mut indptr = Vec::with_capacity(rows + 1);
+            indptr.push(0);
+            let mut at = 0;
+            for r in 0..rows {
+                for (c, &v) in dense.row(r).iter().enumerate() {
+                    indices[at] = c as u32; // lint:allow(lossy-cast) -- c < cols, which fits u32 (checked above)
+                    values[at] = v;
+                    at += usize::from(v != 0.0);
+                }
+                indptr.push(at);
+            }
+            indices.truncate(nnz);
+            values.truncate(nnz);
+            Self { rows, cols, indptr, indices, values, transpose: OnceLock::new() }
+        }))
+    }
+
     fn build_transpose(&self) -> Csr {
         let nnz = self.values.len();
         let mut indptr = vec![0usize; self.cols + 1];
@@ -346,6 +385,25 @@ mod tests {
         let d = Matrix::full(4, 1, 2.0);
         let out = m.spmm(&d);
         assert_eq!(out.data(), &[0.0, 0.0, 0.0, 2.0]);
+    }
+
+    #[test]
+    fn from_dense_within_keeps_nonzeros_and_respects_the_budget() {
+        // Row 1 is empty, -0.0 is a zero, NaN and inf are nonzeros.
+        let dense = Matrix::from_vec(
+            3,
+            4,
+            vec![0.0, 2.0, -0.0, f32::NAN, 0.0, 0.0, -0.0, 0.0, f32::INFINITY, 0.0, 0.0, -1.5],
+        );
+        let m = Csr::from_dense_within(&dense, 4).expect("4 nonzeros fit a budget of 4");
+        assert_eq!(m.indptr(), &[0, 2, 2, 4]);
+        assert_eq!(m.indices(), &[1, 3, 0, 3]);
+        let bits: Vec<u32> = m.values().iter().map(|v| v.to_bits()).collect();
+        let want = [2.0f32, f32::NAN, f32::INFINITY, -1.5].map(f32::to_bits);
+        assert_eq!(bits, want);
+        assert!(Csr::from_dense_within(&dense, 3).is_none(), "4 nonzeros overrun a budget of 3");
+        let empty = Csr::from_dense_within(&Matrix::zeros(2, 0), 0).expect("no entries");
+        assert_eq!((empty.rows(), empty.cols(), empty.nnz()), (2, 0, 0));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! rebuilt cheaply every training step (the idiom used by all GNN models in
 //! this workspace).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,6 +22,7 @@ use crate::absint::{AbsVal, Dim};
 use crate::audit::Arity;
 use crate::dataflow::{GradReads, MemPlan};
 use crate::matrix::Matrix;
+use crate::ops::linalg::SparseView;
 use crate::pool;
 
 /// Handle to a node on a [`Tape`].
@@ -165,6 +166,9 @@ pub(crate) struct Node {
     pub(crate) inputs: Vec<Tensor>,
     /// `Some` when this node is a parameter leaf.
     pub(crate) param: Option<ParamId>,
+    /// Sparse view of `value`, decided the first time the node is the left
+    /// operand of [`Tape::matmul`]: `Some` when `value` is mostly zeros.
+    pub(crate) view: OnceLock<Option<Arc<SparseView>>>,
 }
 
 /// A single forward computation, recorded for reverse-mode differentiation.
@@ -274,7 +278,7 @@ impl Tape {
         param: Option<ParamId>,
     ) -> Tensor {
         debug_assert!(inputs.iter().all(|t| t.0 < self.nodes.len()), "op wired to future tensor");
-        self.nodes.push(Node { value, op, inputs, param });
+        self.nodes.push(Node { value, op, inputs, param, view: OnceLock::new() });
         Tensor(self.nodes.len() - 1)
     }
 
@@ -801,7 +805,7 @@ pub fn glorot_init(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -832,7 +836,7 @@ mod tests {
     /// Runs `f` under a memory-sink recorder with kernel timing on and
     /// returns its result with how many times each kernel ran, read from
     /// the `kernel.<name>.ns` summaries that `parallel::timed` feeds.
-    fn with_kernel_calls<R>(f: impl FnOnce() -> R) -> (R, impl Fn(&str) -> u64) {
+    pub(crate) fn with_kernel_calls<R>(f: impl FnOnce() -> R) -> (R, impl Fn(&str) -> u64) {
         use sane_telemetry::Value;
         let buf = sane_telemetry::MemoryBuffer::default();
         let guard = sane_telemetry::Recorder::new("kernel-calls")
@@ -898,6 +902,40 @@ mod tests {
         assert_eq!(calls("spmm"), 0, "the spmm backward ran on a constant chain");
         assert_eq!(calls("gemm"), 1);
         assert!(grads.get(w).is_some());
+    }
+
+    #[test]
+    fn a_sparse_view_is_built_once_for_every_product_that_reads_it() {
+        let mut store = VarStore::new();
+        let ws: Vec<ParamId> = (0..4)
+            .map(|s| store.add("w", Matrix::from_fn(32, 3, |i, j| (i + j + s) as f32 * 0.1)))
+            .collect();
+        // One entry in 32 of `x` is nonzero; `d` has no zeros at all.
+        let x = Matrix::from_fn(20, 32, |i, j| if (i + j) % 32 == 0 { 1.5 } else { 0.0 });
+        let d = Matrix::from_fn(20, 32, |i, j| (i * 32 + j + 1) as f32 * 0.01);
+        let ((), calls) = with_kernel_calls(|| {
+            let mut tape = Tape::new(0);
+            let (tx, td) = (tape.constant(x), tape.constant(d));
+            let mut outs: Vec<Tensor> = ws[..3]
+                .iter()
+                .map(|&w| {
+                    let tw = tape.param(&store, w);
+                    tape.matmul(tx, tw)
+                })
+                .collect();
+            let tw = tape.param(&store, ws[3]);
+            outs.push(tape.matmul(td, tw));
+            let sums: Vec<Tensor> = outs.into_iter().map(|o| tape.sum_all(o)).collect();
+            let loss = tape.concat_cols(&sums);
+            let loss = tape.sum_all(loss);
+            tape.backward(loss).recycle();
+        });
+        // `x` is scanned and built once, `d` is scanned and rejected.
+        assert_eq!(calls("sparse_view"), 1);
+        // Three `x·W` and three `dW = xᵀ·dY` products go through the view.
+        assert_eq!(calls("spmm"), 6);
+        // `d·W` and its `dW` stay dense.
+        assert_eq!(calls("gemm"), 2);
     }
 
     #[test]
