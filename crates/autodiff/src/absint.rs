@@ -438,6 +438,19 @@ impl Dim {
     }
 }
 
+/// Widens an interval outward by a relative margin, for transfers whose
+/// bound is exact only in real arithmetic: the fused attention ops (the
+/// kernel's `1/sum` reciprocal and vectorized `exp` can overshoot the hull
+/// by a few ulps) and the vectorized activations (a few ulps off libm).
+pub(crate) fn dilate(iv: Interval, rel: f32) -> Interval {
+    let w = rel * iv.lo.abs().max(iv.hi.abs());
+    if w.is_finite() {
+        Interval::new(iv.lo - w, iv.hi + w)
+    } else {
+        iv
+    }
+}
+
 /// `inf_free` conclusion for an arithmetic result: inputs must be finite
 /// and the computed interval must not have overflowed to an infinite bound.
 pub(crate) fn finite_arith(range: Interval, inputs: &[&AbsVal]) -> bool {
@@ -784,6 +797,16 @@ mod tests {
         assert_over_approximates(&d, |t, i| t.scale(i[0], -1.5));
         assert_over_approximates(&d, |t, i| t.scale(i[0], 0.0));
         assert_over_approximates(&d, |t, i| t.add_scalar(i[0], 2.5));
+        // Degenerate domains pin the transfer to libm at a single point, so
+        // only the widening by the vectorized kernels' error bound admits
+        // their result: the rational tanh's error peaks near 2.85 and 5.98,
+        // sigmoid's exp-driven error is largest far left, and below -88 the
+        // vectorized sigmoid flushes to zero while libm is still subnormal.
+        for p in [2.85, -2.85, 4.9097695, 5.98179, -86.29562, -88.5, 0.0004, 1e-30] {
+            let point = [(2, 2, Interval::point(p))];
+            assert_over_approximates(&point, |t, i| t.tanh(i[0]));
+            assert_over_approximates(&point, |t, i| t.sigmoid(i[0]));
+        }
     }
 
     #[test]
@@ -837,7 +860,28 @@ mod tests {
         assert_over_approximates(&gather, move |t, i| t.gather_rows(i[0], &gi));
         let ga = [(total, 1, Interval::new(-3.0, 3.0)), (4, 3, Interval::new(-2.0, 2.0))];
         let s6 = segs.clone();
-        assert_over_approximates(&ga, move |t, i| t.gather_attention(i[0], i[1], &idx, &s6));
+        let gi = idx.clone();
+        assert_over_approximates(&ga, move |t, i| t.gather_attention(i[0], i[1], &gi, &s6));
+        // |score| ≤ Σ|w_k|; the point domain puts every tanh at its
+        // saturated ±1, where the bound is tight.
+        let to: Arc<Vec<u32>> = Arc::new(vec![1, 0, 2, 2, 0, 1, 1, 2, 0, 0]);
+        for gl in [
+            [
+                (4, 3, Interval::new(-2.0, 2.0)),
+                (3, 3, Interval::new(-1.0, 3.0)),
+                (3, 1, Interval::new(-1.5, 0.5)),
+            ],
+            [
+                (4, 3, Interval::point(9.0)),
+                (3, 3, Interval::point(9.0)),
+                (3, 1, Interval::point(0.7)),
+            ],
+        ] {
+            let (gi, gt) = (idx.clone(), to.clone());
+            assert_over_approximates(&gl, move |t, i| {
+                t.gen_linear_score(i[0], i[1], i[2], &gi, &gt)
+            });
+        }
     }
 
     #[test]

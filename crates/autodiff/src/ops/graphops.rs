@@ -14,7 +14,9 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::absint::{finite_arith, nan_free_mul, require_compatible, AbsVal, Dim, Interval};
+use crate::absint::{
+    dilate, finite_arith, nan_free_addsub, nan_free_mul, require_compatible, AbsVal, Dim, Interval,
+};
 use crate::audit::Arity;
 use crate::dataflow::{GradReads, InputReads};
 use crate::matrix::Matrix;
@@ -49,19 +51,6 @@ fn segment_len_bounds(segs: &Segments) -> (usize, usize) {
         (0, 0)
     } else {
         (min, max)
-    }
-}
-
-/// Widens an interval outward by a relative margin — used by the fused
-/// attention transfers, whose convex-combination bound is exact only in
-/// real arithmetic (the kernel's `1/sum` reciprocal and vectorized `exp`
-/// can overshoot the hull by a few ulps).
-fn dilate(iv: Interval, rel: f32) -> Interval {
-    let w = rel * iv.lo.abs().max(iv.hi.abs());
-    if w.is_finite() {
-        Interval::new(iv.lo - w, iv.hi + w)
-    } else {
-        iv
     }
 }
 
@@ -782,6 +771,140 @@ impl Op for GatherAttentionOp {
     }
 }
 
+/// Edges whose score chains [`Tape::gen_linear_score`] interleaves.
+const EDGE_BLOCK: usize = 8;
+
+/// The GAT-GEN-LINEAR edge score `w · tanh(ps[src[e],:] + pd[dst[e],:])`
+/// in one op, replacing `gather_rows` ×2 → `add` → `tanh` → `matmul`.
+struct GenLinearScoreOp {
+    src: Arc<Vec<u32>>,
+    dst: Arc<Vec<u32>>,
+    /// The `E x d` tanh plane, saved by the forward pass; pooled op-private
+    /// state like the attention ops' `alpha`.
+    tanh: Matrix,
+}
+impl Drop for GenLinearScoreOp {
+    fn drop(&mut self) {
+        pool::put(std::mem::replace(&mut self.tanh, Matrix::from_vec(0, 0, Vec::new())));
+    }
+}
+impl Op for GenLinearScoreOp {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
+        let d = self.tanh.cols();
+        let w = inputs[2].data();
+        // The projection gradients are scatter-adds over arbitrary node rows
+        // (zeros, serial, edge order, as in `gather_rows`); `d gen_out`
+        // accumulates over edges from zero, as `matmul_at_b` does.
+        let mut gs = wants[0].then(|| pool::zeros(inputs[0].rows(), d));
+        let mut gd = wants[1].then(|| pool::zeros(inputs[1].rows(), d));
+        let mut gw = wants[2].then(|| pool::zeros(d, 1));
+        let wants_dz = gs.is_some() || gd.is_some();
+        if d == 0 || !(wants_dz || gw.is_some()) {
+            return vec![gs, gd, gw];
+        }
+        // Same arithmetic, same order as the chain it replaces, per edge e
+        // with upstream dS = grad[e]:
+        //   d t[k]       = madd(dS, w[k], 0)    (`matmul_a_bt`, k = 1)
+        //   dz[k]        = d t[k] · (1 − t[k]²) (`tanh` backward)
+        //   d gen_out[k] = madd(t[k], dS, ·)    (`matmul_at_b`, edge order)
+        let fl = crate::simd::flavour();
+        let mut dz = pool::scratch(1, d);
+        let edges = self.tanh.data().chunks_exact(d).zip(grad.data());
+        for ((trow, &ds), (&u, &v)) in edges.zip(self.src.iter().zip(self.dst.iter())) {
+            if let Some(gw) = gw.as_mut() {
+                fl.axpy(ds, trow, gw.data_mut());
+            }
+            if !wants_dz {
+                continue;
+            }
+            for ((z, &t), &wk) in dz.data_mut().iter_mut().zip(trow).zip(w) {
+                *z = fl.madd(ds, wk, 0.0) * (1.0 - t * t);
+            }
+            if let Some(gs) = gs.as_mut() {
+                crate::simd::add_assign(dz.data(), gs.row_mut(u as usize)); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
+            }
+            if let Some(gd) = gd.as_mut() {
+                crate::simd::add_assign(dz.data(), gd.row_mut(v as usize)); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
+            }
+        }
+        pool::put(dz);
+        vec![gs, gd, gw]
+    }
+    fn name(&self) -> &'static str {
+        "gen_linear_score"
+    }
+    fn grad_reads(&self) -> GradReads {
+        // The projections for the scatter targets' shapes, `gen_out` for its
+        // values; the saved plane replaces the output and the gathered sums.
+        GradReads::inputs_at(&[0, 1, 2])
+    }
+    fn arity(&self) -> Arity {
+        Arity::Exact(3)
+    }
+    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
+        let ((srows, d), (drows, d2), w) = (inputs[0], inputs[1], inputs[2]);
+        if d2 != d || w != (d, 1) {
+            return Err(format!(
+                "projections {:?} and {:?} need matching widths and a {d} x 1 gen_out, got {w:?}",
+                inputs[0], inputs[1]
+            ));
+        }
+        if self.src.len() != self.dst.len() {
+            return Err(format!("{} source but {} target indices", self.src.len(), self.dst.len()));
+        }
+        for (idx, rows) in [(&self.src, srows), (&self.dst, drows)] {
+            if let Some(&bad) = idx.iter().find(|&&i| i as usize >= rows) {
+                // lint:allow(lossy-cast) -- u32 index widens losslessly
+                return Err(format!("index {bad} out of bounds for {rows} rows"));
+            }
+        }
+        Ok(Some((self.src.len(), 1)))
+    }
+    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
+        let (s, t, w) = (&inputs[0], &inputs[1], &inputs[2]);
+        require_compatible("gen_linear_score: projection widths", s.cols, t.cols)?;
+        require_compatible("gen_linear_score: gen_out rows", w.rows, s.cols)?;
+        require_compatible("gen_linear_score: gen_out must be a column", w.cols, Dim::Const(1))?;
+        if self.src.len() != self.dst.len() {
+            return Err(format!(
+                "gen_linear_score: {} source but {} target indices",
+                self.src.len(),
+                self.dst.len()
+            ));
+        }
+        for (idx, rows) in [(&self.src, s.rows), (&self.dst, t.rows)] {
+            if let Some(rows) = rows.known() {
+                if let Some(&bad) = idx.iter().find(|&&i| i as usize >= rows) {
+                    // lint:allow(lossy-cast) -- u32 index widens losslessly
+                    return Err(format!("gen_linear_score: index {bad} out of bounds for {rows}"));
+                }
+            }
+        }
+        // |tanh| ≤ 1, so |score| ≤ Σ_k |w_k|. The FMA chain rounds each of
+        // its d steps, which the k·ε dilation covers.
+        let bound = w.range.abs().sum_of(w.rows);
+        let range = match w.rows.known() {
+            Some(k) => dilate(Interval::new(-bound.hi, bound.hi), k as f32 * f32::EPSILON), // lint:allow(lossy-cast) -- head widths are far below 2^24
+            None => Interval::new(-bound.hi, bound.hi),
+        };
+        // tanh(±inf) is ±1, so only inf − inf and an infinite weight
+        // (0·inf, inf − inf in the chain) can make NaN.
+        Ok(AbsVal {
+            rows: Dim::Const(self.src.len()),
+            cols: Dim::Const(1),
+            range,
+            nan_free: nan_free_addsub(s, t) && w.nan_free && w.inf_free,
+            inf_free: w.inf_free && range.is_finite(),
+        })
+    }
+}
+
 /// Scales row `i` of an `n x c` tensor by the scalar `w[i]` of an `n x 1`
 /// tensor (attention weighting of gathered neighbor features).
 struct MulColBroadcastOp;
@@ -1252,6 +1375,95 @@ impl Tape {
         )
     }
 
+    /// The GAT-GEN-LINEAR edge scores
+    /// `score[e] = Σ_k gen_out[k] · tanh(proj_src[src[e],k] + proj_dst[dst[e],k])`
+    /// as one `E x 1` op.
+    ///
+    /// Bitwise equal, in values and in all three gradients, to
+    /// `matmul(tanh(add(gather_rows(proj_src, src), gather_rows(proj_dst,
+    /// dst))), gen_out)` in each [`crate::simd`] flavour: the `tanh` is the
+    /// flavour's, and each reduction of that chain (the `gemm_ikj` row with
+    /// one output column, `matmul_a_bt` with k = 1, `matmul_at_b`'s serial
+    /// edge loop, `gather_rows`' serial scatter) is a serial in-order
+    /// `madd`/`axpy` chain this op repeats term for term. None of the four
+    /// `E x d` planes of that chain, nor their gradients, lands on the
+    /// tape; the op keeps only the tanh plane, for its backward pass.
+    pub fn gen_linear_score(
+        &mut self,
+        proj_src: Tensor,
+        proj_dst: Tensor,
+        gen_out: Tensor,
+        src: &Arc<Vec<u32>>,
+        dst: &Arc<Vec<u32>>,
+    ) -> Tensor {
+        let ps = self.value_arc(proj_src);
+        let pd = self.value_arc(proj_dst);
+        let wv = self.value_arc(gen_out);
+        let d = ps.cols();
+        assert_eq!(pd.cols(), d, "gen_linear_score: projection widths differ");
+        assert_eq!(wv.shape(), (d, 1), "gen_linear_score: gen_out must be {d} x 1");
+        assert_eq!(src.len(), dst.len(), "gen_linear_score: index lists differ in length");
+        for (idx, rows) in [(src, ps.rows()), (dst, pd.rows())] {
+            assert!(
+                idx.iter().all(|&i| (i as usize) < rows), // lint:allow(lossy-cast) -- u32 index widens losslessly
+                "gen_linear_score index out of bounds (source has {rows} rows)"
+            );
+        }
+        let edges = src.len();
+        // Both planes are scratch: every edge's tanh row and score slot is
+        // assigned below (the scores by hand when d == 0).
+        let mut tanh = pool::scratch(edges, d);
+        let mut out = pool::scratch(edges, 1);
+        if d == 0 {
+            out.data_mut().fill(0.0);
+        } else {
+            let fl = crate::simd::flavour();
+            let w = wv.data();
+            let run = |erange: Range<usize>, tchunk: &mut [f32], ochunk: &mut [f32]| {
+                let (us, vs) = (&src[erange.clone()], &dst[erange]);
+                for ((trow, &u), &v) in tchunk.chunks_exact_mut(d).zip(us).zip(vs) {
+                    let (a, b) = (ps.row(u as usize), pd.row(v as usize)); // lint:allow(lossy-cast) -- u32 row indices widen losslessly into usize
+                    for ((t, &x), &y) in trow.iter_mut().zip(a).zip(b) {
+                        *t = x + y;
+                    }
+                }
+                fl.tanh(tchunk);
+                // One serial chain per edge, as `gemm_ikj` folds a row
+                // against a single output column. Eight edges advance
+                // together so their independent chains overlap instead of
+                // waiting out each other's FMA latency.
+                let mut blocks = ochunk.chunks_exact_mut(EDGE_BLOCK);
+                let mut planes = tchunk.chunks_exact(EDGE_BLOCK * d);
+                for (o, plane) in (&mut blocks).zip(&mut planes) {
+                    let mut acc = [0.0f32; EDGE_BLOCK];
+                    for (k, &wk) in w.iter().enumerate() {
+                        for (l, a) in acc.iter_mut().enumerate() {
+                            *a = fl.madd(plane[l * d + k], wk, *a);
+                        }
+                    }
+                    o.copy_from_slice(&acc);
+                }
+                for (o, trow) in
+                    blocks.into_remainder().iter_mut().zip(planes.remainder().chunks_exact(d))
+                {
+                    let mut acc = 0.0f32;
+                    for (&t, &wk) in trow.iter().zip(w) {
+                        acc = fl.madd(t, wk, acc);
+                    }
+                    *o = acc;
+                }
+            };
+            crate::parallel::timed("gen_linear_score", || {
+                parallel_rows_pair(edges, d, 1, edges * d * 8, tanh.data_mut(), out.data_mut(), run)
+            });
+        }
+        self.push_op(
+            out,
+            Box::new(GenLinearScoreOp { src: Arc::clone(src), dst: Arc::clone(dst), tanh }),
+            vec![proj_src, proj_dst, gen_out],
+        )
+    }
+
     /// Row-wise scaling of an `n x c` tensor by an `n x 1` weight column.
     pub fn mul_col_broadcast(&mut self, a: Tensor, w: Tensor) -> Tensor {
         let av = self.value_arc(a);
@@ -1458,6 +1670,119 @@ mod tests {
                 "gradient for {} diverges",
                 store.name(p)
             );
+        }
+    }
+
+    mod gen_linear {
+        use super::*;
+        use crate::parallel::with_threads;
+        use crate::simd::with_scalar;
+        use crate::tape::ParamId;
+
+        const D: usize = 11; // odd: exercises the vector tails
+
+        fn bits(m: &Matrix) -> Vec<u32> {
+            m.data().iter().map(|v| v.to_bits()).collect()
+        }
+
+        struct Fixture {
+            store: VarStore,
+            params: [ParamId; 3],
+            src: Arc<Vec<u32>>,
+            dst: Arc<Vec<u32>>,
+            /// Per-edge weights on the score, so every edge sees its own dS.
+            probe: Matrix,
+        }
+
+        /// Projections of 6 and 5 rows, a `D x 1` gen_out, and 14 edges
+        /// whose indices collide on both sides, so scatter order shows.
+        /// Sums reach ±5, past the rational tanh's small-|x| band.
+        fn fixture() -> Fixture {
+            let mut store = VarStore::new();
+            let wave = |r: usize, c: usize, salt: f32| ((r * D + c) as f32 * 0.37 + salt).sin();
+            let ps = store.add("ps", Matrix::from_fn(6, D, |r, c| 2.5 * wave(r, c, 0.1)));
+            let pd = store.add("pd", Matrix::from_fn(5, D, |r, c| 2.5 * wave(r, c, 1.3)));
+            let w = store.add("w", Matrix::from_fn(D, 1, |r, _| wave(r, 0, 2.9)));
+            let src = Arc::new(vec![0u32, 5, 2, 2, 4, 0, 1, 3, 5, 5, 0, 2, 2, 1]);
+            let dst = Arc::new(vec![1u32, 1, 0, 4, 4, 2, 3, 3, 0, 1, 4, 2, 0, 0]);
+            let probe = Matrix::from_fn(src.len(), 1, |r, _| wave(r, 3, 0.7) * 1.7);
+            Fixture { store, params: [ps, pd, w], src, dst, probe }
+        }
+
+        /// The score's bits and the bits of each wanted gradient.
+        fn run(fused: bool, wanted: &[ParamId]) -> (Vec<u32>, Vec<Option<Vec<u32>>>) {
+            let Fixture { store, params, src, dst, probe } = fixture();
+            let mut tape = Tape::new(0);
+            let [a, b, c] = params.map(|p| tape.param(&store, p));
+            let score = if fused {
+                tape.gen_linear_score(a, b, c, &src, &dst)
+            } else {
+                let eu = tape.gather_rows(a, &src);
+                let ev = tape.gather_rows(b, &dst);
+                let summed = tape.add(eu, ev);
+                let t = tape.tanh(summed);
+                tape.matmul(t, c)
+            };
+            let pr = tape.constant(probe);
+            let weighted = tape.mul(score, pr);
+            let loss = tape.sum_all(weighted);
+            let grads = tape.backward_wrt(loss, wanted);
+            (bits(tape.value(score)), params.iter().map(|&p| grads.get(p).map(bits)).collect())
+        }
+
+        /// Values and each gradient, under every `wants` subset, both
+        /// flavours, 1/2/4 threads.
+        #[test]
+        fn gen_linear_score_is_bitwise_equal_to_the_unfused_chain() {
+            let params = fixture().params;
+            for scalar in [false, true] {
+                for threads in [1, 2, 4] {
+                    for mask in 1u8..8 {
+                        let wanted: Vec<ParamId> =
+                            (0..3).filter(|i| mask >> i & 1 == 1).map(|i| params[i]).collect();
+                        let both = || (run(true, &wanted), run(false, &wanted));
+                        let flavoured = || if scalar { with_scalar(both) } else { both() };
+                        let (fused, chain) = with_threads(threads, flavoured);
+                        let at = format!("scalar {scalar}, {threads} threads, wants {mask:03b}");
+                        assert_eq!(fused.0, chain.0, "scores differ ({at})");
+                        for (i, (f, c)) in fused.1.iter().zip(&chain.1).enumerate() {
+                            assert_eq!(f.is_some(), mask >> i & 1 == 1, "input {i} ({at})");
+                            assert_eq!(f, c, "gradient of input {i} differs ({at})");
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The op itself forms exactly the gradients it is asked for.
+        #[test]
+        fn gen_linear_score_backward_skips_unwanted_inputs() {
+            let Fixture { store, params, src, dst, probe } = fixture();
+            let mut tape = Tape::new(0);
+            let [a, b, c] = params.map(|p| tape.param(&store, p));
+            let score = tape.gen_linear_score(a, b, c, &src, &dst);
+            let node = tape.node(score.index());
+            let inputs: Vec<&Matrix> = node.inputs.iter().map(|&t| tape.value(t)).collect();
+            for mask in 0u8..8 {
+                let wants: Vec<bool> = (0..3).map(|i| mask >> i & 1 == 1).collect();
+                let grads = node.op.backward(&node.value, &probe, &inputs, &wants);
+                let formed: Vec<bool> = grads.iter().map(Option::is_some).collect();
+                assert_eq!(formed, wants);
+                grads.into_iter().flatten().for_each(pool::put);
+            }
+        }
+
+        #[test]
+        fn gen_linear_score_handles_zero_width_projections() {
+            let mut tape = Tape::new(0);
+            let a = tape.constant(Matrix::zeros(3, 0));
+            let b = tape.constant(Matrix::zeros(2, 0));
+            let c = tape.constant(Matrix::zeros(0, 1));
+            let idx = Arc::new(vec![0u32, 2, 1]);
+            let to = Arc::new(vec![1u32, 0, 0]);
+            let s = tape.gen_linear_score(a, b, c, &idx, &to);
+            assert_eq!(tape.value(s).shape(), (3, 1));
+            assert!(tape.value(s).data().iter().all(|&v| v.to_bits() == 0));
         }
     }
 

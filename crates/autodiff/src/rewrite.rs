@@ -320,7 +320,7 @@ fn all_zero(bits: &[u32]) -> bool {
 /// ULP distance between two floats: bit patterns mapped onto a single
 /// monotone integer line (negatives mirrored below zero, `-0.0` and
 /// `+0.0` coincide). NaN anywhere is infinitely far.
-fn ulp_diff(a: f32, b: f32) -> u64 {
+pub fn ulp_diff(a: f32, b: f32) -> u64 {
     if a.is_nan() || b.is_nan() {
         return u64::MAX;
     }

@@ -23,6 +23,12 @@
 //! reproducible across thread counts, which both are because the dispatch
 //! never depends on partition geometry.
 //!
+//! The transcendental kernels ([`Flavour::exp`], [`Flavour::tanh`],
+//! [`Flavour::sigmoid`]) split the same way: a branch-free polynomial or
+//! rational approximation the compiler vectorizes, against libm per
+//! element. Each is a pure function of its element, so both flavours are
+//! bitwise reproducible at any thread count.
+//!
 //! [`add_assign`] and [`scale`] have no flavour split at all: they are
 //! per-element ops with exactly one rounding and no order freedom, so the
 //! reference and the vectorized code are the same loop.
@@ -150,7 +156,82 @@ impl Flavour {
             }
         }
     }
+
+    /// `x[j] = tanh(x[j])` in place.
+    ///
+    /// The vectorized flavour is a branch-free odd rational `x·p(x²)/q(x²)`
+    /// (Eigen's minimax coefficients) on the input clamped to about ±8,
+    /// where it reaches exactly ±1, and the identity for `|x| < 4e-4`,
+    /// where `x` is already the correctly rounded answer. Over every `f32`
+    /// in `[-12, 12]` it is within 6 ulp and 3.5e-7 relative of `tanh`
+    /// ([`ACTIVATION_REL_ERR`] bounds it with margin). It is exactly odd,
+    /// keeps the sign of ±0, maps ±inf to ±1 and propagates NaN. The
+    /// reference flavour calls [`f32::tanh`] per element.
+    #[inline]
+    pub fn tanh(self, xs: &mut [f32]) {
+        match self {
+            Flavour::Vector => {
+                for v in xs {
+                    *v = tanh_lane(*v);
+                }
+            }
+            Flavour::Reference => {
+                for v in xs {
+                    *v = v.tanh();
+                }
+            }
+        }
+    }
+
+    /// `x[j] = 1 / (1 + e^{-x[j]})` in place.
+    ///
+    /// The vectorized flavour runs the same polynomial `exp` as
+    /// [`Flavour::exp`], so it is within 4.2e-7 relative of the exact
+    /// sigmoid wherever the result is a normal float (every `f32` checked).
+    /// Below `-88`, where that `exp` saturates, the result flushes to `0`:
+    /// the exact value is subnormal there. `+inf` maps to 1, `-inf` to 0,
+    /// NaN propagates. The reference flavour evaluates the same formula
+    /// with [`f32::exp`].
+    #[inline]
+    pub fn sigmoid(self, xs: &mut [f32]) {
+        match self {
+            Flavour::Vector => {
+                for v in xs {
+                    let s = 1.0 / (1.0 + exp_lane(-*v));
+                    *v = if *v < -88.0 { 0.0 } else { s };
+                }
+            }
+            Flavour::Reference => {
+                for v in xs {
+                    *v = 1.0 / (1.0 + (-*v).exp());
+                }
+            }
+        }
+    }
+
+    /// `acc + a·b` with this flavour's rounding: one `mul_add` in the
+    /// vectorized flavour, `mul` then `add` in the reference flavour.
+    ///
+    /// This is one element of [`Flavour::axpy`] (`out[j] = madd(a, x[j],
+    /// out[j])`), and `dot` of two length-1 slices is `madd(a, b, 0.0)`, so
+    /// fused kernels that fold a reduction by hand stay bitwise equal to
+    /// the GEMM calls they replace.
+    #[inline]
+    pub(crate) fn madd(self, a: f32, b: f32, acc: f32) -> f32 {
+        match self {
+            Flavour::Vector => a.mul_add(b, acc),
+            Flavour::Reference => acc + a * b,
+        }
+    }
 }
+
+/// Relative error bound of the vectorized [`Flavour::tanh`] and
+/// [`Flavour::sigmoid`] against the exact functions, with margin over the
+/// measured 3.5e-7 and 4.2e-7; the margin also covers the ≤1 ulp error of
+/// the libm calls the abstract transfers evaluate at interval ends. Below
+/// the smallest normal float only an absolute bound holds: `sigmoid`'s
+/// output there is off by less than [`f32::MIN_POSITIVE`].
+pub const ACTIVATION_REL_ERR: f32 = 1e-6;
 
 /// Dot product with pinned reduction order.
 ///
@@ -280,32 +361,60 @@ fn dot_scale_vec(x: &[f32], y: &[f32], a: f32, out: &mut [f32]) -> f32 {
 }
 
 fn exp_vec(xs: &mut [f32]) {
-    use std::f32::consts::{LN_2, LOG2_E};
     for v in xs {
-        // e^x = 2^n · e^f with n = round(x·log2 e), f = x − n·ln 2, so f is
-        // in [−ln2/2, ln2/2] where the degree-6 Taylor series is accurate
-        // to ~2e-7 relative. Every step is a pure per-element function of
-        // the input, so the result is bitwise reproducible anywhere.
-        let x = (*v).clamp(-87.0, 88.0);
-        let n = (x * LOG2_E).round();
-        let f = (-n).mul_add(LN_2, x);
-        let p = f.mul_add(
+        *v = exp_lane(*v);
+    }
+}
+
+#[inline(always)]
+fn exp_lane(v: f32) -> f32 {
+    use std::f32::consts::{LN_2, LOG2_E};
+    // e^x = 2^n · e^f with n = round(x·log2 e), f = x − n·ln 2, so f is
+    // in [−ln2/2, ln2/2] where the degree-6 Taylor series is accurate
+    // to ~2e-7 relative. Every step is a pure per-element function of
+    // the input, so the result is bitwise reproducible anywhere.
+    let x = v.clamp(-87.0, 88.0);
+    let n = (x * LOG2_E).round();
+    let f = (-n).mul_add(LN_2, x);
+    let p = f.mul_add(
+        f.mul_add(
             f.mul_add(
-                f.mul_add(
-                    f.mul_add(
-                        f.mul_add(f.mul_add(1.0 / 720.0, 1.0 / 120.0), 1.0 / 24.0),
-                        1.0 / 6.0,
-                    ),
-                    0.5,
-                ),
-                1.0,
+                f.mul_add(f.mul_add(f.mul_add(1.0 / 720.0, 1.0 / 120.0), 1.0 / 24.0), 1.0 / 6.0),
+                0.5,
             ),
             1.0,
-        );
-        // 2^n through the exponent bits: n is an integer in [−126, 127]
-        // after the clamp, so the biased exponent stays in (0, 255).
-        let two_n = f32::from_bits((((n as i32) + 127) << 23) as u32); // lint:allow(lossy-cast) -- in-range by the clamp above
-        *v = p * two_n;
+        ),
+        1.0,
+    );
+    // 2^n through the exponent bits: n is an integer in [−126, 127]
+    // after the clamp, so the biased exponent stays in (0, 255).
+    let two_n = f32::from_bits((((n as i32) + 127) << 23) as u32); // lint:allow(lossy-cast) -- in-range by the clamp above
+    p * two_n
+}
+
+#[inline(always)]
+fn tanh_lane(a: f32) -> f32 {
+    // Clamped where the FMA-evaluated rational is exactly 1 (Eigen's clamp
+    // for FMA targets); the clamp keeps NaN, and ±inf lands on ±1.
+    const CLAMP: f32 = 7.998_811_7;
+    let x = a.clamp(-CLAMP, CLAMP);
+    let x2 = x * x;
+    let mut p = x2.mul_add(-2.760_768_6e-16, 2.000_188e-13);
+    p = x2.mul_add(p, -8.604_672e-11);
+    p = x2.mul_add(p, 5.122_297e-8);
+    p = x2.mul_add(p, 1.485_722_4e-5);
+    p = x2.mul_add(p, 6.372_619_5e-4);
+    p = x2.mul_add(p, 4.893_524_6e-3);
+    p *= x;
+    let mut q = x2.mul_add(1.198_258_4e-6, 1.185_347_1e-4);
+    q = x2.mul_add(q, 2.268_434_5e-3);
+    q = x2.mul_add(q, 4.893_525e-3);
+    // Both polynomials see x only through x² and the final `* x`, so the
+    // result is exactly odd; the select compiles to a blend.
+    if a.abs() < 4e-4 {
+        a
+    } else {
+        p / q
     }
 }
 
@@ -419,6 +528,145 @@ mod tests {
             exp_vec(&mut again);
             for (a, b) in first.iter().zip(&again) {
                 assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    /// Every 1/4096 step over [-12, 12] plus the small-magnitude band.
+    fn activation_grid() -> Vec<f32> {
+        let mut xs: Vec<f32> = (-49_152..=49_152).map(|i| i as f32 / 4096.0).collect(); // lint:allow(lossy-cast) -- small integer grid, exact in f32
+        xs.extend((1..=400).flat_map(|i| {
+            let x = i as f32 * 2.5e-6; // lint:allow(lossy-cast) -- small integer grid
+            [x, -x]
+        }));
+        xs
+    }
+
+    fn apply(fl: Flavour, f: fn(Flavour, &mut [f32]), xs: &[f32]) -> Vec<f32> {
+        let mut out = xs.to_vec();
+        f(fl, &mut out);
+        out
+    }
+
+    #[test]
+    fn tanh_vec_is_within_bound_of_f64() {
+        let xs = activation_grid();
+        let got = apply(Flavour::Vector, Flavour::tanh, &xs);
+        for (&x, &t) in xs.iter().zip(&got) {
+            let want = f64::from(x).tanh();
+            let rel = if want == 0.0 {
+                f64::from(t).abs()
+            } else {
+                (f64::from(t) - want).abs() / want.abs()
+            };
+            assert!(
+                crate::rewrite::ulp_diff(t, want as f32) <= 6,
+                "tanh({x}) = {t}, f64 says {want}"
+            ); // lint:allow(lossy-cast) -- rounding the f64 reference to f32 is the point
+            assert!(
+                rel <= 3.5e-7 && rel <= f64::from(ACTIVATION_REL_ERR),
+                "tanh({x}): rel {rel:e}"
+            );
+            assert!(t.abs() <= 1.0);
+        }
+    }
+
+    #[test]
+    fn sigmoid_vec_is_within_bound_of_f64() {
+        let xs = activation_grid();
+        let got = apply(Flavour::Vector, Flavour::sigmoid, &xs);
+        for (&x, &s) in xs.iter().zip(&got) {
+            let want = 1.0 / (1.0 + (-f64::from(x)).exp());
+            let rel = (f64::from(s) - want).abs() / want;
+            assert!(
+                rel <= 4.2e-7 && rel <= f64::from(ACTIVATION_REL_ERR),
+                "sigmoid({x}): rel {rel:e}"
+            );
+            assert!((0.0..=1.0).contains(&s));
+        }
+    }
+
+    #[test]
+    fn tanh_and_sigmoid_special_values() {
+        let specials =
+            [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-40, -1e-40, 1e-45];
+        for fl in [Flavour::Vector, Flavour::Reference] {
+            let t = apply(fl, Flavour::tanh, &specials);
+            assert_eq!(t[0].to_bits(), 0.0f32.to_bits(), "{fl:?}: tanh(+0) is +0");
+            assert_eq!(t[1].to_bits(), (-0.0f32).to_bits(), "{fl:?}: tanh(-0) is -0");
+            assert_eq!((t[2], t[3]), (1.0, -1.0), "{fl:?}: tanh(±inf)");
+            assert!(t[4].is_nan(), "{fl:?}: tanh(NaN)");
+            // Subnormals: tanh(x) = x to the last bit.
+            for (&x, &v) in specials[5..].iter().zip(&t[5..]) {
+                assert_eq!(v.to_bits(), x.to_bits(), "{fl:?}: tanh({x:e})");
+            }
+            let s = apply(fl, Flavour::sigmoid, &specials);
+            assert_eq!((s[0], s[1]), (0.5, 0.5), "{fl:?}: sigmoid(±0)");
+            assert_eq!((s[2], s[3]), (1.0, 0.0), "{fl:?}: sigmoid(±inf)");
+            assert!(s[4].is_nan(), "{fl:?}: sigmoid(NaN)");
+            assert!(s[5..].iter().all(|&v| v == 0.5), "{fl:?}: sigmoid(subnormal)");
+        }
+        // Far below -88 both flavours are within MIN_POSITIVE of zero.
+        let deep = apply(Flavour::Vector, Flavour::sigmoid, &[-88.5, -100.0, -1e30]);
+        assert!(deep.iter().all(|&v| (0.0..f32::MIN_POSITIVE).contains(&v)), "{deep:?}");
+    }
+
+    #[test]
+    fn tanh_vec_is_exactly_odd() {
+        let xs = activation_grid();
+        let pos = apply(Flavour::Vector, Flavour::tanh, &xs);
+        let negated: Vec<f32> = xs.iter().map(|x| -x).collect();
+        let neg = apply(Flavour::Vector, Flavour::tanh, &negated);
+        for ((&x, &p), &n) in xs.iter().zip(&pos).zip(&neg) {
+            assert_eq!(n.to_bits(), (-p).to_bits(), "tanh(-{x}) != -tanh({x})");
+        }
+    }
+
+    #[test]
+    fn activations_are_bitwise_stable_across_calls() {
+        let base: Vec<f32> = (0..97).map(|i| (i as f32 * 0.13).sin() * 14.0 - 2.0).collect(); // lint:allow(lossy-cast) -- small integer grid, exact in f32
+        for f in [Flavour::tanh as fn(Flavour, &mut [f32]), Flavour::sigmoid] {
+            let first = apply(Flavour::Vector, f, &base);
+            for _ in 0..4 {
+                let again = apply(Flavour::Vector, f, &base);
+                for (a, b) in first.iter().zip(&again) {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+            // A slice is not processed differently by position: the same
+            // value anywhere in a longer slice gives the same bits.
+            let shifted = apply(Flavour::Vector, f, &base[3..]);
+            for (a, b) in first[3..].iter().zip(&shifted) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn reference_activations_are_libm() {
+        let xs = activation_grid();
+        let t = apply(Flavour::Reference, Flavour::tanh, &xs);
+        let s = apply(Flavour::Reference, Flavour::sigmoid, &xs);
+        for ((&x, &tv), &sv) in xs.iter().zip(&t).zip(&s) {
+            assert_eq!(tv.to_bits(), x.tanh().to_bits());
+            assert_eq!(sv.to_bits(), (1.0 / (1.0 + (-x).exp())).to_bits());
+        }
+    }
+
+    #[test]
+    fn madd_is_one_element_of_axpy_and_dot() {
+        let xs = seq(64, 0.9);
+        let ys = seq(64, 2.3);
+        for fl in [Flavour::Vector, Flavour::Reference] {
+            for (&a, &b) in xs.iter().zip(&ys) {
+                let mut out = [0.37f32];
+                fl.axpy(a, &[b], &mut out);
+                assert_eq!(fl.madd(a, b, 0.37).to_bits(), out[0].to_bits(), "{fl:?} axpy");
+                assert_eq!(
+                    fl.madd(a, b, 0.0).to_bits(),
+                    fl.dot(&[a], &[b]).to_bits(),
+                    "{fl:?} dot"
+                );
             }
         }
     }

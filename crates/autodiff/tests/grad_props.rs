@@ -453,6 +453,36 @@ proptest! {
     }
 
     #[test]
+    fn gen_linear_score_grads(seed in 0u64..10_000, d in 1usize..5) {
+        // The fused GAT-GEN-LINEAR score, gradient-checked w.r.t. each of
+        // its three inputs in turn (the two scatter targets and the output
+        // weights) on the vectorized and the scalar reference kernels.
+        // Repeated indices exercise scatter collisions; the projections of
+        // 3 and 4 rows keep the two scatter targets distinct.
+        let src = Arc::new(vec![0u32, 1, 1, 2, 0, 2, 1]);
+        let dst = Arc::new(vec![3u32, 0, 2, 2, 1, 0, 3]);
+        let probe = input(seed ^ 26, src.len(), 1);
+        let operands = [input(seed ^ 27, 3, d), input(seed ^ 28, 4, d), input(seed ^ 29, d, 1)];
+        for which in 0..3 {
+            let (src, dst, probe, operands) =
+                (Arc::clone(&src), Arc::clone(&dst), probe.clone(), operands.clone());
+            let (rows, cols) = operands[which].shape();
+            let case = move |t: &mut Tape, _: &VarStore, x: Tensor| {
+                let mut ins = operands.clone().map(|m| t.constant(m));
+                ins[which] = x;
+                let s = t.gen_linear_score(ins[0], ins[1], ins[2], &src, &dst);
+                let p = t.constant(probe.clone());
+                let weighted = t.mul(s, p);
+                t.sum_all(weighted)
+            };
+            let err = check(seed ^ which as u64, rows, cols, case.clone());
+            prop_assert!(err < TOL, "input {which}: rel err {err} (vectorized)");
+            let err = sane_autodiff::simd::with_scalar(|| check(seed ^ which as u64, rows, cols, case));
+            prop_assert!(err < TOL, "input {which}: rel err {err} (scalar reference)");
+        }
+    }
+
+    #[test]
     fn max_stack_and_segment_max_grads(seed in 0u64..10_000, cols in 1usize..4) {
         // Kinked ops: pick inputs with distinct values so perturbation
         // does not flip the argmax.

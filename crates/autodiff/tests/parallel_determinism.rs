@@ -133,7 +133,8 @@ fn segment_kernels_are_bitwise_equal_across_thread_counts() {
     }
 }
 
-/// The fused attention op and the SIMD-backed dense kernels, forward and
+/// The fused attention ops, the fused GEN-LINEAR edge score, the
+/// vectorized activations and the SIMD-backed dense kernels, forward and
 /// backward, at every thread count — in both the vectorized and the
 /// scalar-reference mode. Each mode must be bitwise self-consistent across
 /// thread counts; the two modes are *not* compared to each other (their
@@ -145,22 +146,35 @@ fn fused_attention_and_simd_kernels_are_bitwise_equal_across_thread_counts() {
         with_threads(threads, || {
             let segs = Arc::new(Segments::from_lengths(&[3, 0, 5, 2, 4, 1]));
             let total = segs.total_len();
+            let mut rng = StdRng::seed_from_u64(44);
+            let mut edges = || Arc::new((0..total).map(|_| rng.gen_range(0..6u32)).collect());
+            let (src, dst): (Arc<Vec<u32>>, Arc<Vec<u32>>) = (edges(), edges());
             let mut store = VarStore::new();
             let pm = store.add("m", seeded(41, total, 9));
             let ps = store.add("s", seeded(42, total, 1));
             let pw = store.add("w", seeded(43, 9, 6));
+            let pg = store.add("g", seeded(45, 6, 1));
             let mut tape = Tape::new(0);
             let m = tape.param(&store, pm);
             let s = tape.param(&store, ps);
             let w = tape.param(&store, pw);
+            let g = tape.param(&store, pg);
             let att = tape.segment_attention(s, m, &segs);
             let out = tape.matmul(att, w); // gemm fwd, at_b/a_bt in backward
+
+            // GAT-GEN-LINEAR scores over the node-level output, aggregated
+            // back onto it; sigmoid-gated like GeniePath's LSTM cell.
+            let scores = tape.gen_linear_score(out, out, g, &src, &dst);
+            let agg = tape.gather_attention(scores, out, &src, &segs);
+            let gate = tape.sigmoid(agg);
+            let out = tape.mul(gate, out);
             let fwd = tape.value(out).data().to_vec();
             let loss = tape.sum_all(out);
             let grads = tape.backward(loss);
             let mut g = grads.get(pm).unwrap().data().to_vec();
-            g.extend_from_slice(grads.get(ps).unwrap().data());
-            g.extend_from_slice(grads.get(pw).unwrap().data());
+            for p in [ps, pw, pg] {
+                g.extend_from_slice(grads.get(p).unwrap().data());
+            }
             (fwd, g)
         })
     };

@@ -13,7 +13,8 @@
 //! A final `simd-lane-drift` case fingerprints the same step on the scalar
 //! reference kernels (`sane_autodiff::simd::with_scalar`, the in-process
 //! equivalent of `SANE_FORCE_SCALAR=1`) and *reports* — without gating —
-//! how many sections drift from the vectorized default.
+//! how many sections drift from the vectorized default, and how far the
+//! vectorized `tanh` and `sigmoid` drift from libm over a dense grid.
 //!
 //! Emits `DETERMINISM.json`. Usage:
 //! `cargo run --release -p sane-bench --bin determinism -- --quick`
@@ -23,6 +24,8 @@ use std::collections::BTreeMap;
 use serde::{Serialize, Value};
 
 use sane_autodiff::parallel::{hardware_threads, with_threads};
+use sane_autodiff::rewrite::ulp_diff;
+use sane_autodiff::simd::Flavour;
 use sane_bench::HarnessArgs;
 use sane_core::prelude::*;
 use sane_core::search::{search_step_fingerprint, StepFingerprint};
@@ -63,6 +66,46 @@ struct SimdLaneDrift {
     total_sections: usize,
     /// First few drifted section labels, for eyeballing the report.
     sample_labels: Vec<String>,
+    /// Vectorized `tanh`/`sigmoid` against their libm references.
+    activations: Vec<ActivationDrift>,
+}
+
+/// Drift of one vectorized activation from its reference flavour over a
+/// dense grid of inputs.
+#[derive(Serialize)]
+struct ActivationDrift {
+    op: String,
+    /// Grid points: every 1/1024 step over [-12, 12].
+    points: usize,
+    /// Points where the two flavours differ bitwise.
+    differing: usize,
+    /// Largest distance in units in the last place.
+    max_ulps: u64,
+    /// Largest relative difference.
+    max_rel: f64,
+}
+
+fn activation_drift(op: &str, f: fn(Flavour, &mut [f32])) -> ActivationDrift {
+    let xs: Vec<f32> = (-12_288..=12_288).map(|i| i as f32 / 1024.0).collect(); // lint:allow(lossy-cast) -- small integer grid, exact in f32
+    let (mut vector, mut reference) = (xs.clone(), xs);
+    f(Flavour::Vector, &mut vector);
+    f(Flavour::Reference, &mut reference);
+    let mut drift = ActivationDrift {
+        op: op.into(),
+        points: vector.len(),
+        differing: 0,
+        max_ulps: 0,
+        max_rel: 0.0,
+    };
+    for (&v, &r) in vector.iter().zip(&reference) {
+        if v.to_bits() != r.to_bits() {
+            drift.differing += 1;
+            drift.max_ulps = drift.max_ulps.max(ulp_diff(v, r));
+            let rel = (f64::from(v) - f64::from(r)).abs() / f64::from(r).abs();
+            drift.max_rel = drift.max_rel.max(rel);
+        }
+    }
+    drift
 }
 
 #[derive(Serialize)]
@@ -218,11 +261,21 @@ fn main() {
         drifted_sections: drift_labels.len(),
         total_sections: reference.num_sections(),
         sample_labels: drift_labels.iter().take(8).cloned().collect(),
+        activations: vec![
+            activation_drift("tanh", Flavour::tanh),
+            activation_drift("sigmoid", Flavour::sigmoid),
+        ],
     };
     println!(
         "  simd-lane-drift: scalar reference differs on {}/{} section(s) (expected, not gated)",
         simd_lane_drift.drifted_sections, simd_lane_drift.total_sections,
     );
+    for a in &simd_lane_drift.activations {
+        println!(
+            "  simd-lane-drift: {} differs from libm at {}/{} points, max {} ulp, max rel {:.2e}",
+            a.op, a.differing, a.points, a.max_ulps, a.max_rel,
+        );
+    }
 
     let report = DeterminismReport {
         preset: args.scale.name.clone(),

@@ -155,11 +155,9 @@ impl GatAggregator {
                 let gen_out = tape.param(store, head.gen_out.expect("gen-linear has gen_out")); // lint:allow(expect) -- gen-linear has gen_out
                 let proj_src = tape.matmul(wh, gen_src);
                 let proj_dst = tape.matmul(wh, gen_dst);
-                let eu = tape.gather_rows(proj_src, &layout.src);
-                let ev = tape.gather_rows(proj_dst, &layout.dst);
-                let summed = tape.add(eu, ev);
-                let t = tape.tanh(summed);
-                tape.matmul(t, gen_out)
+                // One fused op for gather ×2 → add → tanh → matmul: the
+                // `E x d` planes of that chain never land on the tape.
+                tape.gen_linear_score(proj_src, proj_dst, gen_out, &layout.src, &layout.dst)
             }
         }
     }
