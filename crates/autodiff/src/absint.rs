@@ -4,23 +4,26 @@
 //! shape (with symbolic dims for node/edge counts), value interval, derived
 //! sign, and NaN/Inf-freedom — propagated through the op registry via the
 //! per-op [`Op::transfer`] functions declared alongside each op's
-//! `GradReads` contract. The analysis runs to a fixed point over the DAG;
-//! because the Wengert list is topologically ordered the fixed point is
-//! reached in one sweep plus one confirming pass, but the driver iterates
-//! until stability so the invariant is checked, not assumed.
+//! `GradReads` contract. `transfer` is each op's one static contract: the
+//! tape auditor's shape pass calls the same function with shape-only
+//! inputs. The analysis runs to a fixed point over the DAG; because the
+//! Wengert list is topologically ordered the fixed point is reached in one
+//! sweep plus one confirming pass, but the driver iterates until stability
+//! so the invariant is checked, not assumed.
 //!
-//! Two clients consume the pass:
+//! Two entry points run the pass:
 //!
 //! * [`Tape::absint`] analyses a recorded tape from its concrete leaf
 //!   values and cross-checks every abstract value against the concrete
 //!   matrix stored on the node — a transfer function that fails to
 //!   over-approximate its own op is reported, not trusted. The result
-//!   feeds [`crate::TapeReport`] via `Tape::audit_with_absint`.
+//!   feeds [`crate::TapeReport`] via `Tape::audit_with_absint`, which the
+//!   graph-audit gate and the search pre-flight run on the real supernet
+//!   and derived-architecture tapes, fused ops included.
 //! * [`Tape::absint_assuming`] substitutes caller-provided abstract values
-//!   (symbolic shapes, declared intervals) at chosen nodes; the
-//!   rewrite-soundness checker in [`crate::rewrite`] uses this to compare
-//!   an original subgraph against its replacement over *all* inputs in a
-//!   domain, not just one fixture.
+//!   (symbolic shapes, declared intervals) at chosen nodes, so a transfer
+//!   can be evaluated over *all* inputs in a domain, not just one fixture;
+//!   the property tests below check every op's transfer this way.
 //!
 //! Segment ops carry their boundary invariants through the transfer
 //! functions: offsets are sorted and covering by [`Segments`] construction,
@@ -797,6 +800,8 @@ mod tests {
         assert_over_approximates(&d, |t, i| t.scale(i[0], -1.5));
         assert_over_approximates(&d, |t, i| t.scale(i[0], 0.0));
         assert_over_approximates(&d, |t, i| t.add_scalar(i[0], 2.5));
+        // Train-mode dropout: every run draws its own mask.
+        assert_over_approximates(&d, |t, i| t.dropout(i[0], 0.5));
         // Degenerate domains pin the transfer to libm at a single point, so
         // only the widening by the vectorized kernels' error bound admits
         // their result: the rational tanh's error peaks near 2.85 and 5.98,
@@ -813,6 +818,14 @@ mod tests {
     fn transfer_over_approximates_linalg() {
         let mm = [(3, 4, Interval::new(-1.0, 1.0)), (4, 2, Interval::new(-2.0, 2.0))];
         assert_over_approximates(&mm, |t, i| t.matmul(i[0], i[1]));
+        // Mixed-sign sparse values, and row 1 is empty.
+        let s = std::sync::Arc::new(crate::Csr::from_coo(
+            4,
+            3,
+            &[(0, 0, 1.5), (0, 2, -2.0), (2, 1, 0.5), (3, 0, -0.25), (3, 1, 3.0), (3, 2, 1.0)],
+        ));
+        let sp = [(3, 2, Interval::new(-2.0, 2.0))];
+        assert_over_approximates(&sp, move |t, i| t.spmm(&s, i[0]));
         let one = [(3, 4, Interval::new(-2.0, 2.0))];
         assert_over_approximates(&one, |t, i| t.row_sum(i[0]));
         assert_over_approximates(&one, |t, i| t.sum_all(i[0]));

@@ -2,19 +2,20 @@
 //!
 //! A [`Tape`] is a Wengert list: a flat, already-scheduled dataflow graph
 //! with eagerly computed forward values. That makes it cheap to *audit*
-//! without running backward — every op declares its input arity and a
-//! shape-transfer function ([`Op::arity`] / [`Op::infer_shape`]), and the
-//! auditor replays those declarations against what was actually recorded.
+//! without running backward — every op declares its input arity and one
+//! transfer function ([`Op::arity`] / [`Op::transfer`]), and the auditor
+//! replays those declarations against what was actually recorded.
 //!
 //! [`Tape::audit`] runs five passes and collects everything it finds into a
 //! [`TapeReport`]:
 //!
 //! 1. **Arity check** — each node's recorded input count matches its op's
 //!    declared [`Arity`].
-//! 2. **Shape consistency** — each node's recorded output shape matches the
-//!    shape its op infers from its recorded input shapes, and the input
-//!    shapes themselves satisfy the op's contract (e.g. `matmul` inner
-//!    dimensions agree).
+//! 2. **Shape consistency** — the op's transfer function, fed the recorded
+//!    input shapes with unknown values, accepts them (e.g. `matmul` inner
+//!    dimensions agree) and infers an output shape that admits the
+//!    recorded one. The value facts of the same function are checked by
+//!    [`Tape::audit_with_absint`].
 //! 3. **Reachability** — a reverse walk from the loss node flags recorded
 //!    compute that can never receive gradient (dead compute) and parameter
 //!    leaves the loss does not depend on (dead parameters, the classic
@@ -34,9 +35,9 @@
 //! emit behind their `audit_every` debug flags.
 //!
 //! [`Op::arity`]: crate::tape::Op::arity
-//! [`Op::infer_shape`]: crate::tape::Op::infer_shape
+//! [`Op::transfer`]: crate::tape::Op::transfer
 
-use crate::absint::{AbsReport, AbsSummary};
+use crate::absint::{AbsReport, AbsSummary, AbsVal, Dim};
 use crate::dataflow::{MemPlan, MemSummary};
 use crate::tape::{Gradients, Tape, Tensor, VarStore};
 
@@ -82,11 +83,12 @@ pub enum Severity {
 pub enum FindingKind {
     /// A node's recorded input count contradicts its op's declared arity.
     ArityMismatch,
-    /// A node's recorded shapes contradict its op's shape-transfer function.
+    /// A node's recorded shapes contradict its op's transfer function.
     ShapeMismatch,
-    /// A non-leaf op declined to infer its output shape (dynamic output
-    /// arity), so the shape pass could not check this node. Earlier
-    /// versions silently dropped the node, hiding the coverage gap.
+    /// A non-leaf op's transfer function left an output dim unknown from
+    /// concrete input shapes (dynamic output arity), so the shape pass
+    /// could not check this node. Reported rather than dropped, so the
+    /// coverage gap stays visible.
     ShapeUnknown,
     /// The abstract interpreter found a node whose transfer function
     /// rejected its inputs (see [`crate::absint`]).
@@ -282,47 +284,51 @@ impl Tape {
                 continue;
             }
 
-            match node.op.infer_shape(&shapes) {
-                Err(msg) => findings.push(Finding {
-                    kind: FindingKind::ShapeMismatch,
-                    severity: Severity::Error,
-                    node: Some(i),
-                    op: Some(op_name),
-                    message: format!("inconsistent input shapes {shapes:?}: {msg}"),
-                }),
-                Ok(Some(expected)) => {
-                    let actual = node.value.shape();
-                    if actual != expected {
-                        findings.push(Finding {
-                            kind: FindingKind::ShapeMismatch,
-                            severity: Severity::Error,
-                            node: Some(i),
-                            op: Some(op_name),
-                            message: format!(
-                                "inputs {shapes:?} infer output {expected:?} \
-                                 but recorded value is {actual:?}"
-                            ),
-                        });
-                    }
-                }
-                // Leaves legitimately decline (they have no inputs to infer
-                // from); a non-leaf declining means the shape pass has a
-                // blind spot, which must be visible, not silently skipped.
-                Ok(None) => {
-                    if !shapes.is_empty() {
-                        findings.push(Finding {
-                            kind: FindingKind::ShapeUnknown,
-                            severity: Severity::Warning,
-                            node: Some(i),
-                            op: Some(op_name),
-                            message: format!(
-                                "op declined to infer an output shape from inputs \
-                                 {shapes:?}; this node is unchecked by the shape pass"
-                            ),
-                        });
-                    }
-                }
+            // Leaves have nothing to infer from; their recorded value is
+            // their shape.
+            if shapes.is_empty() {
+                continue;
             }
+            let ins: Vec<AbsVal> =
+                shapes.iter().map(|&(r, c)| AbsVal::top(Dim::Const(r), Dim::Const(c))).collect();
+            let (kind, severity, message) = match node.op.transfer(&ins) {
+                Err(msg) => (
+                    FindingKind::ShapeMismatch,
+                    Severity::Error,
+                    format!("inconsistent input shapes {shapes:?}: {msg}"),
+                ),
+                Ok(out) => {
+                    let actual = node.value.shape();
+                    if !out.rows.compatible(Dim::Const(actual.0))
+                        || !out.cols.compatible(Dim::Const(actual.1))
+                    {
+                        (
+                            FindingKind::ShapeMismatch,
+                            Severity::Error,
+                            format!(
+                                "inputs {shapes:?} infer output {}x{} \
+                                 but recorded value is {actual:?}",
+                                out.rows, out.cols
+                            ),
+                        )
+                    } else if out.rows == Dim::Any || out.cols == Dim::Any {
+                        // A non-leaf that cannot name its output shape is a
+                        // blind spot of this pass, which must be visible,
+                        // not silently skipped.
+                        (
+                            FindingKind::ShapeUnknown,
+                            Severity::Warning,
+                            format!(
+                                "op infers no output shape from inputs {shapes:?}; \
+                                 this node is unchecked by the shape pass"
+                            ),
+                        )
+                    } else {
+                        continue;
+                    }
+                }
+            };
+            findings.push(Finding { kind, severity, node: Some(i), op: Some(op_name), message });
         }
 
         // Fan accounting.
@@ -533,7 +539,7 @@ mod tests {
     }
 
     /// Mutation test: an op whose recorded output contradicts its declared
-    /// shape-transfer function must produce a `ShapeMismatch` error.
+    /// transfer function must produce a `ShapeMismatch` error.
     #[test]
     fn wrong_shape_op_is_flagged() {
         struct BrokenTransposeOp;
@@ -553,12 +559,9 @@ mod tests {
             fn arity(&self) -> Arity {
                 Arity::Exact(1)
             }
-            fn infer_shape(
-                &self,
-                inputs: &[(usize, usize)],
-            ) -> Result<Option<(usize, usize)>, String> {
+            fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
                 // Declares a transpose...
-                Ok(Some((inputs[0].1, inputs[0].0)))
+                Ok(AbsVal::top(inputs[0].cols, inputs[0].rows))
             }
         }
 
@@ -579,9 +582,9 @@ mod tests {
         assert!(report.has_errors());
     }
 
-    /// Mutation test: a non-leaf op that declines to infer its output shape
-    /// must surface as a `shape-unknown` warning — earlier versions silently
-    /// dropped the node from the shape pass.
+    /// Mutation test: a non-leaf op whose transfer leaves its output shape
+    /// unknown must surface as a `shape-unknown` warning, not be silently
+    /// dropped from the shape pass.
     #[test]
     fn dynamic_arity_op_is_reported_not_skipped() {
         struct OpaqueOp;
@@ -601,12 +604,9 @@ mod tests {
             fn arity(&self) -> Arity {
                 Arity::Exact(1)
             }
-            fn infer_shape(
-                &self,
-                _inputs: &[(usize, usize)],
-            ) -> Result<Option<(usize, usize)>, String> {
+            fn transfer(&self, _inputs: &[AbsVal]) -> Result<AbsVal, String> {
                 // Dynamic output arity: refuses to commit to a shape.
-                Ok(None)
+                Ok(AbsVal::top(Dim::Any, Dim::Any))
             }
         }
 
@@ -622,7 +622,7 @@ mod tests {
         assert_eq!(f[0].severity, Severity::Warning);
         // A warning, not an error: the tape is suspect but not provably broken.
         assert!(!report.has_errors(), "{report}");
-        // Leaves (constants here) also return `Ok(None)` but must stay silent.
+        // Leaves (constants here) also infer no shape but must stay silent.
         assert!(!report.findings.iter().any(|f| f.node == Some(x.index())));
     }
 
@@ -657,6 +657,9 @@ mod tests {
         assert_eq!(f[0].node, Some(bad.index()));
         assert!(report.has_errors());
         assert_eq!(report.absint.expect("summary").violations, abs.violations.len());
+        // The shape pass runs the same transfer, so it rejects the node too.
+        let f: Vec<_> = report.of_kind(FindingKind::ShapeMismatch).collect();
+        assert_eq!((f.len(), f[0].node), (1, Some(bad.index())), "{report}");
     }
 
     /// Mutation test: an op recorded with the wrong number of inputs must

@@ -40,10 +40,6 @@
 //! its interval closes, so backward-pass gradient buffers are drawn from
 //! the memory the forward pass no longer needs, and reports actual
 //! peak-resident bytes next to the plan's prediction.
-//!
-//! This module is also the seed of the ROADMAP-1 typed inference graph:
-//! dead-op elimination and the in-place map are its first two optimization
-//! passes, and `OpGraph` is the IR they run on.
 
 use crate::tape::{Tape, Tensor};
 

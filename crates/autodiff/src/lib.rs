@@ -18,15 +18,13 @@
 //!   without ever materialising dense `N x N` matrices.
 //! * [`optim`] — SGD and Adam with decoupled weight decay.
 //! * [`gradcheck`] — finite-difference verification used by the test suite.
-//! * [`audit`] — static tape analysis: shape/arity checking against each
-//!   op's declared metadata, dead-compute and dead-parameter detection,
-//!   gradient-accumulation accounting and NaN/inf provenance.
+//! * [`audit`] — static tape analysis: arity and shape checking against
+//!   each op's declared arity and transfer function, dead-compute and
+//!   dead-parameter detection, gradient-accumulation accounting and
+//!   NaN/inf provenance.
 //! * [`absint`] — abstract interpretation over recorded tapes: per-value
 //!   shape (symbolic dims included), interval, sign and NaN/Inf-freedom
-//!   via per-op transfer functions ([`Tape::absint`]).
-//! * [`rewrite`] — graph-rewrite soundness: registered rewrites are
-//!   statically checked against their abstract obligations and must pass
-//!   a bitwise golden-equivalence harness at 1/2/4 worker threads.
+//!   via the same per-op transfer functions ([`Tape::absint`]).
 //! * [`dataflow`] — liveness/interference analysis over the recorded tape
 //!   and a verified memory-reuse plan ([`Tape::memplan`] /
 //!   [`Tape::backward_measured`]): every op declares what its backward
@@ -77,8 +75,10 @@ pub mod metrics;
 pub mod optim;
 pub mod parallel;
 pub mod pool;
-pub mod rewrite;
 pub mod simd;
+
+#[cfg(test)]
+mod equivalence;
 
 /// Differentiable operations recorded on a [`Tape`].
 pub mod ops {
@@ -97,9 +97,5 @@ pub use dataflow::{GradReads, InputReads, MemPlan, MemPlanError, MemSummary, OpG
 pub use matrix::Matrix;
 pub use ops::Segments;
 pub use pool::PoolStats;
-pub use rewrite::{
-    builtin_rewrites, check_rewrite, golden_equivalence, Equivalence, Rewrite, RewriteCheck,
-    RewriteError,
-};
 pub use sparse::Csr;
 pub use tape::{glorot_init, uniform_init, ExecStats, Gradients, ParamId, Tape, Tensor, VarStore};

@@ -15,22 +15,6 @@ use crate::pool;
 use crate::simd::ACTIVATION_REL_ERR;
 use crate::tape::{Op, Tape, Tensor};
 
-type InferredShape = Result<Option<(usize, usize)>, String>;
-
-/// Shape transfer for elementwise binary ops: both operands must match and
-/// the output keeps their shape.
-fn infer_same_shape_binary(inputs: &[(usize, usize)]) -> InferredShape {
-    if inputs[0] != inputs[1] {
-        return Err(format!("operands must match: {:?} vs {:?}", inputs[0], inputs[1]));
-    }
-    Ok(Some(inputs[0]))
-}
-
-/// Shape transfer for elementwise unary ops: output keeps the input shape.
-fn infer_unary_identity(inputs: &[(usize, usize)]) -> InferredShape {
-    Ok(Some(inputs[0]))
-}
-
 fn binary_shape_check(tape: &Tape, a: Tensor, b: Tensor, what: &str) {
     assert_eq!(
         tape.value(a).shape(),
@@ -57,9 +41,6 @@ impl Op for AddOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(2)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_same_shape_binary(inputs)
     }
     fn grad_reads(&self) -> GradReads {
         GradReads::NONE
@@ -89,9 +70,6 @@ impl Op for SubOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(2)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_same_shape_binary(inputs)
     }
     fn grad_reads(&self) -> GradReads {
         GradReads::NONE
@@ -128,9 +106,6 @@ impl Op for MulOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_same_shape_binary(inputs)
-    }
     fn grad_reads(&self) -> GradReads {
         GradReads::INPUTS_ONLY
     }
@@ -159,9 +134,6 @@ impl Op for ScaleOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
     }
     fn grad_reads(&self) -> GradReads {
         GradReads::NONE
@@ -200,9 +172,6 @@ impl Op for AddScalarOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
     }
     fn grad_reads(&self) -> GradReads {
         GradReads::NONE
@@ -247,12 +216,6 @@ impl Op for MulScalarTensorOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        if inputs[1] != (1, 1) {
-            return Err(format!("scale must be 1x1, got {:?}", inputs[1]));
-        }
-        Ok(Some(inputs[0]))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let (a, s) = (&inputs[0], &inputs[1]);
         require_compatible("mul_scalar_tensor: scale rows", s.rows, Dim::Const(1))?;
@@ -291,9 +254,6 @@ impl Op for ReluOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
-    }
     fn grad_reads(&self) -> GradReads {
         GradReads::OUT_ONLY
     }
@@ -326,9 +286,6 @@ impl Op for LeakyReluOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
     }
     fn grad_reads(&self) -> GradReads {
         GradReads::inputs_at(&[0])
@@ -372,9 +329,6 @@ impl Op for EluOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
-    }
     fn grad_reads(&self) -> GradReads {
         GradReads::OUT_ONLY
     }
@@ -410,9 +364,6 @@ impl Op for TanhOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
-    }
     fn grad_reads(&self) -> GradReads {
         GradReads::OUT_ONLY
     }
@@ -447,9 +398,6 @@ impl Op for SigmoidOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
     }
     fn grad_reads(&self) -> GradReads {
         GradReads::OUT_ONLY
@@ -497,9 +445,6 @@ impl Op for AbsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_unary_identity(inputs)
-    }
     fn grad_reads(&self) -> GradReads {
         GradReads::inputs_at(&[0])
     }
@@ -536,13 +481,6 @@ impl Op for DropoutOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (r, c) = inputs[0];
-        if self.mask.len() != r * c {
-            return Err(format!("saved mask has {} entries for a {r}x{c} input", self.mask.len()));
-        }
-        Ok(Some(inputs[0]))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let a = &inputs[0];

@@ -24,7 +24,6 @@ use crate::parallel::{parallel_ranges, parallel_ranges_pair, parallel_rows, para
 use crate::pool;
 use crate::tape::{Op, Tape, Tensor};
 
-type InferredShape = Result<Option<(usize, usize)>, String>;
 type Transferred = Result<AbsVal, String>;
 
 /// Segment-boundary invariant shared by every segment transfer: the input's
@@ -166,14 +165,6 @@ impl Op for GatherRowsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (rows, cols) = inputs[0];
-        if let Some(&bad) = self.idx.iter().find(|&&i| i as usize >= rows) {
-            // lint:allow(lossy-cast) -- u32 index widens losslessly
-            return Err(format!("index {bad} out of bounds for {rows} source rows"));
-        }
-        Ok(Some((self.idx.len(), cols)))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
         if let Some(rows) = a.rows.known() {
@@ -231,9 +222,6 @@ impl Op for SegmentSumOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_segment_reduce(&self.segs, inputs)
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
@@ -304,9 +292,6 @@ impl Op for SegmentMeanOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        infer_segment_reduce(&self.segs, inputs)
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
@@ -382,16 +367,6 @@ impl Op for SegmentMaxOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let cols = inputs[0].1;
-        if cols == 0 || !self.winners.len().is_multiple_of(cols) {
-            return Err(format!(
-                "saved {} winner indices for inputs with {cols} columns",
-                self.winners.len()
-            ));
-        }
-        Ok(Some((self.winners.len() / cols, cols)))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
         require_segment_cover("segment_max", &self.segs, a.rows)?;
@@ -449,19 +424,6 @@ impl Op for SegmentSoftmaxOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (rows, cols) = inputs[0];
-        if cols != 1 {
-            return Err(format!("expects an n x 1 score column, got {:?}", inputs[0]));
-        }
-        if rows != self.segs.total_len() {
-            return Err(format!(
-                "scores cover {rows} edges but segments cover {}",
-                self.segs.total_len()
-            ));
-        }
-        Ok(Some(inputs[0]))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
@@ -588,20 +550,6 @@ impl Op for SegmentAttentionOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (srows, scols) = inputs[0];
-        let (mrows, cols) = inputs[1];
-        if scols != 1 {
-            return Err(format!("expects an n x 1 score column, got {:?}", inputs[0]));
-        }
-        if srows != self.segs.total_len() || mrows != self.segs.total_len() {
-            return Err(format!(
-                "scores cover {srows} and messages {mrows} edges but segments cover {}",
-                self.segs.total_len()
-            ));
-        }
-        Ok(Some((self.segs.num_segments(), cols)))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let (s, m) = (&inputs[0], &inputs[1]);
         require_compatible(
@@ -714,25 +662,6 @@ impl Op for GatherAttentionOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(2)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (srows, scols) = inputs[0];
-        let (xrows, cols) = inputs[1];
-        if scols != 1 {
-            return Err(format!("expects an n x 1 score column, got {:?}", inputs[0]));
-        }
-        if srows != self.segs.total_len() || self.idx.len() != self.segs.total_len() {
-            return Err(format!(
-                "scores cover {srows} and indices {} edges but segments cover {}",
-                self.idx.len(),
-                self.segs.total_len()
-            ));
-        }
-        if let Some(&bad) = self.idx.iter().find(|&&i| i as usize >= xrows) {
-            // lint:allow(lossy-cast) -- u32 index widens losslessly
-            return Err(format!("index {bad} out of bounds for {xrows} source rows"));
-        }
-        Ok(Some((self.segs.num_segments(), cols)))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let (s, x) = (&inputs[0], &inputs[1]);
@@ -847,25 +776,6 @@ impl Op for GenLinearScoreOp {
     fn arity(&self) -> Arity {
         Arity::Exact(3)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let ((srows, d), (drows, d2), w) = (inputs[0], inputs[1], inputs[2]);
-        if d2 != d || w != (d, 1) {
-            return Err(format!(
-                "projections {:?} and {:?} need matching widths and a {d} x 1 gen_out, got {w:?}",
-                inputs[0], inputs[1]
-            ));
-        }
-        if self.src.len() != self.dst.len() {
-            return Err(format!("{} source but {} target indices", self.src.len(), self.dst.len()));
-        }
-        for (idx, rows) in [(&self.src, srows), (&self.dst, drows)] {
-            if let Some(&bad) = idx.iter().find(|&&i| i as usize >= rows) {
-                // lint:allow(lossy-cast) -- u32 index widens losslessly
-                return Err(format!("index {bad} out of bounds for {rows} rows"));
-            }
-        }
-        Ok(Some((self.src.len(), 1)))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let (s, t, w) = (&inputs[0], &inputs[1], &inputs[2]);
         require_compatible("gen_linear_score: projection widths", s.cols, t.cols)?;
@@ -948,15 +858,6 @@ impl Op for MulColBroadcastOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        if inputs[1] != (inputs[0].0, 1) {
-            return Err(format!(
-                "weights must be {} x 1 for a {:?} input, got {:?}",
-                inputs[0].0, inputs[0], inputs[1]
-            ));
-        }
-        Ok(Some(inputs[0]))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let (a, w) = (&inputs[0], &inputs[1]);
         require_compatible("mul_col_broadcast: weight rows must match the input", w.rows, a.rows)?;
@@ -974,16 +875,6 @@ impl Op for MulColBroadcastOp {
             inf_free: finite_arith(range, &[a, w]),
         })
     }
-}
-
-/// Shared shape transfer for segment reductions: the input covers every
-/// segmented element, the output has one row per segment.
-fn infer_segment_reduce(segs: &Segments, inputs: &[(usize, usize)]) -> InferredShape {
-    let (rows, cols) = inputs[0];
-    if rows != segs.total_len() {
-        return Err(format!("input has {rows} rows but segments cover {}", segs.total_len()));
-    }
-    Ok(Some((segs.num_segments(), cols)))
 }
 
 impl Tape {
@@ -1491,6 +1382,7 @@ impl Tape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::equivalence::{fused_vs_chain, Equivalence};
     use crate::tape::VarStore;
 
     fn segs(lengths: &[usize]) -> Arc<Segments> {
@@ -1589,47 +1481,38 @@ mod tests {
         assert!((tape.value(p).get(0, 0) - 1.0).abs() < 1e-6);
     }
 
+    /// Smooth deterministic fixture values in `[-amp, amp]`.
+    fn wave(rows: usize, cols: usize, salt: f32, amp: f32) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * 0.37 + salt).sin() * amp)
+    }
+
+    /// The fused kernel normalises by multiplying with `1/sum` where
+    /// `segment_softmax` divides, and uses the vectorized `exp`, so it
+    /// tracks the chain within a budget rather than bitwise.
     #[test]
     fn segment_attention_matches_unfused_chain() {
-        let mut store = VarStore::new();
-        let scores = store.add("s", Matrix::from_vec(5, 1, vec![0.3, -1.2, 0.0, 2.0, 0.7]));
-        let msgs = store.add(
-            "m",
-            Matrix::from_vec(5, 2, vec![1.0, 2.0, -3.0, 0.5, 4.0, -1.0, 0.25, 2.5, -0.5, 1.5]),
-        );
-        let s = segs(&[2, 0, 3]);
-
-        let mut fused = Tape::new(0);
-        let fs = fused.param(&store, scores);
-        let fm = fused.param(&store, msgs);
-        let fy = fused.segment_attention(fs, fm, &s);
-        let floss = fused.sum_all(fy);
-        let fg = fused.backward(floss);
-
-        let mut chain = Tape::new(0);
-        let cs = chain.param(&store, scores);
-        let cm = chain.param(&store, msgs);
-        let alpha = chain.segment_softmax(cs, &s);
-        let weighted = chain.mul_col_broadcast(cm, alpha);
-        let cy = chain.segment_sum(weighted, &s);
-        let closs = chain.sum_all(cy);
-        let cg = chain.backward(closs);
-
-        let fv = fused.value(fy);
-        let cv = chain.value(cy);
-        assert_eq!(fv.shape(), (3, 2));
-        for (a, b) in fv.data().iter().zip(cv.data()) {
-            assert!((a - b).abs() < 1e-5, "forward fused {a} vs chain {b}");
+        // An empty segment among ragged lengths, and one whole-graph
+        // segment (the attention-pooling readout).
+        for lengths in [&[2, 0, 3][..], &[3, 0, 4, 2, 1], &[9]] {
+            let s = segs(lengths);
+            let e = s.total_len();
+            let inputs = [wave(e, 1, 0.3, 4.0), wave(e, 5, 1.1, 2.0)];
+            let fused = |t: &mut Tape, i: &[Tensor]| t.segment_attention(i[0], i[1], &s);
+            let chain = |t: &mut Tape, i: &[Tensor]| {
+                let alpha = t.segment_softmax(i[0], &s);
+                let weighted = t.mul_col_broadcast(i[1], alpha);
+                t.segment_sum(weighted, &s)
+            };
+            let budget = Equivalence::Approximate { max_ulps: 256, atol: 1e-5 };
+            fused_vs_chain(budget, &inputs, &[true, true], &fused, &chain)
+                .unwrap_or_else(|e| panic!("segments {lengths:?}: {e}"));
         }
-        // Empty segment 1 stays a zero row.
-        assert_eq!(&fv.data()[2..4], &[0.0, 0.0]);
-        for p in [scores, msgs] {
-            let gf = fg.get(p).unwrap();
-            let gc = cg.get(p).unwrap();
-            for (a, b) in gf.data().iter().zip(gc.data()) {
-                assert!((a - b).abs() < 1e-5, "grad fused {a} vs chain {b}");
-            }
-        }
+        // The empty segment stays an exact zero row.
+        let mut tape = Tape::new(0);
+        let sc = tape.constant(wave(5, 1, 0.3, 4.0));
+        let ms = tape.constant(wave(5, 2, 1.1, 2.0));
+        let y = tape.segment_attention(sc, ms, &segs(&[2, 0, 3]));
+        assert_eq!(tape.value(y).row(1), &[0.0, 0.0]);
     }
 
     /// The gather-fused kernel promises *bitwise* agreement with the
@@ -1638,52 +1521,36 @@ mod tests {
     /// arithmetic in the same order, only the addressing differs.
     #[test]
     fn gather_attention_is_bitwise_equal_to_gather_then_attention() {
-        let mut store = VarStore::new();
-        let x =
-            store.add("x", Matrix::from_fn(6, 3, |r, c| ((r * 3 + c) as f32 * 0.37).sin() * 2.0));
-        let sc = store.add("sc", Matrix::from_fn(7, 1, |r, _| ((r as f32) - 2.5) * 0.8));
-        // Repeated indices exercise the scatter-add collisions; segment
-        // lengths include an empty segment.
-        let idx = Arc::new(vec![0u32, 5, 2, 2, 4, 0, 1]);
-        let s = segs(&[3, 0, 2, 2]);
-
-        let mut fused = Tape::new(0);
-        let fs = fused.param(&store, sc);
-        let fx = fused.param(&store, x);
-        let fy = fused.gather_attention(fs, fx, &idx, &s);
-        let floss = fused.sum_all(fy);
-        let fg = fused.backward(floss);
-
-        let mut chain = Tape::new(0);
-        let cs = chain.param(&store, sc);
-        let cx = chain.param(&store, x);
-        let cm = chain.gather_rows(cx, &idx);
-        let cy = chain.segment_attention(cs, cm, &s);
-        let closs = chain.sum_all(cy);
-        let cg = chain.backward(closs);
-
-        assert_eq!(fused.value(fy).data(), chain.value(cy).data(), "forward values diverge");
-        for p in [sc, x] {
-            assert_eq!(
-                fg.get(p).unwrap().data(),
-                cg.get(p).unwrap().data(),
-                "gradient for {} diverges",
-                store.name(p)
-            );
+        // Repeated indices exercise the scatter-add collisions, with an
+        // empty segment; row 2 is hit once, then twice within one segment,
+        // so the scatter's edge order shows. Then GAT's message layout of a
+        // 6-node graph (a triangle 0-1-2, a pendant chain 2-3-4 and the
+        // isolated node 5): each node's segment is its self-loop, then its
+        // sorted neighbors.
+        let cases: [(&[u32], &[usize], usize); 3] = [
+            (&[0, 5, 2, 2, 4, 2, 0], &[3, 0, 3, 1], 3),
+            (&[0, 3, 3, 1, 2, 0, 3, 2, 1, 0], &[3, 0, 4, 2, 1], 5),
+            (&[0, 1, 2, 1, 0, 2, 2, 0, 1, 3, 3, 2, 4, 4, 3, 5], &[3, 3, 4, 3, 2, 1], 7),
+        ];
+        for (idx, lengths, cols) in cases {
+            let (idx, s) = (Arc::new(idx.to_vec()), segs(lengths));
+            let inputs = [wave(idx.len(), 1, 0.3, 4.0), wave(6, cols, 1.1, 2.0)];
+            let fused = |t: &mut Tape, i: &[Tensor]| t.gather_attention(i[0], i[1], &idx, &s);
+            let chain = |t: &mut Tape, i: &[Tensor]| {
+                let messages = t.gather_rows(i[1], &idx);
+                t.segment_attention(i[0], messages, &s)
+            };
+            fused_vs_chain(Equivalence::Bitwise, &inputs, &[true, true], &fused, &chain)
+                .unwrap_or_else(|e| panic!("segments {lengths:?}: {e}"));
         }
     }
 
     mod gen_linear {
         use super::*;
-        use crate::parallel::with_threads;
         use crate::simd::with_scalar;
         use crate::tape::ParamId;
 
         const D: usize = 11; // odd: exercises the vector tails
-
-        fn bits(m: &Matrix) -> Vec<u32> {
-            m.data().iter().map(|v| v.to_bits()).collect()
-        }
 
         struct Fixture {
             store: VarStore,
@@ -1709,47 +1576,28 @@ mod tests {
             Fixture { store, params: [ps, pd, w], src, dst, probe }
         }
 
-        /// The score's bits and the bits of each wanted gradient.
-        fn run(fused: bool, wanted: &[ParamId]) -> (Vec<u32>, Vec<Option<Vec<u32>>>) {
-            let Fixture { store, params, src, dst, probe } = fixture();
-            let mut tape = Tape::new(0);
-            let [a, b, c] = params.map(|p| tape.param(&store, p));
-            let score = if fused {
-                tape.gen_linear_score(a, b, c, &src, &dst)
-            } else {
-                let eu = tape.gather_rows(a, &src);
-                let ev = tape.gather_rows(b, &dst);
-                let summed = tape.add(eu, ev);
-                let t = tape.tanh(summed);
-                tape.matmul(t, c)
-            };
-            let pr = tape.constant(probe);
-            let weighted = tape.mul(score, pr);
-            let loss = tape.sum_all(weighted);
-            let grads = tape.backward_wrt(loss, wanted);
-            (bits(tape.value(score)), params.iter().map(|&p| grads.get(p).map(bits)).collect())
-        }
-
         /// Values and each gradient, under every `wants` subset, both
         /// flavours, 1/2/4 threads.
         #[test]
         fn gen_linear_score_is_bitwise_equal_to_the_unfused_chain() {
-            let params = fixture().params;
+            let Fixture { store, params, src, dst, .. } = fixture();
+            let inputs: Vec<Matrix> = params.iter().map(|&p| store.value(p).clone()).collect();
+            let fused =
+                |t: &mut Tape, i: &[Tensor]| t.gen_linear_score(i[0], i[1], i[2], &src, &dst);
+            let chain = |t: &mut Tape, i: &[Tensor]| {
+                let eu = t.gather_rows(i[0], &src);
+                let ev = t.gather_rows(i[1], &dst);
+                let summed = t.add(eu, ev);
+                let th = t.tanh(summed);
+                t.matmul(th, i[2])
+            };
             for scalar in [false, true] {
-                for threads in [1, 2, 4] {
-                    for mask in 1u8..8 {
-                        let wanted: Vec<ParamId> =
-                            (0..3).filter(|i| mask >> i & 1 == 1).map(|i| params[i]).collect();
-                        let both = || (run(true, &wanted), run(false, &wanted));
-                        let flavoured = || if scalar { with_scalar(both) } else { both() };
-                        let (fused, chain) = with_threads(threads, flavoured);
-                        let at = format!("scalar {scalar}, {threads} threads, wants {mask:03b}");
-                        assert_eq!(fused.0, chain.0, "scores differ ({at})");
-                        for (i, (f, c)) in fused.1.iter().zip(&chain.1).enumerate() {
-                            assert_eq!(f.is_some(), mask >> i & 1 == 1, "input {i} ({at})");
-                            assert_eq!(f, c, "gradient of input {i} differs ({at})");
-                        }
-                    }
+                for mask in 1u8..8 {
+                    let wanted: Vec<bool> = (0..3).map(|i| mask >> i & 1 == 1).collect();
+                    let check =
+                        || fused_vs_chain(Equivalence::Bitwise, &inputs, &wanted, &fused, &chain);
+                    let res = if scalar { with_scalar(check) } else { check() };
+                    res.unwrap_or_else(|e| panic!("scalar {scalar}, wants {mask:03b}: {e}"));
                 }
             }
         }

@@ -11,7 +11,6 @@ use crate::pool;
 use crate::sparse::Csr;
 use crate::tape::{Op, Tape, Tensor};
 
-type InferredShape = Result<Option<(usize, usize)>, String>;
 type Transferred = Result<AbsVal, String>;
 
 /// Total element count as a [`Dim`]: concrete when both dims are, zero when
@@ -104,13 +103,6 @@ impl Op for MatMulOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let ((m, k1), (k2, n)) = (inputs[0], inputs[1]);
-        if k1 != k2 {
-            return Err(format!("inner dimensions disagree: {k1} vs {k2}"));
-        }
-        Ok(Some((m, n)))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let (a, b) = (&inputs[0], &inputs[1]);
         require_compatible("matmul: inner dimensions disagree", a.cols, b.rows)?;
@@ -146,16 +138,6 @@ impl Op for SpmmOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (rows, cols) = inputs[0];
-        if rows != self.sparse.cols() {
-            return Err(format!(
-                "dense operand has {rows} rows but sparse operator has {} columns",
-                self.sparse.cols()
-            ));
-        }
-        Ok(Some((self.sparse.rows(), cols)))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let b = &inputs[0];
@@ -202,15 +184,6 @@ impl Op for AddBiasOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(2)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        if inputs[1] != (1, inputs[0].1) {
-            return Err(format!(
-                "bias must be 1x{} for a {:?} input, got {:?}",
-                inputs[0].1, inputs[0], inputs[1]
-            ));
-        }
-        Ok(Some(inputs[0]))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let (a, b) = (&inputs[0], &inputs[1]);
@@ -262,21 +235,6 @@ impl Op for ConcatColsOp {
     }
     fn arity(&self) -> Arity {
         Arity::AtLeast(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        if inputs.len() != self.widths.len() {
-            return Err(format!("saved {} widths for {} inputs", self.widths.len(), inputs.len()));
-        }
-        let rows = inputs[0].0;
-        for (&(r, c), &w) in inputs.iter().zip(&self.widths) {
-            if r != rows {
-                return Err(format!("row counts disagree: {rows} vs {r}"));
-            }
-            if c != w {
-                return Err(format!("input has {c} columns but saved width is {w}"));
-            }
-        }
-        Ok(Some((rows, self.widths.iter().sum())))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         if inputs.len() != self.widths.len() {
@@ -335,13 +293,6 @@ impl Op for SliceColsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (rows, cols) = inputs[0];
-        if self.start >= self.end || self.end > cols {
-            return Err(format!("slice {}..{} out of 0..{cols}", self.start, self.end));
-        }
-        Ok(Some((rows, self.end - self.start)))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
         if self.start >= self.end {
@@ -383,9 +334,6 @@ impl Op for RowSumOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        Ok(Some((inputs[0].0, 1)))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
         let range = a.range.sum_of(a.cols);
@@ -419,9 +367,6 @@ impl Op for SumAllOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, _: &[(usize, usize)]) -> InferredShape {
-        Ok(Some((1, 1)))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
@@ -457,9 +402,6 @@ impl Op for MeanAllOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, _: &[(usize, usize)]) -> InferredShape {
-        Ok(Some((1, 1)))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
@@ -513,9 +455,6 @@ impl Op for SoftmaxRowsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        Ok(Some(inputs[0]))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
         // Probabilities: exp(x - max)/sum with sum ≥ exp(0) = 1, so the
@@ -554,9 +493,6 @@ impl Op for LogSoftmaxRowsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        Ok(Some(inputs[0]))
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
         // x - max - ln(sumexp) ≤ 0, but exp underflow makes -inf reachable.
@@ -593,20 +529,6 @@ impl Op for MaxStackOp {
     }
     fn arity(&self) -> Arity {
         Arity::AtLeast(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let shape = inputs[0];
-        if inputs.iter().any(|&s| s != shape) {
-            return Err(format!("all operands must match, got {inputs:?}"));
-        }
-        if self.winners.len() != shape.0 * shape.1 {
-            return Err(format!(
-                "saved {} winner indices for a {:?} output",
-                self.winners.len(),
-                shape
-            ));
-        }
-        Ok(Some(shape))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let mut rows = inputs[0].rows;

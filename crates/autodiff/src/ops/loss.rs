@@ -15,7 +15,6 @@ use crate::ops::linalg::softmax_rows_value;
 use crate::pool;
 use crate::tape::{Op, Tape, Tensor};
 
-type InferredShape = Result<Option<(usize, usize)>, String>;
 type Transferred = Result<AbsVal, String>;
 
 /// Mean softmax cross-entropy over a subset of rows.
@@ -66,20 +65,6 @@ impl Op for CrossEntropyOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        let (n, c) = inputs[0];
-        if self.labels.len() != n {
-            return Err(format!("{} labels for {n} logit rows", self.labels.len()));
-        }
-        if self.probs.shape() != (self.rows.len(), c) {
-            return Err(format!(
-                "saved probabilities are {:?} for {} selected rows of {c} classes",
-                self.probs.shape(),
-                self.rows.len()
-            ));
-        }
-        Ok(Some((1, 1)))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];
@@ -156,16 +141,6 @@ impl Op for BceWithLogitsOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> InferredShape {
-        if self.targets.shape() != inputs[0] {
-            return Err(format!(
-                "targets are {:?} but logits are {:?}",
-                self.targets.shape(),
-                inputs[0]
-            ));
-        }
-        Ok(Some((1, 1)))
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
         let a = &inputs[0];

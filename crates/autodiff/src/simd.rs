@@ -233,6 +233,24 @@ impl Flavour {
 /// output there is off by less than [`f32::MIN_POSITIVE`].
 pub const ACTIVATION_REL_ERR: f32 = 1e-6;
 
+/// ULP distance between two floats: bit patterns mapped onto a single
+/// monotone integer line (negatives mirrored below zero, `-0.0` and
+/// `+0.0` coincide). NaN anywhere is infinitely far.
+pub fn ulp_diff(a: f32, b: f32) -> u64 {
+    if a.is_nan() || b.is_nan() {
+        return u64::MAX;
+    }
+    let key = |x: f32| -> i64 {
+        let i = i64::from(x.to_bits() as i32); // lint:allow(lossy-cast) -- bit-pattern reinterpretation, not a value cast
+        if i < 0 {
+            i64::from(i32::MIN) - i
+        } else {
+            i
+        }
+    };
+    key(a).abs_diff(key(b))
+}
+
 /// Dot product with pinned reduction order.
 ///
 /// Vectorized flavour: 8 fixed accumulator lanes (`acc[l]` sees elements
@@ -559,10 +577,7 @@ mod tests {
             } else {
                 (f64::from(t) - want).abs() / want.abs()
             };
-            assert!(
-                crate::rewrite::ulp_diff(t, want as f32) <= 6,
-                "tanh({x}) = {t}, f64 says {want}"
-            ); // lint:allow(lossy-cast) -- rounding the f64 reference to f32 is the point
+            assert!(ulp_diff(t, want as f32) <= 6, "tanh({x}) = {t}, f64 says {want}"); // lint:allow(lossy-cast) -- rounding the f64 reference to f32 is the point
             assert!(
                 rel <= 3.5e-7 && rel <= f64::from(ACTIVATION_REL_ERR),
                 "tanh({x}): rel {rel:e}"

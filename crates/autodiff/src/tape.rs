@@ -75,15 +75,6 @@ pub(crate) trait Op: Send + Sync {
     /// Declared number of tape inputs, checked by the tape auditor.
     fn arity(&self) -> Arity;
 
-    /// Declared shape-transfer function, checked against recorded values by
-    /// the tape auditor.
-    ///
-    /// Given the shapes of the op's inputs (in wiring order), returns the
-    /// output shape the op is supposed to produce, `Ok(None)` when the output
-    /// shape is not determined by the inputs (leaf ops), or `Err` when the
-    /// input shapes themselves are inconsistent with the op's contract.
-    fn infer_shape(&self, inputs: &[(usize, usize)]) -> Result<Option<(usize, usize)>, String>;
-
     /// Declared set of forward values (output / inputs, shapes included)
     /// this op's [`Op::backward`] dereferences. The memory planner in
     /// [`crate::dataflow`] releases values whose declared reads are all in
@@ -94,29 +85,17 @@ pub(crate) trait Op: Send + Sync {
         GradReads::ALL
     }
 
-    /// Abstract transfer function for [`crate::absint`]: maps the abstract
-    /// values of the inputs to the abstract value of the output, or `Err`
-    /// when the inputs violate the op's contract (the abstract analogue of
-    /// [`Op::infer_shape`] returning `Err`).
+    /// The op's one static contract: maps the abstract values of the inputs
+    /// (in wiring order) to the abstract value of the output, or `Err` when
+    /// the inputs violate the op's contract (e.g. `matmul` inner dimensions
+    /// disagree).
     ///
-    /// The conservative default derives the output shape from
-    /// [`Op::infer_shape`] when every input dim is concrete and claims
-    /// nothing about values. Overrides live next to each op's `grad_reads`
-    /// declaration and are property-checked in the absint suite: the
-    /// abstract result must over-approximate every concrete execution.
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let mut shapes = Vec::with_capacity(inputs.len());
-        for v in inputs {
-            match (v.rows.known(), v.cols.known()) {
-                (Some(r), Some(c)) => shapes.push((r, c)),
-                _ => return Ok(AbsVal::top(Dim::Any, Dim::Any)),
-            }
-        }
-        match self.infer_shape(&shapes)? {
-            Some((r, c)) => Ok(AbsVal::top(Dim::Const(r), Dim::Const(c))),
-            None => Ok(AbsVal::top(Dim::Any, Dim::Any)),
-        }
-    }
+    /// [`crate::absint`] propagates full abstract values through it, and
+    /// the tape auditor's shape pass feeds it shape-only inputs. Each
+    /// implementation lives next to its op's `grad_reads` declaration and
+    /// is property-checked in the absint suite: the abstract result must
+    /// over-approximate every concrete execution.
+    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String>;
 }
 
 /// Leaf op for constants / external inputs: no gradient flows past it.
@@ -131,11 +110,11 @@ impl Op for InputOp {
     fn arity(&self) -> Arity {
         Arity::Exact(0)
     }
-    fn infer_shape(&self, _: &[(usize, usize)]) -> Result<Option<(usize, usize)>, String> {
-        Ok(None)
-    }
     fn grad_reads(&self) -> GradReads {
         GradReads::NONE // backward is never invoked on leaves
+    }
+    fn transfer(&self, _: &[AbsVal]) -> Result<AbsVal, String> {
+        Ok(AbsVal::top(Dim::Any, Dim::Any)) // never called: leaves keep their values
     }
 }
 
@@ -152,11 +131,11 @@ impl Op for ParamOp {
     fn arity(&self) -> Arity {
         Arity::Exact(0)
     }
-    fn infer_shape(&self, _: &[(usize, usize)]) -> Result<Option<(usize, usize)>, String> {
-        Ok(None)
-    }
     fn grad_reads(&self) -> GradReads {
         GradReads::NONE // backward is never invoked on leaves
+    }
+    fn transfer(&self, _: &[AbsVal]) -> Result<AbsVal, String> {
+        Ok(AbsVal::top(Dim::Any, Dim::Any)) // never called: leaves keep their values
     }
 }
 

@@ -24,8 +24,7 @@ use std::collections::BTreeMap;
 use serde::{Serialize, Value};
 
 use sane_autodiff::parallel::{hardware_threads, with_threads};
-use sane_autodiff::rewrite::ulp_diff;
-use sane_autodiff::simd::Flavour;
+use sane_autodiff::simd::{ulp_diff, Flavour};
 use sane_bench::HarnessArgs;
 use sane_core::prelude::*;
 use sane_core::search::{search_step_fingerprint, StepFingerprint};

@@ -1,13 +1,11 @@
 //! Op-graph static-analysis gate: runs the combined audit + abstract
 //! interpreter over the standard supernet and derived-architecture train
-//! fixtures, discharges the static and golden-equivalence obligations of
-//! every registered rewrite, and self-tests the search pre-flight
+//! fixtures, fused ops included, and self-tests the search pre-flight
 //! validator (valid genomes pass, an injected invalid genome is rejected).
 //! Writes `results/GRAPH_AUDIT.json`.
 //!
-//! Exits non-zero when a fixture tape has error findings, a rewrite fails
-//! its static check or its 1/2/4-thread golden-equivalence harness, or the
-//! pre-flight self-test misbehaves.
+//! Exits non-zero when a fixture tape has findings or the pre-flight
+//! self-test misbehaves.
 //!
 //! Usage: `cargo run --release -p sane-bench --bin graph_audit -- --quick`
 
@@ -18,17 +16,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use sane_autodiff::{check_rewrite, golden_equivalence, Equivalence, Tape, Tensor, VarStore};
+use sane_autodiff::{Tape, Tensor, VarStore};
 use sane_bench::history::HistoryRecord;
 use sane_bench::HarnessArgs;
 use sane_core::prelude::*;
 use sane_core::search::darts::node_task_of;
 use sane_core::space::SaneSpace;
 use sane_data::CitationConfig;
-use sane_gnn::{rewrites, GnnModel};
+use sane_gnn::GnnModel;
 
 /// Schema tag stamped on the artifact; bump on breaking changes.
-const SCHEMA: &str = "sane.graph_audit.v1";
+const SCHEMA: &str = "sane.graph_audit.v2";
 
 #[derive(Serialize)]
 struct PhaseReport {
@@ -44,15 +42,6 @@ struct PhaseReport {
 }
 
 #[derive(Serialize)]
-struct RewriteReport {
-    name: String,
-    equivalence: String,
-    static_ok: bool,
-    golden_ok: bool,
-    error: Option<String>,
-}
-
-#[derive(Serialize)]
 struct PreflightReport {
     genomes_checked: usize,
     valid_accepted: bool,
@@ -64,7 +53,6 @@ struct GraphAuditReport {
     schema: String,
     preset: String,
     phases: Vec<PhaseReport>,
-    rewrites: Vec<RewriteReport>,
     preflight: PreflightReport,
 }
 
@@ -92,15 +80,6 @@ fn run_phase(name: &str, store: &VarStore, build: &dyn Fn() -> (Tape, Tensor)) -
         eprintln!("graph-audit: phase `{name}` has error findings:\n{report}");
     }
     phase
-}
-
-fn equivalence_label(eq: Equivalence) -> String {
-    match eq {
-        Equivalence::Bitwise => "bitwise".to_string(),
-        Equivalence::Approximate { max_ulps, atol } => {
-            format!("approximate(max_ulps={max_ulps}, atol={atol:e})")
-        }
-    }
 }
 
 fn main() {
@@ -157,35 +136,6 @@ fn main() {
         (tape, loss)
     });
 
-    // Every registered rewrite must discharge its static obligations and
-    // pass golden equivalence at 1/2/4 threads.
-    println!();
-    let mut rewrite_reports = Vec::new();
-    for rw in rewrites::registry() {
-        let static_res = check_rewrite(rw.as_ref());
-        let golden_res = golden_equivalence(rw.as_ref(), args.scale.seed);
-        let error = match (&static_res, &golden_res) {
-            (Err(e), _) => Some(e.to_string()),
-            (Ok(_), Err(e)) => Some(e.clone()),
-            _ => None,
-        };
-        let rep = RewriteReport {
-            name: rw.name().to_string(),
-            equivalence: equivalence_label(rw.equivalence()),
-            static_ok: static_res.is_ok(),
-            golden_ok: golden_res.is_ok(),
-            error,
-        };
-        println!(
-            "rewrite {:<28} [{}] static={} golden={}",
-            rep.name, rep.equivalence, rep.static_ok, rep.golden_ok
-        );
-        if let Some(e) = &rep.error {
-            eprintln!("graph-audit: rewrite `{}` failed: {e}", rep.name);
-        }
-        rewrite_reports.push(rep);
-    }
-
     // Pre-flight self-test: sampled genomes must pass, a corrupted genome
     // must be rejected before any training would run.
     let pf = SanePreflight::new(SaneSpace::paper());
@@ -216,7 +166,6 @@ fn main() {
         schema: SCHEMA.to_string(),
         preset: args.scale.name.clone(),
         phases: vec![supernet_phase, derived_phase],
-        rewrites: rewrite_reports,
         preflight,
     };
     std::fs::create_dir_all(&args.out_dir).expect("create results dir"); // lint:allow(expect) -- harness has no recovery path
@@ -232,7 +181,6 @@ fn main() {
         metrics.insert(format!("{}.nodes", p.name), p.nodes as f64);
         metrics.insert(format!("{}.absint_violations", p.name), p.absint_violations as f64);
     }
-    metrics.insert("rewrites.registered".to_string(), report.rewrites.len() as f64);
     let hist = HistoryRecord::new("graph_audit", &report.preset, metrics);
     let hist_path = hist.append(&args.out_dir).expect("append bench history"); // lint:allow(expect) -- harness has no recovery path
     println!("[appended {}]", hist_path.display());
@@ -244,12 +192,6 @@ fn main() {
             failed = true;
         }
     }
-    for r in &report.rewrites {
-        if !r.static_ok || !r.golden_ok {
-            eprintln!("graph-audit: rewrite `{}` failed its obligations", r.name);
-            failed = true;
-        }
-    }
     if !report.preflight.valid_accepted || !report.preflight.invalid_rejected {
         eprintln!("graph-audit: preflight self-test failed");
         failed = true;
@@ -257,5 +199,5 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    println!("graph-audit: all fixtures clean, all rewrite obligations discharged");
+    println!("graph-audit: all fixtures clean, preflight self-test passed");
 }

@@ -18,7 +18,6 @@ mod graph_model;
 mod layer_agg;
 mod model;
 mod pooling;
-pub mod rewrites;
 
 pub use agg::{build_aggregator, Linear, NodeAggKind, NodeAggregator};
 pub use context::GraphContext;

@@ -147,16 +147,15 @@ const NUMERIC_CAST_TYPES: [&str; 12] =
 /// Directories whose every file is a numeric kernel path.
 const KERNEL_DIRS: [&str; 2] = ["crates/autodiff/src/ops/", "crates/gnn/src/agg/"];
 /// Individual kernel-path files outside those directories. The abstract
-/// interpreter and the rewrite harness are kernel paths from day one:
-/// their interval arithmetic and ULP comparisons are exactly the casts
-/// and orderings the lossy-cast and iteration lints exist to police.
-const KERNEL_FILES: [&str; 8] = [
+/// interpreter is a kernel path from day one: its interval arithmetic is
+/// exactly the casts and orderings the lossy-cast and iteration lints
+/// exist to police.
+const KERNEL_FILES: [&str; 7] = [
     "crates/autodiff/src/matrix.rs",
     "crates/autodiff/src/sparse.rs",
     "crates/autodiff/src/parallel.rs",
     "crates/autodiff/src/simd.rs",
     "crates/autodiff/src/absint.rs",
-    "crates/autodiff/src/rewrite.rs",
     "crates/gnn/src/layer_agg.rs",
     "crates/gnn/src/pooling.rs",
 ];
@@ -623,11 +622,10 @@ pub fn parse_sanitizer_log(file: &str, log: &str) -> Vec<Finding> {
 /// Extracts every op name registered via `fn name(&self) -> &'static str`
 /// from an autodiff source file, skipping `#[cfg(test)]` fixtures.
 ///
-/// Only `impl Op for ...` blocks count: other traits share the `name`
-/// signature (the rewrite registry's `Rewrite::name`, for one), and their
-/// names are not ops to cross-reference against the gradcheck suite. The
-/// string literal is expected on the declaration line or within the
-/// following two lines (rustfmt puts it on the next line).
+/// Only `impl Op for ...` blocks count: another trait may share the `name`
+/// signature, and its names are not ops to cross-reference against the
+/// gradcheck suite. The string literal is expected on the declaration line
+/// or within the following two lines (rustfmt puts it on the next line).
 pub fn extract_op_names(src: &str) -> Vec<String> {
     let lines = strip_test_code(src);
     let mut names = Vec::new();
@@ -831,9 +829,9 @@ mod tests {
 
     #[test]
     fn non_op_trait_names_are_not_registered() {
-        // `Rewrite::name` shares the signature but is not an op.
-        let src = "impl Rewrite for Fold {\n    fn name(&self) -> &'static str {\n        \
-                   \"zero-scale-fold\"\n    }\n}\nimpl Op for AddOp {\n    fn name(&self) -> \
+        // Another trait's `name` shares the signature but is not an op.
+        let src = "impl Scenario for Gemm {\n    fn name(&self) -> &'static str {\n        \
+                   \"gemm-256\"\n    }\n}\nimpl Op for AddOp {\n    fn name(&self) -> \
                    &'static str {\n        \"add\"\n    }\n}\n";
         assert_eq!(extract_op_names(src), vec!["add".to_string()]);
     }
@@ -1053,14 +1051,12 @@ mod tests {
     }
 
     #[test]
-    fn absint_and_rewrite_files_are_kernel_paths() {
-        // Day-one coverage: the abstract interpreter and the rewrite
-        // harness get the kernel-path lints like every numeric kernel.
+    fn absint_file_is_a_kernel_path() {
+        // Day-one coverage: the abstract interpreter gets the kernel-path
+        // lints like every numeric kernel.
         assert!(is_kernel_path("crates/autodiff/src/absint.rs"));
-        assert!(is_kernel_path("crates/autodiff/src/rewrite.rs"));
         let cast = concat!("let w = 1.0 / (count", " as f32", ");\n");
         assert_eq!(lint_lossy_cast("crates/autodiff/src/absint.rs", cast).findings.len(), 1);
-        assert_eq!(lint_lossy_cast("crates/autodiff/src/rewrite.rs", cast).findings.len(), 1);
     }
 
     #[test]

@@ -43,9 +43,8 @@
 //!   `--quick` uses the small preset for CI.
 //! * `graph-audit` — the op-graph static-analysis gate: drives the
 //!   `graph_audit` bench binary, which runs the combined tape audit +
-//!   abstract interpreter over the supernet and derived fixtures,
-//!   discharges every registered rewrite's static and golden-equivalence
-//!   obligations, and self-tests the search pre-flight validator
+//!   abstract interpreter over the supernet and derived fixtures (fused
+//!   ops included) and self-tests the search pre-flight validator
 //!   (report: `results/GRAPH_AUDIT.json`). `--quick` uses the small
 //!   preset for CI.
 //!
@@ -595,10 +594,9 @@ fn memplan_cmd(root: &Path, args: &[String]) -> ExitCode {
 
 /// The op-graph static-analysis gate: drives the `graph_audit` bench
 /// binary, which runs the combined tape audit + abstract interpreter over
-/// the supernet and derived-architecture fixtures, discharges the static
-/// and golden-equivalence obligations of every registered rewrite, and
-/// self-tests the search pre-flight validator. Exits non-zero — failing
-/// this command and CI — on any violation. The structured report lands in
+/// the supernet and derived-architecture fixtures and self-tests the
+/// search pre-flight validator. Exits non-zero — failing this command and
+/// CI — on any violation. The structured report lands in
 /// `results/GRAPH_AUDIT.json`.
 fn graph_audit_cmd(root: &Path, args: &[String]) -> ExitCode {
     let mut quick = false;
@@ -620,8 +618,8 @@ fn graph_audit_cmd(root: &Path, args: &[String]) -> ExitCode {
     cmd.arg("--out").arg(root.join("results"));
     if run(cmd) != ExitCode::SUCCESS {
         eprintln!(
-            "xtask graph-audit: static analysis or rewrite obligations failed; see \
-             results/GRAPH_AUDIT.json for per-phase findings and per-rewrite verdicts"
+            "xtask graph-audit: static analysis or the preflight self-test failed; see \
+             results/GRAPH_AUDIT.json for per-phase findings"
         );
         return ExitCode::FAILURE;
     }

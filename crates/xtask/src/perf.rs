@@ -147,8 +147,10 @@ impl fmt::Display for GateReport {
     }
 }
 
-/// Parses `BENCH_history.jsonl` text. Lines with other schemas are an
-/// error (the file is owned by this tooling); blank lines are skipped.
+/// Parses `BENCH_history.jsonl` text. Lines with other schemas, without a
+/// `bench` or `preset` string, or with a non-numeric metric are an error
+/// naming the line (the file is owned by this tooling); blank lines are
+/// skipped.
 pub fn parse_history(text: &str) -> Result<Vec<HistoryEntry>, String> {
     let mut out = Vec::new();
     for (idx, line) in text.lines().enumerate() {
@@ -166,13 +168,20 @@ pub fn parse_history(text: &str) -> Result<Vec<HistoryEntry>, String> {
             .and_then(Value::as_obj)
             .ok_or_else(|| format!("history line {lineno}: missing metrics object"))?
             .iter()
-            .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
-            .collect();
-        out.push(HistoryEntry {
-            bench: rec.get("bench").and_then(Value::as_str).unwrap_or("?").to_string(),
-            preset: rec.get("preset").and_then(Value::as_str).unwrap_or("?").to_string(),
-            metrics,
-        });
+            .map(|(k, v)| {
+                let x = v.as_f64().ok_or_else(|| {
+                    format!("history line {lineno}: metric `{k}` is not a number")
+                })?;
+                Ok((k.clone(), x))
+            })
+            .collect::<Result<_, String>>()?;
+        let field = |key: &str| {
+            rec.get(key)
+                .and_then(Value::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("history line {lineno}: missing `{key}` string"))
+        };
+        out.push(HistoryEntry { bench: field("bench")?, preset: field("preset")?, metrics });
     }
     Ok(out)
 }
@@ -812,6 +821,28 @@ mod tests {
         // And a freshly seeded baseline always gates green on the history
         // that produced it.
         assert!(gate(&history, &back).passed());
+    }
+
+    #[test]
+    fn malformed_history_lines_are_line_numbered_errors() {
+        let ok = r#"{"schema":"sane.bench.v1","bench":"kernels","preset":"quick","metrics":{"k.ms_1t":1.0}}"#;
+        for (bad, want) in [
+            (
+                r#"{"schema":"sane.bench.v1","bench":"kernels","preset":"quick","metrics":{"k.ms_1t":"fast"}}"#,
+                "history line 2: metric `k.ms_1t` is not a number",
+            ),
+            (
+                r#"{"schema":"sane.bench.v1","preset":"quick","metrics":{"k.ms_1t":1.0}}"#,
+                "history line 2: missing `bench` string",
+            ),
+            (
+                r#"{"schema":"sane.bench.v1","bench":"kernels","metrics":{"k.ms_1t":1.0}}"#,
+                "history line 2: missing `preset` string",
+            ),
+        ] {
+            let err = parse_history(&format!("{ok}\n{bad}\n")).expect_err(bad);
+            assert_eq!(err, want);
+        }
     }
 
     /// Deterministic ±10% ripple around `level` — CI-like noise without
