@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use crate::parallel::parallel_rows;
+use crate::parallel::{parallel_rows, parallel_rows_scratch};
 
 /// Row-major dense matrix of `f32`.
 ///
@@ -268,7 +268,19 @@ impl Matrix {
         out
     }
 
-    /// `self * otherᵀ` without materialising the transpose.
+    /// `self * otherᵀ`, every element bitwise equal to
+    /// [`Flavour::dot`](crate::simd::Flavour::dot) of a row of `self` with
+    /// a row of `other`.
+    ///
+    /// Transposes `other` into pooled `k x n` scratch and realises `dot`'s
+    /// pinned lane order row-wise ([`Flavour::dot_rows`]): each output row
+    /// streams whole rows of the transpose through `axpy` into an `8 x n`
+    /// lane buffer instead of reducing every element horizontally. Each
+    /// worker owns its own pooled lane buffer, and each output row is
+    /// computed by exactly one worker, so the result is the same at any
+    /// thread count.
+    ///
+    /// [`Flavour::dot_rows`]: crate::simd::Flavour::dot_rows
     pub fn matmul_a_bt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -277,20 +289,24 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
         crate::parallel::timed("gemm", || {
-            // Scratch: every cell is assigned by the dot below, unlike the
-            // accumulating `matmul`/`matmul_at_b` kernels which need zeros.
+            // Scratch: the transpose and every output row are assigned in
+            // full (`dot_rows` zeroes its own accumulators).
+            let mut bt = crate::pool::scratch(k, n);
+            for (j, brow) in other.data.chunks_exact(k.max(1)).enumerate() {
+                for (t, &v) in brow.iter().enumerate() {
+                    bt.data[t * n + j] = v;
+                }
+            }
             let mut out = crate::pool::scratch(m, n);
             let fl = crate::simd::flavour();
-            let run = |rows: std::ops::Range<usize>, out_chunk: &mut [f32]| {
+            let run = |rows: std::ops::Range<usize>, out_chunk: &mut [f32], lanes: &mut [f32]| {
                 for (ri, i) in rows.enumerate() {
                     let arow = &self.data[i * k..(i + 1) * k];
-                    for j in 0..n {
-                        let brow = &other.data[j * k..(j + 1) * k];
-                        out_chunk[ri * n + j] = fl.dot(arow, brow);
-                    }
+                    fl.dot_rows(arow, &bt.data, lanes, &mut out_chunk[ri * n..(ri + 1) * n]);
                 }
             };
-            parallel_rows(m, n, m * n * k, &mut out.data, run);
+            parallel_rows_scratch(m, n, crate::simd::LANES * n, m * n * k, &mut out.data, run);
+            crate::pool::put(bt);
             out
         })
     }
@@ -451,6 +467,74 @@ mod tests {
         let a = rngmat(12, 7, 4);
         let b = rngmat(10, 7, 5);
         assert_close(&a.matmul_a_bt(&b), &a.matmul(&b.transpose()), 1e-4);
+    }
+
+    /// One value of a `regime`: 0 uniform, 1 signed magnitudes from 1e-20
+    /// to 1e20, 2 uniform with ±0, subnormals, ±inf and NaN sprinkled in,
+    /// 3 all `-0.0`, 4 strictly positive, 5 mostly subnormal.
+    fn regime_value(regime: usize, rng: &mut rand::rngs::StdRng) -> f32 {
+        use rand::Rng;
+        const SPECIALS: [f32; 8] =
+            [0.0, -0.0, 1e-40, -3e-42, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN];
+        let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+        match regime {
+            0 => rng.gen_range(-1.0..1.0),
+            1 => sign * 10f32.powf(rng.gen_range(-20.0..20.0)),
+            2 if rng.gen_bool(0.2) => SPECIALS[rng.gen_range(0..SPECIALS.len())],
+            2 => rng.gen_range(-1.0..1.0),
+            3 => -0.0,
+            4 => rng.gen_range(0.5..2.0),
+            _ if rng.gen_bool(0.8) => sign * f32::from_bits(rng.gen_range(1..0x0080_0000)),
+            _ => rng.gen_range(-1.0..1.0),
+        }
+    }
+
+    /// Row `r` drawn from regime `r % 6`.
+    fn regime_mat(rows: usize, cols: usize, seed: u64) -> Matrix {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        Matrix::from_fn(rows, cols, |r, _| regime_value(r % 6, &mut rng))
+    }
+
+    /// Bitwise equality, with every NaN equal to every other: Rust leaves
+    /// NaN payloads unspecified, so only "is NaN" is a stable result.
+    fn same_bits(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    #[test]
+    fn matmul_a_bt_is_bitwise_per_element_dot() {
+        use crate::parallel::with_threads;
+        use crate::simd::{with_scalar, Flavour};
+        let mut ks: Vec<usize> = (0..=17).collect();
+        ks.extend([31, 40]);
+        for k in ks {
+            for n in [1, 7, 8, 9, 33, 716] {
+                let seed = (k * 1000 + n) as u64; // lint:allow(lossy-cast) -- small test grid
+                let a = regime_mat(13, k, seed);
+                let b = regime_mat(n, k, seed + 1);
+                for fl in [Flavour::Vector, Flavour::Reference] {
+                    for threads in [1, 2, 4] {
+                        let run = || with_threads(threads, || a.matmul_a_bt(&b));
+                        let got = if fl == Flavour::Reference { with_scalar(run) } else { run() };
+                        assert_eq!(got.shape(), (13, n));
+                        for i in 0..13 {
+                            for j in 0..n {
+                                let want = fl.dot(a.row(i), b.row(j));
+                                let g = got.get(i, j);
+                                assert!(
+                                    same_bits(g, want),
+                                    "{fl:?} k={k} n={n} threads={threads} ({i},{j}): \
+                                     {g:e} ({:#010x}) vs dot {want:e} ({:#010x})",
+                                    g.to_bits(),
+                                    want.to_bits()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::analysis::{self, PartitionPlan, ShadowLog};
 /// on the order of a hundred microseconds (more on old kernels), so
 /// parallelism only pays for kernels with at least a few milliseconds of
 /// work.
-pub(crate) const PAR_WORK_THRESHOLD: usize = 4 << 20;
+pub const PAR_WORK_THRESHOLD: usize = 4 << 20;
 
 /// The configured worker count: `SANE_NUM_THREADS` when set to a positive
 /// integer, otherwise `min(available_parallelism, 4)`.
@@ -414,6 +414,40 @@ pub(crate) fn parallel_rows(
     }
     let cuts = even_cuts(m, workers);
     run_plan(m, &cuts, &|i| i * n, out, run);
+}
+
+/// Like [`parallel_rows`], plus a private `scratch_len`-float scratch
+/// slice per worker: `run(rows, chunk, scratch)`.
+///
+/// The scratch is one buffer drawn from the calling thread's pool and cut
+/// into one slice per partition window, so workers still never allocate.
+/// The slices go through the same plan proof and shadow audit as the
+/// output (worker `w` owns `w * scratch_len..(w + 1) * scratch_len`), so
+/// no two workers can share accumulator state. Their contents on entry are
+/// unspecified; `run` must initialise what it reads.
+pub(crate) fn parallel_rows_scratch(
+    m: usize,
+    n: usize,
+    scratch_len: usize,
+    work: usize,
+    out: &mut [f32],
+    run: impl Fn(Range<usize>, &mut [f32], &mut [f32]) + Sync,
+) {
+    debug_assert_eq!(out.len(), m * n, "output must be exactly m x n");
+    let workers = num_threads();
+    if workers <= 1 || m < 2 || n == 0 || (!forced() && work < PAR_WORK_THRESHOLD) {
+        let mut scratch = crate::pool::scratch(1, scratch_len);
+        run(0..m, out, scratch.data_mut());
+        crate::pool::put(scratch);
+        return;
+    }
+    let cuts = even_cuts(m, workers);
+    let windows = cuts.len() - 1;
+    let mut scratch = crate::pool::scratch(windows, scratch_len);
+    // `even_cuts` windows are never empty, so cut `cuts[w]` opens window w.
+    let scratch_offset = |i: usize| cuts.partition_point(|&c| c < i) * scratch_len;
+    run_plan_pair(m, &cuts, &|i| i * n, &scratch_offset, out, scratch.data_mut(), run);
+    crate::pool::put(scratch);
 }
 
 /// Like [`parallel_rows`] but for kernels that fill *two* parallel output

@@ -15,6 +15,14 @@
 //!   with plain `mul`/`add` (two roundings), kept for gradcheck, Miri, and
 //!   as the semantic ground truth the vectorized path is tested against.
 //!
+//! `dot`'s pinned order has two realisations. [`dot`] reduces one pair of
+//! slices; [`Flavour::dot_rows`] computes a whole row of `A·Bᵀ` from `Bᵀ`
+//! by streaming rows with `axpy` into `LANES` lane rows and combining them
+//! elementwise in the same tree (the matmul backward's `dA = dC·Bᵀ`). The
+//! second is bitwise equal to the first, element for element and in each
+//! flavour; `matrix::tests::matmul_a_bt_is_bitwise_per_element_dot` pins
+//! that, signed zeros, subnormals, infinities and NaN included.
+//!
 //! The two flavours are *not* bitwise equal to each other: `mul_add` rounds
 //! once where `a * b + c` rounds twice, and the 8-lane tree sums partial
 //! products in a different order than a left fold. That drift is deliberate
@@ -45,7 +53,9 @@
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-const LANES: usize = 8;
+/// Accumulator lanes of the vectorized [`dot`]; [`Flavour::dot_rows`] needs
+/// a `LANES x n` lane buffer.
+pub(crate) const LANES: usize = 8;
 
 fn env_force_scalar() -> bool {
     static FORCE: OnceLock<bool> = OnceLock::new();
@@ -209,6 +219,41 @@ impl Flavour {
         }
     }
 
+    /// `out[j] = self.dot(a, column j of bt)` for the row-major
+    /// `a.len() x out.len()` matrix `bt`: one row of `A·Bᵀ` from `Bᵀ`.
+    ///
+    /// This is the second realisation of [`dot`]'s pinned order, and every
+    /// output element is **bitwise equal** to the per-element `dot` of `a`
+    /// with the matching row of `B`. Only the addressing changes: instead
+    /// of reducing each element across eight lanes and then horizontally,
+    /// the vectorized flavour streams whole rows of `bt` with [`axpy`],
+    /// row `t` into lane row `t % 8` of `lanes` (`8 x n`, zeroed to `+0`
+    /// here), so each `out[j]` sees the same `mul_add`s, in the same order,
+    /// with the same operand order as `dot8`'s lane `t % 8`. The eight lane
+    /// rows are then combined elementwise in `dot8`'s tree
+    /// `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`, and the `len % 8` tail is
+    /// folded into `out` in index order. With fewer than eight terms no
+    /// lane is touched: `out` starts at `+0`, the value of `dot8`'s tree of
+    /// zeros. The reference flavour zeroes `out` and folds every row with
+    /// [`axpy_scalar`] in index order, which is [`dot_scalar`]'s left fold.
+    ///
+    /// `lanes` must hold at least `8 * out.len()` floats; its contents on
+    /// entry are ignored.
+    #[inline]
+    pub(crate) fn dot_rows(self, a: &[f32], bt: &[f32], lanes: &mut [f32], out: &mut [f32]) {
+        debug_assert_eq!(bt.len(), a.len() * out.len());
+        match self {
+            Flavour::Vector => dot8_rows(a, bt, lanes, out),
+            Flavour::Reference => {
+                let n = out.len();
+                out.fill(0.0);
+                for (t, &av) in a.iter().enumerate() {
+                    axpy_scalar(av, &bt[t * n..(t + 1) * n], out);
+                }
+            }
+        }
+    }
+
     /// `acc + a·b` with this flavour's rounding: one `mul_add` in the
     /// vectorized flavour, `mul` then `add` in the reference flavour.
     ///
@@ -346,6 +391,40 @@ fn dot8(a: &[f32], b: &[f32]) -> f32 {
         tree = x.mul_add(y, tree);
     }
     tree
+}
+
+fn dot8_rows(a: &[f32], bt: &[f32], lanes: &mut [f32], out: &mut [f32]) {
+    let n = out.len();
+    if n == 0 {
+        return;
+    }
+    let full = a.len() - a.len() % LANES;
+    if full == 0 {
+        out.fill(0.0);
+    } else {
+        let lanes = &mut lanes[..LANES * n];
+        lanes.fill(0.0);
+        for (avs, rows) in a[..full].chunks_exact(LANES).zip(bt.chunks_exact(LANES * n)) {
+            for ((&av, x), lane) in
+                avs.iter().zip(rows.chunks_exact(n)).zip(lanes.chunks_exact_mut(n))
+            {
+                axpy_vec(av, x, lane);
+            }
+        }
+        let (l0, rest) = lanes.split_at(n);
+        let (l1, rest) = rest.split_at(n);
+        let (l2, rest) = rest.split_at(n);
+        let (l3, rest) = rest.split_at(n);
+        let (l4, rest) = rest.split_at(n);
+        let (l5, rest) = rest.split_at(n);
+        let (l6, l7) = rest.split_at(n);
+        for j in 0..n {
+            out[j] = ((l0[j] + l1[j]) + (l2[j] + l3[j])) + ((l4[j] + l5[j]) + (l6[j] + l7[j]));
+        }
+    }
+    for (t, &av) in a.iter().enumerate().skip(full) {
+        axpy_vec(av, &bt[t * n..(t + 1) * n], out);
+    }
 }
 
 fn axpy_vec(a: f32, x: &[f32], out: &mut [f32]) {

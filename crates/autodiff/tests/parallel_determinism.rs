@@ -196,6 +196,48 @@ fn fused_attention_and_simd_kernels_are_bitwise_equal_across_thread_counts() {
     }
 }
 
+/// The matmul backward's `dA = dC·Wᵀ` at a production-sized shape: the
+/// `m·n·k` work is above the spawn threshold and the reduction length
+/// (`dC`'s 37 columns) leaves a `k % 8 = 5` tail after the lane chunks.
+/// Each worker accumulates into its own pooled `8 x n` lane buffer, so the
+/// gradient must not depend on how rows are split across workers.
+#[test]
+fn matmul_backward_lane_split_da_is_bitwise_equal_across_thread_counts() {
+    let (m, k_in, n_out) = (300, 400, 37);
+    assert!(m * k_in * n_out > sane_autodiff::parallel::PAR_WORK_THRESHOLD);
+    let pipeline = |threads: usize| {
+        with_threads(threads, || {
+            let mut store = VarStore::new();
+            let px = store.add("x", seeded(61, m, k_in));
+            let pw = store.add("w", seeded(62, k_in, n_out));
+            let mut tape = Tape::new(0);
+            let x = tape.param(&store, px);
+            let w = tape.param(&store, pw);
+            let out = tape.matmul(x, w);
+            let sq = tape.mul(out, out); // dC = 2·out, not a constant plane
+            let loss = tape.sum_all(sq);
+            let grads = tape.backward(loss);
+            let mut g = grads.get(px).unwrap().data().to_vec();
+            g.extend_from_slice(grads.get(pw).unwrap().data());
+            g
+        })
+    };
+    for scalar in [false, true] {
+        let mode = if scalar { "scalar" } else { "vectorized" };
+        let run = |threads: usize| {
+            if scalar {
+                sane_autodiff::simd::with_scalar(|| pipeline(threads))
+            } else {
+                pipeline(threads)
+            }
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            assert_bitwise_eq(&format!("matmul dA/dW ({mode})"), &serial, &run(threads), threads);
+        }
+    }
+}
+
 #[test]
 fn transpose_spmm_is_bitwise_equal_across_thread_counts() {
     let a = random_csr(17, 33, 21, 240);
