@@ -1,12 +1,24 @@
-//! Dense row-major `f32` matrix with cache-blocked, multi-threaded kernels.
+//! Dense row-major `f32` matrix and its GEMM kernels.
 //!
 //! This is the value type flowing through the [`crate::tape`] autodiff engine.
 //! Everything in SANE — node features, weights, attention scores — is a 2-D
 //! matrix; vectors are `n x 1` or `1 x n` matrices.
+//!
+//! The three products the tape needs — `A·B` ([`Matrix::matmul`]), `Aᵀ·B`
+//! ([`Matrix::matmul_at_b`], the weight gradient) and `A·Bᵀ`
+//! ([`Matrix::matmul_a_bt`], the input gradient) — share one register-tile
+//! micro-kernel in the vectorized flavour. An `R x 8·C` block of outputs
+//! stays in registers while the term loop runs innermost and ascending, so
+//! every output element gets exactly the fused multiply-adds of its
+//! per-element definition: a `madd` chain from `+0` for the first two,
+//! [`Flavour::dot`] for the third. The tile changes speed, not bits. Each
+//! output row is owned by one [`parallel_rows`] worker, so results do not
+//! depend on the thread count. The reference flavour keeps plain row loops.
 
 use std::fmt;
 
-use crate::parallel::{parallel_rows, parallel_rows_scratch};
+use crate::parallel::parallel_rows;
+use crate::simd::{Flavour, LANES};
 
 /// Row-major dense matrix of `f32`.
 ///
@@ -233,9 +245,33 @@ impl Matrix {
             "matmul dimension mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
+        let (m, k, n) = (self.rows, self.cols, other.cols);
         crate::parallel::timed("gemm", || {
-            let mut out = crate::pool::zeros(self.rows, other.cols);
-            gemm_ikj(&self.data, &other.data, &mut out.data, self.rows, self.cols, other.cols);
+            let fl = crate::simd::flavour();
+            if fl == Flavour::Vector {
+                let b = Padded::new(&other.data, k, n);
+                let g = Chain {
+                    a: &self.data,
+                    transposed: false,
+                    m,
+                    b: b.data(),
+                    stride: b.stride,
+                    k,
+                    n,
+                };
+                return tiled(&g, m, k);
+            }
+            let mut out = crate::pool::zeros(m, n);
+            // i-k-j: each output row streams rows of `other` through `axpy`.
+            let run = |rows: std::ops::Range<usize>, out_chunk: &mut [f32]| {
+                for (ri, i) in rows.enumerate() {
+                    let orow = &mut out_chunk[ri * n..(ri + 1) * n];
+                    for (kk, &av) in self.data[i * k..(i + 1) * k].iter().enumerate() {
+                        fl.axpy(av, &other.data[kk * n..(kk + 1) * n], orow);
+                    }
+                }
+            };
+            parallel_rows(m, n, m * n * k, &mut out.data, run);
             out
         })
     }
@@ -252,11 +288,18 @@ impl Matrix {
     }
 
     fn matmul_at_b_inner(&self, other: &Matrix, k: usize, m: usize, n: usize) -> Matrix {
-        let mut out = crate::pool::zeros(m, n);
-        // kᵗʰ row of A provides a rank-1 update: out[i,:] += A[k,i] * B[k,:].
-        // The k loop stays outermost and serial so every out element
-        // accumulates its terms in the same fixed order on every run.
         let fl = crate::simd::flavour();
+        if fl == Flavour::Vector {
+            // Row `i` of the result is column `i` of `self` against `other`:
+            // the forward's tile, reading `self` down a column.
+            let b = Padded::new(&other.data, k, n);
+            let g =
+                Chain { a: &self.data, transposed: true, m, b: b.data(), stride: b.stride, k, n };
+            return tiled(&g, m, k);
+        }
+        let mut out = crate::pool::zeros(m, n);
+        // kᵗʰ row of A provides a rank-1 update: out[i,:] += A[k,i] * B[k,:],
+        // k ascending, so every element folds its terms in index order.
         for kk in 0..k {
             let arow = &self.data[kk * m..(kk + 1) * m];
             let brow = &other.data[kk * n..(kk + 1) * n];
@@ -269,18 +312,18 @@ impl Matrix {
     }
 
     /// `self * otherᵀ`, every element bitwise equal to
-    /// [`Flavour::dot`](crate::simd::Flavour::dot) of a row of `self` with
-    /// a row of `other`.
+    /// [`Flavour::dot`] of a row of `self` with a row of `other`.
     ///
-    /// Transposes `other` into pooled `k x n` scratch and realises `dot`'s
-    /// pinned lane order row-wise ([`Flavour::dot_rows`]): each output row
-    /// streams whole rows of the transpose through `axpy` into an `8 x n`
-    /// lane buffer instead of reducing every element horizontally. Each
-    /// worker owns its own pooled lane buffer, and each output row is
-    /// computed by exactly one worker, so the result is the same at any
-    /// thread count.
-    ///
-    /// [`Flavour::dot_rows`]: crate::simd::Flavour::dot_rows
+    /// Transposes `other` into pooled `k x n` scratch (rows padded to a
+    /// multiple of 8 columns) so that both flavours stream whole rows of
+    /// `Bᵀ`. The vectorized flavour runs the register tile once per `dot`
+    /// lane `l`, over the terms `t = l, l+8, …` below `k − k % 8`, combines
+    /// the eight lane tiles in `dot8`'s tree and folds the `k % 8` tail
+    /// onto it in index order: `dot8`'s order, term for term. The reference
+    /// flavour zeroes each row and folds every term in order with
+    /// `axpy_scalar`, `dot_scalar`'s left fold. Each output row is computed
+    /// by exactly one worker, so the result is the same at any thread
+    /// count.
     pub fn matmul_a_bt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -289,23 +332,34 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
         crate::parallel::timed("gemm", || {
-            // Scratch: the transpose and every output row are assigned in
-            // full (`dot_rows` zeroes its own accumulators).
-            let mut bt = crate::pool::scratch(k, n);
-            for (j, brow) in other.data.chunks_exact(k.max(1)).enumerate() {
-                for (t, &v) in brow.iter().enumerate() {
-                    bt.data[t * n + j] = v;
+            let fl = crate::simd::flavour();
+            let stride = n.next_multiple_of(V);
+            // Scratch: every element of the transpose, pads included, and
+            // every output row are assigned in full.
+            let mut bt = crate::pool::scratch(k, stride);
+            for t in 0..k {
+                let row = &mut bt.data[t * stride..][..stride];
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = if j < n { other.data[j * k + t] } else { 0.0 };
                 }
             }
-            let mut out = crate::pool::scratch(m, n);
-            let fl = crate::simd::flavour();
-            let run = |rows: std::ops::Range<usize>, out_chunk: &mut [f32], lanes: &mut [f32]| {
-                for (ri, i) in rows.enumerate() {
-                    let arow = &self.data[i * k..(i + 1) * k];
-                    fl.dot_rows(arow, &bt.data, lanes, &mut out_chunk[ri * n..(ri + 1) * n]);
-                }
+            let out = if fl == Flavour::Vector {
+                tiled(&LaneSplit { a: &self.data, bt: &bt.data, stride, k, n }, m, k)
+            } else {
+                let mut out = crate::pool::scratch(m, n);
+                let run = |rows: std::ops::Range<usize>, out_chunk: &mut [f32]| {
+                    for (ri, i) in rows.enumerate() {
+                        let orow = &mut out_chunk[ri * n..(ri + 1) * n];
+                        orow.fill(0.0);
+                        for (t, &av) in self.data[i * k..(i + 1) * k].iter().enumerate() {
+                            let btrow = &bt.data[t * stride..t * stride + n];
+                            crate::simd::axpy_scalar(av, btrow, orow);
+                        }
+                    }
+                };
+                parallel_rows(m, n, m * n * k, &mut out.data, run);
+                out
             };
-            parallel_rows_scratch(m, n, crate::simd::LANES * n, m * n * k, &mut out.data, run);
             crate::pool::put(bt);
             out
         })
@@ -371,26 +425,304 @@ impl fmt::Debug for Matrix {
     }
 }
 
-/// GEMM with i-k-j loop order: the inner loop streams rows of `b` and `out`.
+/// Output columns per SIMD vector of the register tile.
+const V: usize = 8;
+
+/// `R x 8·C` tile accumulators, one `[f32; 8]` per SIMD vector.
+type Acc<const R: usize, const C: usize> = [[[f32; V]; C]; R];
+
+/// The `R` left-operand values a tile multiplies in at term `q`.
+trait Panel<const R: usize> {
+    fn at(&self, q: usize) -> [f32; R];
+}
+
+/// One slice of `a` per tile row, read every `STEP`th float:
+/// `a(r, q) = rows[r][q·STEP]`. Each slice is cut once, to the floats
+/// the tile reads, so the reads inside the term loop are mostly free of
+/// bounds checks (all of them for `STEP = 1`).
+struct Rows<'a, const R: usize, const STEP: usize>([&'a [f32]; R]);
+
+impl<'a, const R: usize, const STEP: usize> Rows<'a, R, STEP> {
+    /// Rows `start + r·row` of `a`, `terms` terms each (at least one).
+    #[inline(always)]
+    fn new(a: &'a [f32], start: usize, row: usize, terms: usize) -> Self {
+        Rows(std::array::from_fn(|r| &a[start + r * row..][..(terms - 1) * STEP + 1]))
+    }
+}
+
+impl<const R: usize, const STEP: usize> Panel<R> for Rows<'_, R, STEP> {
+    #[inline(always)]
+    fn at(&self, q: usize) -> [f32; R] {
+        std::array::from_fn(|r| self.0[r][q * STEP])
+    }
+}
+
+/// A column block of `a`: the `R` values of term `q` are adjacent,
+/// `a(r, q) = a[start + q·term + r]`.
+struct Cols<'a> {
+    a: &'a [f32],
+    start: usize,
+    term: usize,
+}
+
+impl<const R: usize> Panel<R> for Cols<'_> {
+    #[inline(always)]
+    fn at(&self, q: usize) -> [f32; R] {
+        let aq = &self.a[self.start + q * self.term..][..R];
+        std::array::from_fn(|r| aq[r])
+    }
+}
+
+/// The register-tile micro-kernel of all three GEMM forms: folds `terms`
+/// terms into `acc` as `acc = a(r, q).mul_add(b(q, c), acc)`, `q`
+/// ascending, where `b(q, c) = b[b0 + q·b_term + c]`.
 ///
-/// Each output row is owned by exactly one worker and accumulates its k
-/// terms serially through `simd::axpy`, so the reduction order per element
-/// is fixed regardless of thread count. Zeros in `a` are multiplied like
-/// any other value; `Tape::matmul` skips them by running mostly-zero left
-/// operands through a CSR view instead (DESIGN.md §17, "Sparse views").
-fn gemm_ikj(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let fl = crate::simd::flavour();
-    let run = |rows: std::ops::Range<usize>, out_chunk: &mut [f32]| {
-        for (ri, i) in rows.enumerate() {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out_chunk[ri * n..(ri + 1) * n];
-            for (kk, &av) in arow.iter().enumerate() {
-                let brow = &b[kk * n..(kk + 1) * n];
-                fl.axpy(av, brow, orow);
+/// Each output element gets exactly the chain `Flavour::axpy` builds one
+/// output row per term, in the same order and with the same operand
+/// order; the tile only keeps `R x 8·C` chains in registers instead of
+/// re-loading and re-storing an output row per term. `R` and `C` are
+/// compile-time constants, so the loops unroll into straight FMA code.
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    a: &impl Panel<R>,
+    b: &[f32],
+    b0: usize,
+    b_term: usize,
+    terms: usize,
+    mut acc: Acc<R, C>,
+) -> Acc<R, C> {
+    for q in 0..terms {
+        let bq = &b[b0 + q * b_term..][..C * V];
+        for (acc_r, av) in acc.iter_mut().zip(a.at(q)) {
+            for (acc_v, bv) in acc_r.iter_mut().zip(bq.chunks_exact(V)) {
+                for (o, &x) in acc_v.iter_mut().zip(bv) {
+                    *o = av.mul_add(x, *o);
+                }
             }
         }
-    };
-    parallel_rows(m, n, m * n * k, out, run);
+    }
+    acc
+}
+
+/// A row-major `k x n` right operand with rows `stride` floats apart,
+/// `stride` the next multiple of 8: the caller's buffer when `n` already
+/// is one, else a pooled copy with zeroed pads that goes back to the pool
+/// when dropped. The pads let the last `n % 8` columns run the 8-wide
+/// tile like any other; their outputs are never stored.
+struct Padded<'a> {
+    borrowed: &'a [f32],
+    copy: Option<Matrix>,
+    stride: usize,
+}
+
+impl<'a> Padded<'a> {
+    fn new(b: &'a [f32], k: usize, n: usize) -> Self {
+        let stride = n.next_multiple_of(V);
+        if stride == n {
+            return Padded { borrowed: b, copy: None, stride };
+        }
+        // Scratch: rows and pads are assigned in full.
+        let mut copy = crate::pool::scratch(k, stride);
+        for (dst, src) in copy.data.chunks_exact_mut(stride).zip(b.chunks_exact(n)) {
+            dst[..n].copy_from_slice(src);
+            dst[n..].fill(0.0);
+        }
+        Padded { borrowed: b, copy: Some(copy), stride }
+    }
+
+    fn data(&self) -> &[f32] {
+        self.copy.as_ref().map_or(self.borrowed, Matrix::data)
+    }
+}
+
+impl Drop for Padded<'_> {
+    fn drop(&mut self) {
+        if let Some(copy) = self.copy.take() {
+            crate::pool::put(copy);
+        }
+    }
+}
+
+/// One GEMM form as the tile sees it: an `m x n` result whose columns are
+/// read from a right operand padded to a multiple of 8.
+trait TiledGemm: Sync {
+    /// Output columns.
+    fn n(&self) -> usize;
+    /// Rows `i0..i0 + R`, columns `j0..j0 + 8·C` of the result (columns
+    /// past `n` are pads).
+    fn tile<const R: usize, const C: usize>(&self, i0: usize, j0: usize) -> Acc<R, C>;
+}
+
+/// The forward (`a` is `m x k`, read along rows) and `dW` (`a` is
+/// `k x m`, read down columns) against the padded row-major `b`: one
+/// chain of `k` terms per element.
+struct Chain<'a> {
+    a: &'a [f32],
+    transposed: bool,
+    m: usize,
+    b: &'a [f32],
+    stride: usize,
+    k: usize,
+    n: usize,
+}
+
+impl TiledGemm for Chain<'_> {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    #[inline(always)]
+    fn tile<const R: usize, const C: usize>(&self, i0: usize, j0: usize) -> Acc<R, C> {
+        let (k, zero) = (self.k, [[[0.0; V]; C]; R]);
+        if k == 0 {
+            return zero;
+        }
+        if self.transposed {
+            let a = Cols { a: self.a, start: i0, term: self.m };
+            tile(&a, self.b, j0, self.stride, k, zero)
+        } else {
+            let a = Rows::<R, 1>::new(self.a, i0 * k, k, k);
+            tile(&a, self.b, j0, self.stride, k, zero)
+        }
+    }
+}
+
+/// `dA = dC·Bᵀ` in `dot8`'s order: `a` is `m x k` and `bt` the pooled,
+/// padded `k x n` transpose of `B`.
+struct LaneSplit<'a> {
+    a: &'a [f32],
+    bt: &'a [f32],
+    stride: usize,
+    k: usize,
+    n: usize,
+}
+
+impl LaneSplit<'_> {
+    /// `dot8`'s lane `l` for a tile: the terms `l, l+8, …` below
+    /// `k − k % 8`, folded from +0.
+    ///
+    /// Kept out of line: inlined eight times over, the lane tiles and the
+    /// tree outgrow the register file and spill in the inner loops.
+    #[inline(never)]
+    fn lane<const R: usize, const C: usize>(&self, i0: usize, j0: usize, l: usize) -> Acc<R, C> {
+        let (k, stride, terms) = (self.k, self.stride, self.k / LANES);
+        let a = Rows::<R, LANES>::new(self.a, i0 * k + l, k, terms);
+        tile(&a, self.bt, l * stride + j0, LANES * stride, terms, [[[0.0; V]; C]; R])
+    }
+}
+
+/// `x + y`, elementwise.
+#[inline(always)]
+fn add<const R: usize, const C: usize>(mut x: Acc<R, C>, y: Acc<R, C>) -> Acc<R, C> {
+    for (xr, yr) in x.iter_mut().zip(&y) {
+        for (xv, yv) in xr.iter_mut().zip(yr) {
+            for (o, &v) in xv.iter_mut().zip(yv) {
+                *o += v;
+            }
+        }
+    }
+    x
+}
+
+impl TiledGemm for LaneSplit<'_> {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    #[inline(always)]
+    fn tile<const R: usize, const C: usize>(&self, i0: usize, j0: usize) -> Acc<R, C> {
+        let (k, stride) = (self.k, self.stride);
+        let full = k - k % LANES;
+        let mut acc = [[[0.0f32; V]; C]; R];
+        // `dot8`'s lane `l` folds the terms `l, l+8, …` below `full` from
+        // +0. With no full chunk its tree of zeros is +0, which `acc`
+        // already holds.
+        if full > 0 {
+            let lane = |l: usize| self.lane(i0, j0, l);
+            // `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`, elementwise; pairing
+            // as we go keeps fewer lane tiles live at once.
+            acc = add(
+                add(add(lane(0), lane(1)), add(lane(2), lane(3))),
+                add(add(lane(4), lane(5)), add(lane(6), lane(7))),
+            );
+        }
+        // The `k % 8` tail, folded onto the tree in index order.
+        if k > full {
+            let a = Rows::<R, 1>::new(self.a, i0 * k + full, k, k - full);
+            acc = tile(&a, self.bt, full * stride + j0, stride, k - full, acc);
+        }
+        acc
+    }
+}
+
+/// Runs a tiled form over all `m` rows of its `k`-term result, each
+/// output row owned by one [`parallel_rows`] worker.
+fn tiled(g: &impl TiledGemm, m: usize, k: usize) -> Matrix {
+    let n = g.n();
+    // Scratch: the tiles assign every element.
+    let mut out = crate::pool::scratch(m, n);
+    parallel_rows(m, n, m * n * k, &mut out.data, |rows, chunk| tiled_rows(g, rows, chunk));
+    out
+}
+
+/// Fills one worker's rows (`out` holds exactly the output rows `rows`),
+/// one column block at a time: 32-, 16- and 8-wide tiles, the last one
+/// reaching into the pads. Each width has its own row count, so every
+/// tile holds 8 vector accumulators; a worker's leftover rows run the same
+/// tile with one row. Which rows share a tile changes no element.
+fn tiled_rows(g: &impl TiledGemm, rows: std::ops::Range<usize>, out: &mut [f32]) {
+    let n = g.n();
+    let mut j = 0;
+    while n - j >= 4 * V {
+        column_block::<2, 4>(g, rows.clone(), out, j);
+        j += 4 * V;
+    }
+    if n - j >= 2 * V {
+        column_block::<4, 2>(g, rows.clone(), out, j);
+        j += 2 * V;
+    }
+    while j < n {
+        column_block::<8, 1>(g, rows.clone(), out, j);
+        j += V;
+    }
+}
+
+/// Columns `j0..j0 + 8·C` (clipped to `n`) of one worker's rows.
+#[inline(always)]
+fn column_block<const R: usize, const C: usize>(
+    g: &impl TiledGemm,
+    rows: std::ops::Range<usize>,
+    out: &mut [f32],
+    j0: usize,
+) {
+    let n = g.n();
+    let split = rows.len() / R * R;
+    let (blocks, rest) = out.split_at_mut(split * n);
+    for (b, block) in blocks.chunks_exact_mut(R * n).enumerate() {
+        store(&g.tile::<R, C>(rows.start + b * R, j0), block, n, j0);
+    }
+    for (r, row) in rest.chunks_exact_mut(n).enumerate() {
+        store(&g.tile::<1, C>(rows.start + split + r, j0), row, n, j0);
+    }
+}
+
+/// Writes tile `acc` to columns `j0..` of the `R x n` rows `out`, leaving
+/// out the pads past `n`.
+#[inline(always)]
+fn store<const R: usize, const C: usize>(acc: &Acc<R, C>, out: &mut [f32], n: usize, j0: usize) {
+    let w = (n - j0).min(C * V);
+    for (acc_r, orow) in acc.iter().zip(out.chunks_exact_mut(n)) {
+        let orow = &mut orow[j0..j0 + w];
+        if w == C * V {
+            for (o, acc_v) in orow.chunks_exact_mut(V).zip(acc_r) {
+                o.copy_from_slice(acc_v);
+            }
+        } else {
+            for (x, o) in orow.iter_mut().enumerate() {
+                *o = acc_r[x / V][x % V];
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -509,26 +841,95 @@ mod tests {
         let mut ks: Vec<usize> = (0..=17).collect();
         ks.extend([31, 40]);
         for k in ks {
-            for n in [1, 7, 8, 9, 33, 716] {
-                let seed = (k * 1000 + n) as u64; // lint:allow(lossy-cast) -- small test grid
-                let a = regime_mat(13, k, seed);
-                let b = regime_mat(n, k, seed + 1);
-                for fl in [Flavour::Vector, Flavour::Reference] {
-                    for threads in [1, 2, 4] {
-                        let run = || with_threads(threads, || a.matmul_a_bt(&b));
-                        let got = if fl == Flavour::Reference { with_scalar(run) } else { run() };
-                        assert_eq!(got.shape(), (13, n));
-                        for i in 0..13 {
-                            for j in 0..n {
-                                let want = fl.dot(a.row(i), b.row(j));
-                                let g = got.get(i, j);
-                                assert!(
-                                    same_bits(g, want),
-                                    "{fl:?} k={k} n={n} threads={threads} ({i},{j}): \
-                                     {g:e} ({:#010x}) vs dot {want:e} ({:#010x})",
-                                    g.to_bits(),
-                                    want.to_bits()
-                                );
+            for n in [1, 7, 8, 9, 16, 17, 20, 33, 40, 716] {
+                for m in [1, 3, 13] {
+                    let seed = (k * 1000 + n) as u64; // lint:allow(lossy-cast) -- small test grid
+                    let a = regime_mat(m, k, seed);
+                    let b = regime_mat(n, k, seed + 1);
+                    for fl in [Flavour::Vector, Flavour::Reference] {
+                        for threads in [1, 2, 4] {
+                            let run = || with_threads(threads, || a.matmul_a_bt(&b));
+                            let got =
+                                if fl == Flavour::Reference { with_scalar(run) } else { run() };
+                            assert_eq!(got.shape(), (m, n));
+                            for i in 0..m {
+                                for j in 0..n {
+                                    let want = fl.dot(a.row(i), b.row(j));
+                                    let g = got.get(i, j);
+                                    assert!(
+                                        same_bits(g, want),
+                                        "{fl:?} m={m} k={k} n={n} threads={threads} ({i},{j}): \
+                                         {g:e} ({:#010x}) vs dot {want:e} ({:#010x})",
+                                        g.to_bits(),
+                                        want.to_bits()
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `acc = fl.madd(x(t), y(t), acc)` from `+0`, `t` ascending: one
+    /// element of the forward and of `dW` by definition.
+    fn madd_chain(
+        fl: crate::simd::Flavour,
+        k: usize,
+        x: impl Fn(usize) -> f32,
+        y: impl Fn(usize) -> f32,
+    ) -> f32 {
+        (0..k).fold(0.0, |acc, t| fl.madd(x(t), y(t), acc))
+    }
+
+    #[test]
+    fn matmul_and_matmul_at_b_are_bitwise_per_element_madd_chains() {
+        use crate::parallel::with_threads;
+        use crate::simd::{with_scalar, Flavour};
+        let mut ns: Vec<usize> = (1..=9).collect();
+        ns.extend([15, 16, 17, 31, 32, 33, 40, 716]);
+        for m in [1, 2, 3, 13] {
+            for &n in &ns {
+                for k in [0, 1, 7, 8, 9, 33, 300] {
+                    let seed = (m * 1_000_000 + n * 1000 + k) as u64; // lint:allow(lossy-cast) -- small test grid
+                    let a = regime_mat(m, k, seed);
+                    let at = regime_mat(k, m, seed + 1);
+                    let b = regime_mat(k, n, seed + 2);
+                    for fl in [Flavour::Vector, Flavour::Reference] {
+                        let fwd = Matrix::from_fn(m, n, |i, j| {
+                            madd_chain(fl, k, |t| a.get(i, t), |t| b.get(t, j))
+                        });
+                        let dw = Matrix::from_fn(m, n, |i, j| {
+                            madd_chain(fl, k, |t| at.get(t, i), |t| b.get(t, j))
+                        });
+                        for threads in [1, 2, 4] {
+                            let run = |f: &dyn Fn() -> Matrix| {
+                                let go = || with_threads(threads, f);
+                                if fl == Flavour::Reference {
+                                    with_scalar(go)
+                                } else {
+                                    go()
+                                }
+                            };
+                            let cases = [
+                                ("matmul", run(&|| a.matmul(&b)), &fwd),
+                                ("matmul_at_b", run(&|| at.matmul_at_b(&b)), &dw),
+                            ];
+                            for (form, got, want) in cases {
+                                assert_eq!(got.shape(), (m, n), "{form}");
+                                for (e, (&g, &w)) in got.data().iter().zip(want.data()).enumerate()
+                                {
+                                    assert!(
+                                        same_bits(g, w),
+                                        "{form} {fl:?} m={m} n={n} k={k} threads={threads} \
+                                         ({}, {}): {g:e} ({:#010x}) vs chain {w:e} ({:#010x})",
+                                        e / n,
+                                        e % n,
+                                        g.to_bits(),
+                                        w.to_bits()
+                                    );
+                                }
                             }
                         }
                     }

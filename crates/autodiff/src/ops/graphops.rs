@@ -1273,12 +1273,13 @@ impl Tape {
     /// Bitwise equal, in values and in all three gradients, to
     /// `matmul(tanh(add(gather_rows(proj_src, src), gather_rows(proj_dst,
     /// dst))), gen_out)` in each [`crate::simd`] flavour: the `tanh` is the
-    /// flavour's, and each reduction of that chain (the `gemm_ikj` row with
-    /// one output column, `matmul_a_bt` with k = 1, `matmul_at_b`'s serial
-    /// edge loop, `gather_rows`' serial scatter) is a serial in-order
-    /// `madd`/`axpy` chain this op repeats term for term. None of the four
-    /// `E x d` planes of that chain, nor their gradients, lands on the
-    /// tape; the op keeps only the tanh plane, for its backward pass.
+    /// flavour's, and each reduction of that chain (a `matmul` element with
+    /// one output column, `matmul_a_bt` with k = 1, `matmul_at_b`'s
+    /// in-order fold over edges, `gather_rows`' serial scatter) is a
+    /// serial in-order `madd`/`axpy` chain this op repeats term for term.
+    /// None of the four `E x d` planes of that chain, nor their gradients,
+    /// lands on the tape; the op keeps only the tanh plane, for its
+    /// backward pass.
     pub fn gen_linear_score(
         &mut self,
         proj_src: Tensor,
@@ -1319,7 +1320,7 @@ impl Tape {
                     }
                 }
                 fl.tanh(tchunk);
-                // One serial chain per edge, as `gemm_ikj` folds a row
+                // One serial chain per edge, as `matmul` folds a row
                 // against a single output column. Eight edges advance
                 // together so their independent chains overlap instead of
                 // waiting out each other's FMA latency.

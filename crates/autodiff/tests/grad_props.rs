@@ -527,7 +527,7 @@ fn simd_kernels_stay_within_tolerance_of_scalar_reference() {
             let mut t = Tape::new(0);
             let x = t.constant(feats.clone());
             let w = t.param(&store, p);
-            let h = t.matmul(x, w); // gemm_ikj; backward: matmul_at_b / matmul_a_bt
+            let h = t.matmul(x, w); // forward GEMM; backward: matmul_at_b / matmul_a_bt
             let prop = t.spmm(&sparse, h);
             let msgs = t.gather_rows(prop, &idx);
             let sc = t.constant(scores.clone());

@@ -199,8 +199,8 @@ fn fused_attention_and_simd_kernels_are_bitwise_equal_across_thread_counts() {
 /// The matmul backward's `dA = dC·Wᵀ` at a production-sized shape: the
 /// `m·n·k` work is above the spawn threshold and the reduction length
 /// (`dC`'s 37 columns) leaves a `k % 8 = 5` tail after the lane chunks.
-/// Each worker accumulates into its own pooled `8 x n` lane buffer, so the
-/// gradient must not depend on how rows are split across workers.
+/// Each output row is computed whole by one worker, so the gradient must
+/// not depend on how rows are split across workers.
 #[test]
 fn matmul_backward_lane_split_da_is_bitwise_equal_across_thread_counts() {
     let (m, k_in, n_out) = (300, 400, 37);
@@ -234,6 +234,56 @@ fn matmul_backward_lane_split_da_is_bitwise_equal_across_thread_counts() {
         let serial = run(1);
         for threads in [2, 4] {
             assert_bitwise_eq(&format!("matmul dA/dW ({mode})"), &serial, &run(threads), threads);
+        }
+    }
+}
+
+/// The forward GEMM and the weight gradient `dW = Xᵀ·dC` through the
+/// register tiles, both above the spawn threshold. With 20 output columns
+/// every row block runs a 16-wide tile and a 4-column tail into the
+/// padding, and the odd row counts (1001 rows forward, 257 for `dW`) leave
+/// each worker leftover rows for the one-row tile. `dW` is split by
+/// output row like the forward, so its terms must still fold in the same
+/// order whatever the thread count.
+#[test]
+fn matmul_forward_and_dw_tiles_are_bitwise_equal_across_thread_counts() {
+    let (m, k_in, n_out) = (1001, 257, 20);
+    assert!(m * k_in * n_out > sane_autodiff::parallel::PAR_WORK_THRESHOLD);
+    let pipeline = |threads: usize| {
+        with_threads(threads, || {
+            let mut store = VarStore::new();
+            let px = store.add("x", seeded(71, m, k_in));
+            let pw = store.add("w", seeded(72, k_in, n_out));
+            let mut tape = Tape::new(0);
+            let x = tape.param(&store, px);
+            let w = tape.param(&store, pw);
+            let out = tape.matmul(x, w);
+            let sq = tape.mul(out, out); // dC = 2·out, not a constant plane
+            let loss = tape.sum_all(sq);
+            let mut values = tape.value(out).data().to_vec();
+            let grads = tape.backward(loss);
+            values.extend_from_slice(grads.get(pw).unwrap().data());
+            values.extend_from_slice(grads.get(px).unwrap().data());
+            values
+        })
+    };
+    for scalar in [false, true] {
+        let mode = if scalar { "scalar" } else { "vectorized" };
+        let run = |threads: usize| {
+            if scalar {
+                sane_autodiff::simd::with_scalar(|| pipeline(threads))
+            } else {
+                pipeline(threads)
+            }
+        };
+        let serial = run(1);
+        for threads in [2, 4] {
+            assert_bitwise_eq(
+                &format!("matmul fwd/dW/dA ({mode})"),
+                &serial,
+                &run(threads),
+                threads,
+            );
         }
     }
 }

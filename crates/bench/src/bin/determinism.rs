@@ -205,7 +205,10 @@ fn main() {
     let cfg = SaneSearchConfig {
         supernet: SupernetConfig {
             k: 2,
-            hidden: if quick { 8 } else { 16 },
+            // 20 = 16 + 4: the quick gate runs the GEMM's 16-wide tile and
+            // a narrow tail into the padding (and k = 20 for the lane-split
+            // dA: two full lane chunks plus a 4-term tail).
+            hidden: if quick { 20 } else { 16 },
             dropout: 0.2,
             activation: Activation::Relu,
             use_layer_agg: true,
