@@ -91,9 +91,9 @@ pub fn hardware_threads() -> usize {
 /// While the override is active the work-size threshold is bypassed:
 /// kernels partition across exactly `threads` workers no matter how small
 /// the input (with `threads == 1` forcing the serial path). This is the
-/// hook the determinism tests and the `kernels` bench binary use to
-/// compare 1/2/4-thread runs within one process; production code should
-/// rely on `SANE_NUM_THREADS` instead.
+/// hook the determinism tests use to compare 1/2/4-thread runs within one
+/// process, and the `overhead` bench binary to pin 2 workers; production
+/// code should rely on `SANE_NUM_THREADS` instead.
 ///
 /// # Panics
 /// Panics if `threads == 0`.

@@ -204,9 +204,9 @@ fn main() {
     std::fs::write(&path, json).expect("write memplan json"); // lint:allow(expect) -- write memplan json
     println!("\n[saved {}]", path.display());
 
-    // Append machine-comparable numbers to the perf trajectory: planned
-    // peak is a pure function of the seeded fixture, so it gates like a
-    // timing metric but with zero noise.
+    // Append machine-comparable numbers to the history: planned peak is a
+    // pure function of the seeded fixture, so its trajectory has zero
+    // noise. `xtask perf` gates the benchmark's metrics only.
     let mut metrics = BTreeMap::new();
     for p in &report.phases {
         metrics.insert(format!("{}.planned_peak_mb", p.name), p.planned_peak_bytes as f64 / MIB);

@@ -1,8 +1,8 @@
 //! Bench-history records: one JSONL line per harness run, appended to
-//! `results/BENCH_history.jsonl` so the perf trajectory accumulates
-//! instead of being overwritten. `cargo xtask perf` reads this file,
-//! takes the median of the most recent samples per metric and gates them
-//! against the committed `results/BENCH_baseline.json`.
+//! `results/BENCH_history.jsonl` so each gate binary's trajectory
+//! accumulates instead of being overwritten. `cargo xtask perf` appends
+//! the benchmark's lines to the same file in the same schema and gates
+//! only those.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -22,7 +22,7 @@ pub const HISTORY_FILE: &str = "BENCH_history.jsonl";
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct HistoryRecord {
     pub schema: String,
-    /// Producing binary (`kernels`, `search_smoke`).
+    /// Producing binary (`memplan`, `graph_audit`, `trials`).
     pub bench: String,
     /// Budget preset name (`quick`, `default`, `paper`).
     pub preset: String,

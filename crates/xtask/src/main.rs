@@ -15,20 +15,24 @@
 //!   flamegraph (`FLAME_<run>.txt`) and search-dashboard JSON
 //!   (`DASH_<run>.json`) next to the trace. `--min-attributed <frac>`
 //!   fails the run when too much wall time is unaccounted for.
-//! * `perf`   — the noise-aware bench regression gate (see [`perf`]):
-//!   `--quick` reruns the `kernels`/`search_smoke` benches (appending to
-//!   `results/BENCH_history.jsonl`), `--check` gates history medians
-//!   against `results/BENCH_baseline.json` and exits non-zero on a
-//!   regression, `--seed-baseline` recomputes the baseline from history
-//!   (also retaining each bench's trace as `TRACE_<bench>_baseline.jsonl`
-//!   for future diffs), and `--explain` turns a gate failure into
-//!   forensics: each regressed metric's candidate trace is diffed
-//!   against the retained baseline trace and attributed to the hottest
-//!   changed subtree (`DIFF_<bench>.json`, `FLAMEDIFF_<bench>.txt`).
-//!   `perf trend` scans the history for step regressions that crept in
-//!   under the per-run tolerance (`results/TREND_report.json`);
-//!   `perf compact` trims the history to the last N entries per
-//!   (bench, preset).
+//! * `perf`   — the benchmark's regression gate (see [`perf`]):
+//!   `--quick` runs `BENCHMARK.json`'s command for every workload, once
+//!   end to end and once with `--trace 1`, for one gate window of rounds,
+//!   failing on a non-zero exit or `"correct":false`, and appends one line
+//!   per workload per round to `results/BENCH_history.jsonl`. `--check`
+//!   gates each `<workload>/<metric>` window median against
+//!   `results/BENCH_baseline.json` at a tolerance derived from the
+//!   metric's measured noise and exits non-zero on a regression or a
+//!   missing metric. `--seed-baseline` recomputes the baseline (median and
+//!   MAD) from the history and retains each workload's trace as
+//!   `TRACE_bench_<workload>_baseline.jsonl`, and `--explain` diffs each
+//!   regressed workload's `TRACE_bench_<workload>.jsonl` against that
+//!   copy and attributes the regression to the hottest changed subtree
+//!   (`DIFF_<workload>.json`, `FLAMEDIFF_<workload>.txt`).
+//!   `perf trend` scans the history of the gated metrics for step
+//!   regressions that crept in under the per-run tolerance
+//!   (`results/TREND_report.json`); `perf compact` trims the history to
+//!   the last N entries per (bench, preset).
 //! * `determinism` — the cross-thread determinism gate: drives the
 //!   `determinism` bench binary, which runs one full SANE search step at
 //!   1/2/4/`hardware` worker threads and bitwise-compares every loss,
@@ -59,8 +63,9 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Stdio};
 
 use xtask::perf;
 
@@ -112,7 +117,7 @@ fn main() -> ExitCode {
                  [--allow-unreasoned-waivers]|fmt|clippy|ci|\
                  trace-report [file]|\
                  profile <file> [--min-attributed <frac>]|\
-                 perf [--quick] [--check] [--explain] [--seed-baseline] [--runs <n>]|\
+                 perf [--quick] [--check] [--explain] [--seed-baseline]|\
                  perf trend [--window <n>]|\
                  perf compact [--keep <n>]|\
                  determinism [--quick]|\
@@ -204,14 +209,13 @@ fn profile_cmd(root: &Path, args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The perf gate driver: optionally reruns the quick benches, then seeds
-/// or checks the baseline from the accumulated history.
+/// The perf gate driver: optionally runs one gate window of benchmark
+/// rounds, then seeds or checks the baseline from the accumulated history.
 fn perf_cmd(root: &Path, args: &[String]) -> ExitCode {
     let mut quick = false;
     let mut check = false;
     let mut seed = false;
     let mut explain = false;
-    let mut runs = 1usize;
     let mut history_path = root.join("results").join("BENCH_history.jsonl");
     let mut baseline_path = root.join("results").join("BENCH_baseline.json");
     let resolve = |v: &str| {
@@ -229,13 +233,6 @@ fn perf_cmd(root: &Path, args: &[String]) -> ExitCode {
             "--check" => check = true,
             "--seed-baseline" => seed = true,
             "--explain" => explain = true,
-            "--runs" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("xtask perf: --runs needs a count");
-                    return ExitCode::from(2);
-                };
-                runs = n;
-            }
             "--history" => {
                 let Some(v) = it.next() else {
                     eprintln!("xtask perf: --history needs a path");
@@ -256,145 +253,125 @@ fn perf_cmd(root: &Path, args: &[String]) -> ExitCode {
             }
         }
     }
-
-    if quick {
-        let out_dir = history_path.parent().unwrap_or(root).to_path_buf();
-        for run_idx in 0..runs {
-            eprintln!("xtask perf: bench round {}/{runs}", run_idx + 1);
-            for bin in ["kernels", "search_smoke"] {
-                let mut cmd = Command::new(env!("CARGO"));
-                cmd.current_dir(root);
-                cmd.args(["run", "--release", "-p", "sane-bench", "--bin", bin, "--", "--quick"]);
-                cmd.arg("--out").arg(&out_dir);
-                if run(cmd) != ExitCode::SUCCESS {
-                    eprintln!("xtask perf: bench `{bin}` failed");
-                    return ExitCode::FAILURE;
+    let run = || -> Result<bool, String> {
+        let manifest = load_manifest(root)?;
+        if quick {
+            run_bench_rounds(root, &manifest, &history_path)?;
+        }
+        let history = perf::parse_history(&read_text(&history_path)?)?;
+        eprintln!("xtask perf: {} history record(s) in {}", history.len(), history_path.display());
+        for (bench, preset, n) in perf::history_overflow(&history, perf::DEFAULT_HISTORY_CAP) {
+            eprintln!(
+                "xtask perf: WARNING: {n} history entries for ({bench}, {preset}) exceed the \
+                 {} cap; trim with `cargo xtask perf compact`",
+                perf::DEFAULT_HISTORY_CAP
+            );
+        }
+        let results_dir = root.join("results");
+        if seed {
+            let baseline = perf::seed_baseline(&history, &manifest)?;
+            std::fs::write(&baseline_path, perf::baseline_to_json(&baseline))
+                .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
+            println!("seeded {} metric(s) -> {}", baseline.len(), baseline_path.display());
+            // Retain each workload's freshest trace as the reference side
+            // of future `--explain` diffs, alongside the numeric baseline.
+            for w in &manifest.workloads {
+                let kept = perf::baseline_trace_path(&results_dir, w);
+                std::fs::copy(perf::candidate_trace_path(&results_dir, w), &kept)
+                    .map_err(|e| format!("cannot retain {}: {e}", kept.display()))?;
+                println!("retained baseline trace -> {}", kept.display());
+            }
+            return Ok(true);
+        }
+        let baseline = perf::parse_baseline(&read_text(&baseline_path)?)?;
+        let report = perf::gate(&history, &baseline, &manifest);
+        println!("{report}");
+        if explain && report.regressions() > 0 {
+            // Close the detect->explain loop: diff the candidate traces
+            // against the retained baselines and name the hottest suspects.
+            for w in perf::explain(&results_dir, &baseline, &manifest, &report)? {
+                println!("\n{}", w.diff);
+                for a in &w.attributions {
+                    println!("{a}");
                 }
+                println!("[saved {}]\n[saved {}]", w.diff_path.display(), w.flame_path.display());
             }
         }
-    }
-
-    let history_text = match std::fs::read_to_string(&history_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask perf: cannot read {}: {e}", history_path.display());
-            eprintln!("xtask perf: run `cargo xtask perf --quick` to record bench history first");
-            return ExitCode::FAILURE;
-        }
+        Ok(report.passed())
     };
-    let history = match perf::parse_history(&history_text) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("xtask perf: {e}");
-            return ExitCode::FAILURE;
+    match run() {
+        Ok(passed) if passed || !check => ExitCode::SUCCESS,
+        Ok(_) => {
+            eprintln!("xtask perf: PERF GATE FAILED against {}", baseline_path.display());
+            ExitCode::FAILURE
         }
-    };
-    let mut per_bench: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-    for e in &history {
-        *per_bench.entry(e.bench.as_str()).or_insert(0) += 1;
-    }
-    let breakdown: Vec<String> = per_bench.iter().map(|(b, n)| format!("{b}: {n}")).collect();
-    eprintln!(
-        "xtask perf: {} history record(s) in {} ({})",
-        history.len(),
-        history_path.display(),
-        breakdown.join(", ")
-    );
-    for (bench, preset, n) in perf::history_overflow(&history, perf::DEFAULT_HISTORY_CAP) {
-        eprintln!(
-            "xtask perf: WARNING: {n} history entries for ({bench}, {preset}) exceed the \
-             {} cap; trim with `cargo xtask perf compact`",
-            perf::DEFAULT_HISTORY_CAP
-        );
-    }
-
-    if seed {
-        let baseline = perf::seed_baseline(&history, "quick", perf::DEFAULT_WINDOW);
-        if baseline.metrics.is_empty() {
-            eprintln!("xtask perf: no quick-preset time metrics in history; nothing to seed");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = std::fs::write(&baseline_path, perf::baseline_to_json(&baseline)) {
-            eprintln!("xtask perf: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "seeded baseline with {} metric(s) -> {}",
-            baseline.metrics.len(),
-            baseline_path.display()
-        );
-        // Retain the benches' freshest traces as the reference side of
-        // future `--explain` diffs, alongside the numeric baseline.
-        let results_dir = baseline_path.parent().unwrap_or(root);
-        let benches: std::collections::BTreeSet<&str> =
-            history.iter().map(|e| e.bench.as_str()).collect();
-        for bench in benches {
-            let cand = perf::candidate_trace_path(results_dir, bench);
-            if !cand.is_file() {
-                continue;
-            }
-            let kept = perf::baseline_trace_path(results_dir, bench);
-            match std::fs::copy(&cand, &kept) {
-                Ok(_) => println!("retained baseline trace -> {}", kept.display()),
-                Err(e) => {
-                    eprintln!("xtask perf: cannot retain {}: {e}", kept.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask perf: cannot read {}: {e}", baseline_path.display());
-            eprintln!("xtask perf: seed one with `cargo xtask perf --seed-baseline`");
-            return if check { ExitCode::FAILURE } else { ExitCode::SUCCESS };
-        }
-    };
-    let baseline = match perf::parse_baseline(&baseline_text) {
-        Ok(b) => b,
         Err(e) => {
             eprintln!("xtask perf: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
+    }
+}
+
+fn read_text(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
+/// Reads and parses `BENCHMARK.json` at the workspace root.
+fn load_manifest(root: &Path) -> Result<perf::Manifest, String> {
+    perf::parse_manifest(&read_text(&root.join("BENCHMARK.json"))?)
+}
+
+/// Runs one gate window of rounds: each round runs every workload once
+/// end to end and once traced, with the manifest's own command, and
+/// appends one history line per workload holding both runs' metrics. Any
+/// run that exits non-zero or prints `"correct":false` fails the rounds.
+fn run_bench_rounds(
+    root: &Path,
+    manifest: &perf::Manifest,
+    history_path: &Path,
+) -> Result<(), String> {
+    let Some((program, base_args)) = manifest.command.split_first() else {
+        return Err("BENCHMARK.json: `command` is empty".into());
     };
-    let report = perf::gate(&history, &baseline);
-    println!("{report}");
-    let failed = !report.passed();
-    if failed && explain {
-        // Close the detect->explain loop: diff the candidate traces
-        // against the retained baselines and name the hottest suspects.
-        let results_dir = history_path.parent().unwrap_or(root);
-        match perf::explain(results_dir, &history, &baseline, &report) {
-            Ok(forensics) => {
-                for b in &forensics.benches {
-                    println!();
-                    println!("{}", b.diff);
-                    for a in &b.attributions {
-                        println!("{a}");
-                    }
-                    println!("[saved {}]", b.diff_path.display());
-                    println!("[saved {}]", b.flame_path.display());
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(history_path)
+        .map_err(|e| format!("cannot open {}: {e}", history_path.display()))?;
+    for round in 1..=perf::WINDOW {
+        for w in &manifest.workloads {
+            let mut metrics = std::collections::BTreeMap::new();
+            for trace in ["0", "1"] {
+                eprintln!("xtask perf: round {round}/{}: {w} --trace {trace}", perf::WINDOW);
+                let mut cmd = Command::new(program);
+                // The run's diagnostics (failed searches, broken ladder
+                // rungs) go to stderr; only stdout is parsed.
+                cmd.current_dir(root).args(base_args).stderr(Stdio::inherit());
+                cmd.args(["--workload", w, "--seconds", "1", "--trace", trace, "--out", "results"]);
+                let out = cmd.output().map_err(|e| format!("cannot launch {cmd:?}: {e}"))?;
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                if !out.status.success() {
+                    let last = stdout.lines().last().unwrap_or("");
+                    return Err(format!(
+                        "`{w}` --trace {trace} exited with {}: {last}",
+                        out.status
+                    ));
                 }
-                for metric in &forensics.unmapped {
-                    eprintln!(
-                        "xtask perf: regressed metric `{metric}` appears in no history \
-                         entry; cannot map it to a bench trace"
-                    );
+                let result = perf::parse_result(&stdout)
+                    .map_err(|e| format!("`{w}` --trace {trace}: {e}"))?;
+                if !result.correct {
+                    return Err(format!("`{w}` --trace {trace} printed \"correct\":false"));
                 }
+                metrics.extend(result.metrics);
             }
-            Err(e) => eprintln!("xtask perf: explain failed: {e}"),
+            let unix_ms = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX));
+            writeln!(file, "{}", perf::history_line(w, unix_ms, &metrics))
+                .map_err(|e| format!("cannot append to {}: {e}", history_path.display()))?;
         }
-    } else if explain {
-        println!("gate passed; nothing to explain");
     }
-    if check && failed {
-        eprintln!("xtask perf: PERF REGRESSION against {}", baseline_path.display());
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `xtask perf trend`: scan the accumulated history for step regressions
@@ -431,15 +408,11 @@ fn perf_trend_cmd(root: &Path, args: &[String]) -> ExitCode {
             }
         }
     }
-    let history_text = match std::fs::read_to_string(&history_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask perf trend: cannot read {}: {e}", history_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let history = match perf::parse_history(&history_text) {
-        Ok(h) => h,
+    let inputs = read_text(&history_path)
+        .and_then(|text| perf::parse_history(&text))
+        .and_then(|history| Ok((history, load_manifest(root)?)));
+    let (history, manifest) = match inputs {
+        Ok(inputs) => inputs,
         Err(e) => {
             eprintln!("xtask perf trend: {e}");
             return ExitCode::FAILURE;
@@ -447,10 +420,10 @@ fn perf_trend_cmd(root: &Path, args: &[String]) -> ExitCode {
     };
     let report = perf::trend(
         &history,
+        &manifest,
         window,
         perf::DEFAULT_TREND_MIN_SHIFT,
         perf::DEFAULT_TREND_MAD_MULT,
-        perf::DEFAULT_ABS_FLOOR_MS,
     );
     println!("{report}");
     let out_path = history_path.parent().unwrap_or(root).join("TREND_report.json");

@@ -1,9 +1,9 @@
-//! End-to-end regression forensics: the ISSUE's acceptance scenarios.
+//! End-to-end regression forensics.
 //!
 //! * A synthetic ~2× slowdown injected into one kernel of a recorded
 //!   trace must be attributed to exactly that kernel (top-1) by the
-//!   `xtask perf --explain` machinery, with the `DIFF_<bench>.json` and
-//!   `FLAMEDIFF_<bench>.txt` artifacts written and well-formed.
+//!   `xtask perf --explain` machinery, with the `DIFF_<workload>.json` and
+//!   `FLAMEDIFF_<workload>.txt` artifacts written and well-formed.
 //! * The changepoint detector must flag an injected step in synthetic
 //!   history while staying silent on the committed real history.
 //! * History compaction must round-trip the committed history file.
@@ -15,8 +15,8 @@ use std::path::{Path, PathBuf};
 use sane_telemetry::diff::DIFF_SCHEMA;
 use sane_telemetry::Value;
 use xtask::perf::{
-    self, gate, parse_history, trend, Baseline, BaselineMetric, HistoryEntry, DEFAULT_ABS_FLOOR_MS,
-    DEFAULT_TREND_MAD_MULT, DEFAULT_TREND_MIN_SHIFT, DEFAULT_TREND_WINDOW,
+    self, gate, parse_history, trend, Baseline, BaselineMetric, HistoryEntry, Manifest, MetricSpec,
+    DEFAULT_TREND_MAD_MULT, DEFAULT_TREND_MIN_SHIFT, DEFAULT_TREND_WINDOW, PRESET, WINDOW,
 };
 
 /// One synthetic kernel row: name, phase, count, summed ns, quantiles.
@@ -83,13 +83,43 @@ fn scratch(test: &str) -> PathBuf {
 fn entry(bench: &str, metrics: &[(&str, f64)]) -> HistoryEntry {
     HistoryEntry {
         bench: bench.into(),
-        preset: "quick".into(),
+        preset: PRESET.into(),
         metrics: metrics.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
     }
 }
 
+fn repo_file(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(name)
+}
+
 fn committed_history_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_history.jsonl")
+    repo_file("results/BENCH_history.jsonl")
+}
+
+fn committed_manifest() -> Manifest {
+    let text = std::fs::read_to_string(repo_file("BENCHMARK.json")).expect("BENCHMARK.json");
+    perf::parse_manifest(&text).expect("BENCHMARK.json parses")
+}
+
+/// A one-workload manifest gating `spmm_forward.ms`, and a gate fixture
+/// whose window sits at 2 ms against a quiet 1 ms base — a clean
+/// regression on `tiny/spmm_forward.ms`.
+fn regressed_fixture() -> (Manifest, Vec<HistoryEntry>, Baseline) {
+    let manifest = Manifest {
+        command: vec!["bench".into()],
+        workloads: vec!["tiny".into()],
+        gated: vec![MetricSpec {
+            name: "spmm_forward.ms".into(),
+            unit: "ms".into(),
+            higher_is_better: false,
+            bound: None,
+        }],
+    };
+    let history: Vec<HistoryEntry> =
+        (0..WINDOW).map(|_| entry("tiny", &[("spmm_forward.ms", 2.0)])).collect();
+    let baseline: Baseline =
+        [("tiny/spmm_forward.ms".to_string(), BaselineMetric { base: 1.0, mad: 0.01 })].into();
+    (manifest, history, baseline)
 }
 
 #[test]
@@ -99,7 +129,7 @@ fn injected_kernel_slowdown_is_attributed_top_1() {
     // Baseline run: the spmm kernel costs 0.4 ms inside the
     // `spmm_forward` scenario; a sibling scenario rides along untouched.
     let base = synth(
-        "kernels",
+        "bench_tiny",
         &[
             ("bench", None, 2_000_000),
             ("spmm_forward", Some("spmm_forward"), 500_000),
@@ -114,7 +144,7 @@ fn injected_kernel_slowdown_is_attributed_top_1() {
     // the injected regression the explainer must find. Everything else
     // is bit-identical.
     let cand = synth(
-        "kernels",
+        "bench_tiny",
         &[
             ("bench", None, 2_400_000),
             ("spmm_forward", Some("spmm_forward"), 900_000),
@@ -125,33 +155,23 @@ fn injected_kernel_slowdown_is_attributed_top_1() {
             ("segment_sum", "segment_sum_fwd_bwd", 4, 600_000, (150_000.0, 155_000.0, 160_000.0)),
         ],
     );
-    std::fs::write(perf::baseline_trace_path(&dir, "kernels"), base).expect("write baseline");
-    std::fs::write(perf::candidate_trace_path(&dir, "kernels"), cand).expect("write candidate");
+    std::fs::write(perf::baseline_trace_path(&dir, "tiny"), base).expect("write baseline");
+    std::fs::write(perf::candidate_trace_path(&dir, "tiny"), cand).expect("write candidate");
 
-    // Gate fixture: the metric's history window sits at 2 ms against a
-    // 1 ms base — a clean regression on `spmm_forward.ms_1t`.
-    let history: Vec<HistoryEntry> =
-        (0..5).map(|_| entry("kernels", &[("spmm_forward.ms_1t", 2.0)])).collect();
-    let baseline = Baseline {
-        preset: "quick".into(),
-        window: 5,
-        abs_floor_ms: DEFAULT_ABS_FLOOR_MS,
-        metrics: [("spmm_forward.ms_1t".to_string(), BaselineMetric { base: 1.0, rel_tol: 0.35 })]
-            .into_iter()
-            .collect(),
-    };
-    let report = gate(&history, &baseline);
+    let (manifest, history, baseline) = regressed_fixture();
+    let report = gate(&history, &baseline, &manifest);
     assert_eq!(report.regressions(), 1, "fixture must regress: {report}");
 
-    let explained = perf::explain(&dir, &history, &baseline, &report).expect("explain succeeds");
-    assert!(explained.unmapped.is_empty(), "metric maps to the kernels bench");
-    assert_eq!(explained.benches.len(), 1);
-    let fx = &explained.benches[0];
-    assert_eq!(fx.bench, "kernels");
+    let explained = perf::explain(&dir, &baseline, &manifest, &report).expect("explain succeeds");
+    assert_eq!(explained.len(), 1);
+    let fx = &explained[0];
+    assert_eq!(fx.workload, "tiny", "the metric's key names its workload");
+    assert!(fx.diff_path.ends_with("DIFF_tiny.json"));
+    assert!(fx.flame_path.ends_with("FLAMEDIFF_tiny.txt"));
     assert_eq!(fx.attributions.len(), 1);
 
     let attr = &fx.attributions[0];
-    assert_eq!(attr.metric, "spmm_forward.ms_1t");
+    assert_eq!(attr.metric, "spmm_forward.ms");
     assert_eq!(attr.scope.as_deref(), Some("spmm_forward"), "scoped to the metric's scenario");
     let top = attr.top().expect("the injected slowdown yields a suspect");
     assert_eq!(
@@ -191,20 +211,12 @@ fn injected_kernel_slowdown_is_attributed_top_1() {
 #[test]
 fn explain_without_a_baseline_trace_names_the_fix() {
     let dir = scratch("missing_trace");
-    let history: Vec<HistoryEntry> =
-        (0..5).map(|_| entry("kernels", &[("spmm_forward.ms_1t", 2.0)])).collect();
-    let baseline = Baseline {
-        preset: "quick".into(),
-        window: 5,
-        abs_floor_ms: DEFAULT_ABS_FLOOR_MS,
-        metrics: [("spmm_forward.ms_1t".to_string(), BaselineMetric { base: 1.0, rel_tol: 0.35 })]
-            .into_iter()
-            .collect(),
-    };
-    let report = gate(&history, &baseline);
-    let err = perf::explain(&dir, &history, &baseline, &report)
+    let (manifest, history, baseline) = regressed_fixture();
+    let report = gate(&history, &baseline, &manifest);
+    let err = perf::explain(&dir, &baseline, &manifest, &report)
         .expect_err("no traces on disk: explain must fail with guidance");
     assert!(err.contains("--seed-baseline"), "error must say how to retain a baseline: {err}");
+    assert!(err.contains("TRACE_bench_tiny_baseline.jsonl"), "error names the file: {err}");
 }
 
 #[test]
@@ -214,44 +226,36 @@ fn changepoint_flags_injected_step_but_not_committed_history() {
     let history = parse_history(&real).expect("committed history parses");
     assert!(!history.is_empty(), "committed history has entries");
 
-    let quiet = trend(
-        &history,
-        DEFAULT_TREND_WINDOW,
-        DEFAULT_TREND_MIN_SHIFT,
-        DEFAULT_TREND_MAD_MULT,
-        DEFAULT_ABS_FLOOR_MS,
-    );
+    let manifest = committed_manifest();
+    let scan = |h: &[HistoryEntry]| {
+        trend(h, &manifest, DEFAULT_TREND_WINDOW, DEFAULT_TREND_MIN_SHIFT, DEFAULT_TREND_MAD_MULT)
+    };
+    let quiet = scan(&history);
     assert!(quiet.series > 0, "committed history yields gated series");
     assert!(
         quiet.changepoints.is_empty(),
         "detector must stay silent on the committed history: {quiet}"
     );
 
-    // Same detector, same parameters, with a synthetic series appended:
-    // a 1 ms kernel steps to 2 ms halfway through, under the same ±10%
-    // deterministic ripple the unit tests use.
+    // Same detector, same parameters, with a synthetic series of a gated
+    // metric appended: a 1 ms aggregator steps to 2 ms halfway through,
+    // under the same ±10% deterministic ripple the unit tests use.
     let noisy = |level: f64, i: usize| level * (1.0 + 0.1 * ((i * 7 + 3) % 5) as f64 / 2.0 - 0.1);
     let mut text = real.clone();
     for i in 0..32 {
         let level = if i < 16 { 1.0 } else { 2.0 };
         text.push_str(&format!(
             "{{\"schema\":\"sane.bench.v1\",\"bench\":\"synthwave\",\"preset\":\"quick\",\
-             \"unix_ms\":{i},\"metrics\":{{\"injected.ms_1t\":{:.6}}}}}\n",
+             \"unix_ms\":{i},\"metrics\":{{\"gnn.agg.GAT.fwd_ms\":{:.6}}}}}\n",
             noisy(level, i)
         ));
     }
     let spiked = parse_history(&text).expect("appended history still parses");
-    let flagged = trend(
-        &spiked,
-        DEFAULT_TREND_WINDOW,
-        DEFAULT_TREND_MIN_SHIFT,
-        DEFAULT_TREND_MAD_MULT,
-        DEFAULT_ABS_FLOOR_MS,
-    );
+    let flagged = scan(&spiked);
     assert_eq!(flagged.changepoints.len(), 1, "exactly the injected step: {flagged}");
     let cp = &flagged.changepoints[0];
     assert_eq!(cp.bench, "synthwave");
-    assert_eq!(cp.metric, "injected.ms_1t");
+    assert_eq!((cp.metric.as_str(), cp.unit.as_str()), ("gnn.agg.GAT.fwd_ms", "ms"));
     assert!(
         (14..=18).contains(&cp.index),
         "step located at the injection boundary, got {}",
@@ -277,7 +281,7 @@ fn compaction_round_trips_the_committed_history() {
 
     // A tight cap keeps exactly the trailing window per (bench, preset)
     // and the result still parses and gates.
-    let (tight, dropped) = perf::compact_history(&real, perf::DEFAULT_WINDOW).expect("compacts");
+    let (tight, dropped) = perf::compact_history(&real, WINDOW).expect("compacts");
     let tight_entries = parse_history(&tight).expect("compacted history parses");
     assert_eq!(tight_entries.len() + dropped, lines_before, "every line kept or counted dropped");
     let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
@@ -285,7 +289,7 @@ fn compaction_round_trips_the_committed_history() {
         *counts.entry((e.bench.clone(), e.preset.clone())).or_insert(0) += 1;
     }
     assert!(
-        counts.values().all(|&n| n <= perf::DEFAULT_WINDOW),
+        counts.values().all(|&n| n <= WINDOW),
         "no pair exceeds the window after compaction: {counts:?}"
     );
     assert!(perf::history_overflow(&tight_entries, perf::DEFAULT_HISTORY_CAP).is_empty());
