@@ -816,7 +816,7 @@ pub(crate) mod tests {
     /// returns its result with how many times each kernel ran, read from
     /// the `kernel.<name>.ns` summaries that `parallel::timed` feeds.
     pub(crate) fn with_kernel_calls<R>(f: impl FnOnce() -> R) -> (R, impl Fn(&str) -> u64) {
-        use sane_telemetry::Value;
+        use sane_telemetry::trace;
         let buf = sane_telemetry::MemoryBuffer::default();
         let guard = sane_telemetry::Recorder::new("kernel-calls")
             .with_memory(buf.clone())
@@ -825,20 +825,10 @@ pub(crate) mod tests {
         let out = f();
         sane_telemetry::flush_metrics();
         drop(guard);
-        let text = buf.borrow().clone();
-        let metrics = text
-            .lines()
-            .rev()
-            .map(|l| Value::parse(l).expect("trace line parses"))
-            .find(|r| r.get("kind").and_then(Value::as_str) == Some("metrics"))
-            .expect("a metrics record");
+        let records = trace::read(&buf.borrow()).expect("valid trace");
+        let metrics = trace::last_metrics(&records).expect("a metrics record").clone();
         let calls = move |kernel: &str| {
-            metrics
-                .get("summaries")
-                .and_then(|s| s.get(&format!("kernel.{kernel}.ns")))
-                .and_then(|s| s.get("count"))
-                .and_then(Value::as_u64)
-                .unwrap_or(0)
+            metrics.summaries().get(&format!("kernel.{kernel}.ns")).map_or(0, |s| s.count)
         };
         (out, calls)
     }

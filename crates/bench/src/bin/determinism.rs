@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 use sane_autodiff::parallel::{hardware_threads, with_threads};
 use sane_autodiff::simd::{ulp_diff, Flavour};
@@ -30,6 +30,7 @@ use sane_core::prelude::*;
 use sane_core::search::{search_step_fingerprint, StepFingerprint};
 use sane_data::CitationConfig;
 use sane_gnn::Activation;
+use sane_telemetry::trace;
 
 #[derive(Serialize)]
 struct RunReport {
@@ -141,44 +142,18 @@ fn probe(
     (fp, counts)
 }
 
-/// Object-field lookup on the workspace serde stub's `Value` tree.
-fn get<'a>(obj: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
-    obj.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-/// Extracts `kernel.<name>.ns` sample counts from the last `metrics`
-/// record in a telemetry JSONL buffer.
+/// `kernel.<name>.ns` sample counts from the last `metrics` record of a
+/// telemetry trace.
 fn kernel_counts(jsonl: &str) -> BTreeMap<String, u64> {
-    let mut counts = BTreeMap::new();
-    for line in jsonl.lines() {
-        let Ok(rec) = serde_json::from_str::<Value>(line) else {
-            continue;
-        };
-        let Some(fields) = rec.as_obj() else {
-            continue;
-        };
-        if get(fields, "kind").and_then(Value::as_str) != Some("metrics") {
-            continue;
-        }
-        let Some(summaries) = get(fields, "summaries").and_then(Value::as_obj) else {
-            continue;
-        };
-        // Cumulative flushes: later records supersede earlier ones.
-        counts.clear();
-        for (name, summary) in summaries {
-            let Some(kernel) = name.strip_prefix("kernel.").and_then(|n| n.strip_suffix(".ns"))
-            else {
-                continue;
-            };
-            let Some(sfields) = summary.as_obj() else {
-                continue;
-            };
-            if let Some(Value::Num(count)) = get(sfields, "count") {
-                counts.insert(kernel.to_string(), *count as u64);
-            }
-        }
-    }
-    counts
+    let records = trace::read(jsonl).expect("probe trace validates"); // lint:allow(expect) -- the recorder wrote it
+    let Some(metrics) = trace::last_metrics(&records) else { return BTreeMap::new() };
+    metrics
+        .summaries()
+        .iter()
+        .filter_map(|(name, s)| {
+            Some((name.strip_prefix("kernel.")?.strip_suffix(".ns")?.to_string(), s.count))
+        })
+        .collect()
 }
 
 fn suspect_kernels(

@@ -9,7 +9,6 @@
 //!
 //! Usage: `cargo run --release -p sane-bench --bin graph_audit -- --quick`
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -17,7 +16,6 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use sane_autodiff::{Tape, Tensor, VarStore};
-use sane_bench::history::HistoryRecord;
 use sane_bench::HarnessArgs;
 use sane_core::prelude::*;
 use sane_core::search::darts::node_task_of;
@@ -173,17 +171,6 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("serialise graph-audit report"); // lint:allow(expect) -- plain data, cannot fail
     std::fs::write(&path, json).expect("write graph-audit json"); // lint:allow(expect) -- harness has no recovery path
     println!("[saved {}]", path.display());
-
-    // The static counters are pure functions of the seeded fixtures, so
-    // they gate like timings but with zero noise.
-    let mut metrics = BTreeMap::new();
-    for p in &report.phases {
-        metrics.insert(format!("{}.nodes", p.name), p.nodes as f64);
-        metrics.insert(format!("{}.absint_violations", p.name), p.absint_violations as f64);
-    }
-    let hist = HistoryRecord::new("graph_audit", &report.preset, metrics);
-    let hist_path = hist.append(&args.out_dir).expect("append bench history"); // lint:allow(expect) -- harness has no recovery path
-    println!("[appended {}]", hist_path.display());
 
     let mut failed = false;
     for p in &report.phases {

@@ -10,7 +10,6 @@
 //!
 //! Usage: `cargo run --release -p sane-bench --bin memplan -- --quick`
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -19,7 +18,6 @@ use serde::Serialize;
 
 use sane_autodiff::dataflow::{check_memplan, plan_memory};
 use sane_autodiff::{Tape, Tensor, VarStore};
-use sane_bench::history::HistoryRecord;
 use sane_bench::HarnessArgs;
 use sane_core::prelude::*;
 use sane_core::search::darts::node_task_of;
@@ -203,18 +201,6 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("serialise memplan report"); // lint:allow(expect) -- serialise memplan report
     std::fs::write(&path, json).expect("write memplan json"); // lint:allow(expect) -- write memplan json
     println!("\n[saved {}]", path.display());
-
-    // Append machine-comparable numbers to the history: planned peak is a
-    // pure function of the seeded fixture, so its trajectory has zero
-    // noise. `xtask perf` gates the benchmark's metrics only.
-    let mut metrics = BTreeMap::new();
-    for p in &report.phases {
-        metrics.insert(format!("{}.planned_peak_mb", p.name), p.planned_peak_bytes as f64 / MIB);
-        metrics.insert(format!("{}.reuse_ratio", p.name), p.reuse_ratio);
-    }
-    let hist = HistoryRecord::new("memplan", &report.preset, metrics);
-    let hist_path = hist.append(&args.out_dir).expect("append bench history"); // lint:allow(expect) -- append bench history
-    println!("[appended {}]", hist_path.display());
 
     let mut failed = false;
     for p in &report.phases {

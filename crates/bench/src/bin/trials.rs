@@ -7,29 +7,26 @@
 //! tree, events and kernel samples land in a single
 //! `TRACE_trials.jsonl` that the strict validator accepts — with
 //! correct parent links back to the owner's root span and a `thread`
-//! field on every worker record. A `SnapshotExporter` serialises the
-//! merged metric registry mid-run (cooperatively, ticked at trial
-//! boundaries) and once more on demand at the end.
+//! field on every worker record.
 //!
-//! The binary validates its own artifacts in-process: the trace must
-//! summarise cleanly, at least two trial spans must be open
-//! simultaneously, every trial span must parent to the root span, and
-//! the merged histograms must expose p50/p90/p99 for the `spmm`,
-//! `segment_max` and `tape_backward` kernel streams. CI re-checks the
-//! trace with `cargo xtask trace-report`.
+//! The binary validates its own trace in-process, reading it once into
+//! typed records: it must pass the strict reader, at least two trial
+//! spans must be open simultaneously, every trial span must parent to
+//! the root span, and the merged histograms must expose p50/p90/p99 for
+//! the `spmm`, `segment_max` and `tape_backward` kernel streams. CI
+//! re-checks the trace with `cargo xtask trace-report`.
 //!
 //! Usage: `cargo run --release -p sane-bench --bin trials -- --quick`
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, PoisonError};
-use std::time::Duration;
 
 use sane_autodiff::parallel::{run_workers, with_threads};
 use sane_bench::HarnessArgs;
 use sane_core::prelude::*;
 use sane_data::CitationConfig;
 use sane_telemetry as tel;
+use sane_telemetry::trace::{Kind, TraceSummary};
 
 /// Index of a node aggregator in the SANE space's `O_n` ordering.
 fn agg(kind: NodeAggKind) -> usize {
@@ -93,10 +90,6 @@ fn main() {
         let root = tel::span("trials");
         let handle = tel::handle().expect("recorder is installed"); // lint:allow(expect) -- recorder is installed
 
-        let mut exporter = tel::SnapshotExporter::new(handle.clone(), &args.out_dir)
-            .with_interval(Duration::from_millis(200));
-        let exporter_slot = Mutex::new(&mut exporter);
-
         // Each worker's *first* trial holds its span open at the barrier,
         // so the trace provably contains `workers` concurrent trial trees.
         let barrier = Barrier::new(workers);
@@ -130,19 +123,10 @@ fn main() {
                     outcome.val_metric,
                     arch.describe(),
                 ));
-                // Cooperative snapshot cadence: whichever worker crosses a
-                // trial boundary past the interval exports the registry.
-                if let Ok(mut slot) = exporter_slot.try_lock() {
-                    slot.tick();
-                }
             }
         });
 
         drop(root);
-        let _ = exporter_slot;
-        let (json, prom) = exporter.export().expect("snapshot export"); // lint:allow(expect) -- snapshot export
-        println!("[saved {} and {}]", json.display(), prom.display());
-        assert!(exporter.exports() >= 2, "expected a mid-run tick plus the final export");
     }
 
     let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
@@ -152,35 +136,33 @@ fn main() {
         println!("trial {i}: val={val:.4} {desc}");
     }
 
-    // The trace must round-trip the strict validator (monotone stamps,
-    // balanced spans, no orphan parents, consistent histogram buckets).
-    let summary = tel::trace::summarize_file(&path).expect("valid run trace"); // lint:allow(expect) -- valid run trace
+    // The trace must pass the strict reader (monotone stamps, balanced
+    // spans, no orphan parents, consistent histogram buckets).
+    let records = tel::trace::read_file(&path).expect("valid run trace"); // lint:allow(expect) -- valid run trace
+    let summary = TraceSummary::from_records(&records);
     let mut threads = summary.threads.clone();
     threads.sort();
     assert_eq!(threads, ["trial-worker-0", "trial-worker-1"], "both workers wrote the trace");
 
-    // Concurrency + parentage proof from file order: all first-wave trial
+    // Concurrency + parentage proof from trace order: all first-wave trial
     // spans open (parented to the root span) before any trial closes.
-    let text = std::fs::read_to_string(&path).expect("re-read trace"); // lint:allow(expect) -- re-read trace
     let mut root_id = None;
     let mut open_before_first_close = 0usize;
-    for line in text.lines() {
-        if line.contains("\"kind\":\"span_open\"") && line.contains("\"name\":\"trials\"") {
-            let rest = line.split("\"id\":").nth(1).expect("span_open has an id"); // lint:allow(expect) -- span_open has an id
-            root_id = Some(rest.chars().take_while(char::is_ascii_digit).collect::<String>());
-        }
-        if line.contains("\"name\":\"trial\"") {
-            if line.contains("\"kind\":\"span_close\"") {
+    for rec in &records {
+        match &rec.kind {
+            Kind::SpanOpen { id, parent, path, .. } => match path.last().map(String::as_str) {
+                Some("trials") => root_id = Some(*id),
+                Some("trial") => {
+                    open_before_first_close += 1;
+                    assert!(root_id.is_some(), "root span opens first");
+                    assert_eq!(*parent, root_id, "trial span must parent to the run's root span");
+                }
+                _ => {}
+            },
+            Kind::SpanClose { path, .. } if path.last().map(String::as_str) == Some("trial") => {
                 break;
             }
-            if line.contains("\"kind\":\"span_open\"") {
-                open_before_first_close += 1;
-                let root = root_id.as_deref().expect("root span opens first"); // lint:allow(expect) -- root span opens first
-                assert!(
-                    line.contains(&format!("\"parent\":{root}")),
-                    "trial span must parent to the run's root span: {line}"
-                );
-            }
+            _ => {}
         }
     }
     assert!(
@@ -203,14 +185,4 @@ fn main() {
     }
     println!("{summary}");
     println!("[saved {}]", path.display());
-
-    // Perf-history line for `xtask perf`.
-    let wall_ms = summary.elapsed_ns.unwrap_or(0) as f64 / 1e6;
-    let mut metrics = BTreeMap::new();
-    metrics.insert("trials.wall_ms".to_string(), wall_ms);
-    metrics.insert("trials.count".to_string(), trials as f64);
-    metrics.insert("trials.workers".to_string(), workers as f64);
-    let hist = sane_bench::history::HistoryRecord::new("trials", &args.scale.name, metrics);
-    let hist_path = hist.append(&args.out_dir).expect("append bench history"); // lint:allow(expect) -- append bench history
-    println!("[appended {}]", hist_path.display());
 }

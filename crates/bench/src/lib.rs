@@ -29,7 +29,6 @@ use serde::Serialize;
 use sane_core::prelude::*;
 use sane_data::{CitationConfig, PpiConfig};
 
-pub mod history;
 pub mod runners;
 
 /// Budget preset shared by all harness binaries.

@@ -11,7 +11,7 @@ use sane_autodiff::{Matrix, Tape, VarStore};
 use sane_core::supernet::{Supernet, SupernetConfig};
 use sane_data::{CitationConfig, PpiConfig};
 use sane_gnn::GraphContext;
-use sane_telemetry::Value;
+use sane_telemetry::trace;
 
 /// How many times each kernel ran during one mixed-supernet training step
 /// (forward, loss, full backward) on `features`.
@@ -32,20 +32,10 @@ fn step_calls(ctx: &GraphContext, features: &Arc<Matrix>) -> impl Fn(&str) -> u6
     tape.backward(loss).recycle();
     sane_telemetry::flush_metrics();
     drop(guard);
-    let text = buf.borrow().clone();
-    let metrics = text
-        .lines()
-        .rev()
-        .map(|l| Value::parse(l).expect("trace line parses"))
-        .find(|r| r.get("kind").and_then(Value::as_str) == Some("metrics"))
-        .expect("a metrics record");
+    let records = trace::read(&buf.borrow()).expect("valid trace");
+    let metrics = trace::last_metrics(&records).expect("a metrics record").clone();
     move |kernel: &str| {
-        metrics
-            .get("summaries")
-            .and_then(|s| s.get(&format!("kernel.{kernel}.ns")))
-            .and_then(|s| s.get("count"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0)
+        metrics.summaries().get(&format!("kernel.{kernel}.ns")).map_or(0, |s| s.count)
     }
 }
 

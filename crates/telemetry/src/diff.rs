@@ -662,12 +662,15 @@ mod tests {
     use crate::profile::{parse_collapsed, profile};
     use std::fmt::Write as _;
 
-    /// One synthetic kernel row: name, phase, count, summed ns, quantiles.
-    type KernelRow<'a> = (&'a str, Option<&'a str>, u64, u64, (f64, f64, f64));
+    /// One synthetic kernel row: name, phase, count, summed ns. Every
+    /// sample of a row takes the same time, so its quantiles are the
+    /// per-call time exactly.
+    type KernelRow<'a> = (&'a str, Option<&'a str>, u64, u64);
 
     /// Hand-built deterministic trace: a chain of nested spans (opened in
-    /// order, closed in reverse) plus per-(kernel, phase) timing
-    /// summaries, exactly as the recorder would emit them.
+    /// order, closed in reverse) plus a metrics record holding each
+    /// (kernel, phase) row's samples, exactly as the recorder would emit
+    /// them.
     fn synth(run: &str, spans: &[(&str, Option<&str>, u64)], kernels: &[KernelRow]) -> String {
         let mut out = String::new();
         let _ = writeln!(out, r#"{{"kind":"run_start","t_ns":0,"level":"info","run":"{run}"}}"#);
@@ -688,36 +691,25 @@ mod tests {
                 100 + (spans.len() - i)
             );
         }
-        // Summaries: one per (phase, kernel) row plus the per-kernel
-        // totals the profiler subtracts phases from.
-        let mut summaries = String::new();
-        let mut hists = String::new();
-        let mut totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-        for &(kernel, phase, count, sum, (p50, p90, p99)) in kernels {
-            let t = totals.entry(kernel).or_insert((0, 0));
-            t.0 += count;
-            t.1 += sum;
-            if let Some(phase) = phase {
-                let stream = format!("phase.{phase}.kernel.{kernel}.ns");
-                let _ = write!(summaries, r#""{stream}":{{"count":{count},"sum":{sum}.0}},"#);
-                let _ = write!(hists, r#""{stream}":{{"p50":{p50},"p90":{p90},"p99":{p99}}},"#);
+        // A phased sample books into its phase's stream and the kernel's
+        // total, which the profiler subtracts phases from.
+        let mut metrics = crate::MetricSet::default();
+        for &(kernel, phase, count, sum) in kernels {
+            for _ in 0..count {
+                let ns = (sum / count) as f64;
+                metrics.record_latency(&format!("kernel.{kernel}.ns"), ns);
+                if let Some(phase) = phase {
+                    metrics.record_latency(&format!("phase.{phase}.kernel.{kernel}.ns"), ns);
+                }
             }
         }
-        for &(kernel, phase, _, _, (p50, p90, p99)) in kernels {
-            if phase.is_none() {
-                let stream = format!("kernel.{kernel}.ns");
-                let _ = write!(hists, r#""{stream}":{{"p50":{p50},"p90":{p90},"p99":{p99}}},"#);
-            }
-        }
-        for (kernel, (count, sum)) in &totals {
-            let _ = write!(summaries, r#""kernel.{kernel}.ns":{{"count":{count},"sum":{sum}.0}},"#);
-        }
-        summaries.pop();
-        hists.pop();
-        let _ = writeln!(
-            out,
-            r#"{{"kind":"metrics","t_ns":500,"level":"debug","counters":{{}},"gauges":{{}},"summaries":{{{summaries}}},"hists":{{{hists}}}}}"#
-        );
+        let mut record = vec![
+            ("kind".to_string(), Value::from("metrics")),
+            ("t_ns".to_string(), Value::UInt(500)),
+            ("level".to_string(), Value::from("debug")),
+        ];
+        record.extend(metrics.to_fields());
+        let _ = writeln!(out, "{}", Value::Obj(record).to_json());
         let _ = writeln!(
             out,
             r#"{{"kind":"run_end","t_ns":1000,"level":"info","elapsed_ns":1000000,"open_spans":0}}"#
@@ -729,7 +721,7 @@ mod tests {
         synth(
             "base",
             &[("bench", None, 900_000), ("spmm_forward", Some("spmm_forward"), 500_000)],
-            &[("spmm", Some("spmm_forward"), 4, 400_000, (100_000.0, 110_000.0, 120_000.0))],
+            &[("spmm", Some("spmm_forward"), 4, 400_000)],
         )
     }
 
@@ -761,7 +753,7 @@ mod tests {
         let cand = profile(&synth(
             "cand",
             &[("bench", None, 900_000), ("spmm_forward", Some("spmm_forward"), 900_000)],
-            &[("spmm", Some("spmm_forward"), 4, 800_000, (200_000.0, 220_000.0, 240_000.0))],
+            &[("spmm", Some("spmm_forward"), 4, 800_000)],
         ))
         .expect("valid trace");
         let d = diff(&base, &cand);
@@ -809,7 +801,7 @@ mod tests {
         let cand = profile(&synth(
             "cand",
             &[("bench", None, 900_000), ("spmm_fwd_renamed", Some("spmm_forward"), 500_000)],
-            &[("spmm", Some("spmm_forward"), 4, 400_000, (100_000.0, 110_000.0, 120_000.0))],
+            &[("spmm", Some("spmm_forward"), 4, 400_000)],
         ))
         .expect("valid trace");
         let d = diff(&base, &cand);

@@ -28,8 +28,7 @@
 //! emit spans/events/samples into the same trace — records carry a
 //! `thread` field and worker root spans parent to the owner's span at
 //! capture time — while their metrics buffer thread-locally and merge on
-//! detach. [`snapshot::SnapshotExporter`] serialises the merged registry
-//! mid-run. See the recorder module docs for the full model.
+//! detach. See the recorder module docs for the full model.
 //!
 //! ## Span convention
 //!
@@ -53,9 +52,16 @@
 //! also across attached workers: stamps are taken inside the writer
 //! lock) and `level`; records from attached workers additionally carry
 //! `thread`. `hists` entries expose `p50`/`p90`/`p99` quantiles and raw
-//! log-scale buckets for every latency stream. [`trace::summarize`]
-//! validates all of this strictly, including that a `span_open`'s
-//! `parent` refers to a span that is open at that point in the trace.
+//! log-scale buckets for every latency stream.
+//!
+//! ## Reading a trace
+//!
+//! [`trace::read`] parses and validates a trace once into typed
+//! [`trace::Record`]s — strictly, including that a `span_open`'s `parent`
+//! refers to a span that is open at that point in the trace — and a
+//! `metrics` record back into a [`MetricSet`]. The summary
+//! ([`trace::TraceSummary`]), the profile ([`profile::Profile`]) and the
+//! search dashboard ([`report::Dashboard`]) are folds over those records.
 
 #![forbid(unsafe_code)]
 
@@ -66,7 +72,6 @@ pub mod profile;
 mod recorder;
 pub mod report;
 mod sink;
-pub mod snapshot;
 pub mod trace;
 mod value;
 
@@ -78,7 +83,6 @@ pub use recorder::{
     span, span_with, Recorder, RecorderGuard, RecorderHandle, SpanGuard, WorkerGuard,
 };
 pub use sink::MemoryBuffer;
-pub use snapshot::SnapshotExporter;
 pub use value::Value;
 
 /// Emits an error event: the run's output is suspect.

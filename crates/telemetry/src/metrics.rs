@@ -89,6 +89,35 @@ impl Summary {
             ("dropped".to_string(), Value::UInt(self.dropped)),
         ])
     }
+
+    /// Inverse of `to_value`; the derived `mean` is not read back.
+    fn from_value(v: &Value) -> Result<Self, String> {
+        Ok(Summary {
+            count: u64_at(v, "count")?,
+            sum: f64_at(v, "sum")?,
+            min: f64_at(v, "min")?,
+            max: f64_at(v, "max")?,
+            dropped: u64_at(v, "dropped")?,
+        })
+    }
+}
+
+/// A required non-negative integer field of a rendered metric.
+fn u64_at(v: &Value, key: &str) -> Result<u64, String> {
+    v.get(key).and_then(Value::as_u64).ok_or_else(|| format!("missing or malformed `{key}`"))
+}
+
+/// A required number field of a rendered metric; `null` is how the writer
+/// renders a non-finite value.
+fn f64_at(v: &Value, key: &str) -> Result<f64, String> {
+    v.get(key).and_then(number).ok_or_else(|| format!("missing or malformed `{key}`"))
+}
+
+fn number(v: &Value) -> Option<f64> {
+    match v {
+        Value::Null => Some(f64::NAN),
+        v => v.as_f64(),
+    }
 }
 
 /// Sub-buckets per power-of-two octave: 8, so a bucket spans at most
@@ -275,10 +304,41 @@ impl Histogram {
             ),
         ])
     }
+
+    /// Inverse of `to_value`: the derived quantiles are not read back, and
+    /// the bucket counts must account for every kept sample.
+    fn from_value(v: &Value) -> Result<Self, String> {
+        let count = u64_at(v, "count")?;
+        let rows =
+            v.get("buckets").and_then(Value::as_arr).ok_or("missing or malformed `buckets`")?;
+        let mut buckets = BTreeMap::new();
+        for row in rows {
+            let (idx, n) = match row.as_arr() {
+                Some([idx, n]) => (idx.as_u64().and_then(|i| u16::try_from(i).ok()), n.as_u64()),
+                _ => (None, None),
+            };
+            let (Some(idx), Some(n)) = (idx, n) else {
+                return Err(format!("malformed bucket {}", row.to_json()));
+            };
+            *buckets.entry(idx).or_insert(0) += n;
+        }
+        let total: u64 = buckets.values().sum();
+        if total != count {
+            return Err(format!("buckets sum to {total}, count says {count}"));
+        }
+        Ok(Histogram {
+            count,
+            dropped: u64_at(v, "dropped")?,
+            sum: f64_at(v, "sum")?,
+            min: f64_at(v, "min")?,
+            max: f64_at(v, "max")?,
+            buckets,
+        })
+    }
 }
 
 /// All metrics of one recorder (or of one attached worker's buffer).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricSet {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
@@ -436,6 +496,41 @@ impl MetricSet {
             ),
         ]
     }
+
+    /// Parses the payload of a `metrics` trace record: the inverse of
+    /// [`to_fields`](Self::to_fields). Fields other than the four
+    /// sections (a record's `t_ns`, `kind`, …) are ignored.
+    pub fn from_fields(fields: &[(String, Value)]) -> Result<MetricSet, String> {
+        Ok(MetricSet {
+            counters: section(fields, "counters", "counter", |v| {
+                v.as_u64().ok_or_else(|| "not a non-negative integer".to_string())
+            })?,
+            gauges: section(fields, "gauges", "gauge", |v| {
+                number(v).ok_or_else(|| "not a number".to_string())
+            })?,
+            summaries: section(fields, "summaries", "summary", Summary::from_value)?,
+            hists: section(fields, "hists", "histogram", Histogram::from_value)?,
+        })
+    }
+}
+
+/// One named section of a `metrics` record, each entry parsed by `parse`;
+/// errors name the entry.
+fn section<T>(
+    fields: &[(String, Value)],
+    key: &str,
+    what: &str,
+    parse: impl Fn(&Value) -> Result<T, String>,
+) -> Result<BTreeMap<String, T>, String> {
+    let entries = fields
+        .iter()
+        .find(|(k, _)| k == key)
+        .and_then(|(_, v)| v.as_obj())
+        .ok_or_else(|| format!("metrics without {key}"))?;
+    entries
+        .iter()
+        .map(|(name, v)| Ok((name.clone(), parse(v).map_err(|e| format!("{what} `{name}`: {e}"))?)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -577,6 +672,31 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.min(), 100.0);
         assert_eq!(h.max(), 900.0);
+    }
+
+    #[test]
+    fn from_fields_inverts_to_fields() {
+        let mut m = MetricSet::default();
+        m.counter_add("pool.hits", 7);
+        m.gauge_set("pool.hit_rate", 0.875);
+        m.gauge_max("tape.peak_resident_bytes", 1.5e9);
+        m.record("trial.val_metric", 0.8125);
+        m.record("trial.val_metric", f64::NAN);
+        for ns in [1_000.0, 2_500.0, 47_000.0, 3.0e9] {
+            m.record_latency("kernel.spmm.ns", ns);
+        }
+        m.record_latency("kernel.spmm.ns", -1.0);
+        // Through the text a trace line carries, not just the value tree.
+        let text = Value::Obj(m.to_fields()).to_json();
+        let back = Value::parse(&text).expect("parse");
+        let back = MetricSet::from_fields(back.as_obj().expect("object")).expect("from_fields");
+        assert_eq!(back, m);
+        assert_eq!(back.summaries()["trial.val_metric"].dropped, 1);
+        assert_eq!(back.hists()["kernel.spmm.ns"].dropped(), 1);
+        assert_eq!(
+            MetricSet::from_fields(&MetricSet::default().to_fields()),
+            Ok(MetricSet::default())
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Trace profiler: aggregates a recorded JSONL trace's span tree and the
+//! Trace profiler: folds a validated trace's span tree and the
 //! `kernel.<name>.ns` timing summaries into per-phase / per-kernel wall
 //! time attribution, and exports `inferno`-compatible collapsed-stack
 //! flamegraph text (no external dependencies; the emitted format
@@ -6,10 +6,11 @@
 //!
 //! ## Attribution model
 //!
-//! Spans form a tree (`span_open` carries `parent`); each closed span
-//! contributes its `elapsed_ns` to the aggregate of its *stack path*
-//! (root-first span names). **Self time** is a span's elapsed time minus
-//! the elapsed time of its direct children, so sums stay additive.
+//! Spans form a tree (`span_open` carries `parent`, and the trace reader
+//! resolves each span's *stack path* of root-first span names); each
+//! closed span contributes its `elapsed_ns` to the aggregate of its path.
+//! **Self time** is a path's total time minus the total time of its
+//! direct child paths, so sums stay additive.
 //! Kernel samples live in the `metrics` record, not the span stream;
 //! phase-tagged spans ([`crate::phase_span`]) book each sample against
 //! the innermost phase (`phase.<phase>.kernel.<name>.ns`), which lets the
@@ -22,9 +23,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::Path;
 
-use crate::value::Value;
+use crate::metrics::MetricSet;
+use crate::trace::{self, Kind, Record};
 
 /// Aggregated statistics of one span stack path.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,16 +71,10 @@ pub struct Profile {
     pub peak_resident_bytes: Option<f64>,
     /// Counters from the final metrics snapshot.
     pub counters: BTreeMap<String, u64>,
-    /// Span stack path (joined) per phase tag, from `span_open` records.
+    /// Span stack paths per phase tag, from `span_open` records.
     /// A phase maps to one path in well-formed instrumentation; multiple
     /// paths disable grafting for that phase.
     pub phase_paths: BTreeMap<String, Vec<Vec<String>>>,
-}
-
-/// One open span while replaying the trace.
-struct OpenSpan {
-    path: Vec<String>,
-    child_ns: u64,
 }
 
 /// Kernels whose samples *enclose* other sampled kernels (`tape_backward`
@@ -227,174 +222,110 @@ pub fn parse_collapsed(text: &str) -> Result<Vec<(Vec<String>, u64)>, String> {
     Ok(rows)
 }
 
-/// Replays one JSONL trace into a [`Profile`]. Fails on unparseable
-/// lines, unbalanced spans, or a trace with no `run_end` (the profiler
-/// needs the wall time to attribute against).
+/// Validates one JSONL trace (see [`trace::read`]) and profiles it.
 pub fn profile(text: &str) -> Result<Profile, String> {
-    let mut out = Profile::default();
-    let mut open: BTreeMap<u64, OpenSpan> = BTreeMap::new();
-    // Path -> (count, total, self); insertion keyed by path for stable,
-    // depth-grouped output.
-    let mut agg: BTreeMap<Vec<String>, (u64, u64, u64)> = BTreeMap::new();
-    let mut saw_end = false;
+    trace::read(text).map(|records| Profile::from_records(&records))
+}
 
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rec = Value::parse(line).map_err(|e| format!("line {lineno}: bad JSON: {e}"))?;
-        let kind = rec
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {lineno}: missing kind"))?;
-        match kind {
-            "run_start" => {
-                out.run = rec.get("run").and_then(Value::as_str).unwrap_or("?").to_string();
-            }
-            "run_end" => {
-                saw_end = true;
-                out.wall_ns = rec.get("elapsed_ns").and_then(Value::as_u64).unwrap_or(0);
-            }
-            "span_open" => {
-                let id = rec
-                    .get("id")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("line {lineno}: span_open without id"))?;
-                let name = rec.get("name").and_then(Value::as_str).unwrap_or("?").to_string();
-                let parent = rec.get("parent").and_then(Value::as_u64);
-                let mut path = match parent.and_then(|p| open.get(&p)) {
-                    Some(parent) => parent.path.clone(),
-                    None => Vec::new(),
-                };
-                path.push(name);
-                if let Some(phase) = rec.get("phase").and_then(Value::as_str) {
-                    let paths = out.phase_paths.entry(phase.to_string()).or_default();
-                    if !paths.contains(&path) {
+impl Profile {
+    /// Folds a validated trace into its attribution.
+    pub fn from_records(records: &[Record]) -> Profile {
+        let mut out = Profile::default();
+        // Path -> (count, total); keyed by path for stable, depth-grouped
+        // output.
+        let mut agg: BTreeMap<&[String], (u64, u64)> = BTreeMap::new();
+        for rec in records {
+            match &rec.kind {
+                Kind::RunStart { run } => out.run = run.clone(),
+                Kind::RunEnd { elapsed_ns } => out.wall_ns = *elapsed_ns,
+                Kind::SpanOpen { path, phase: Some(phase), .. } => {
+                    let paths = out.phase_paths.entry(phase.clone()).or_default();
+                    if !paths.contains(path) {
                         paths.push(path.clone());
                     }
                 }
-                open.insert(id, OpenSpan { path, child_ns: 0 });
-            }
-            "span_close" => {
-                let id = rec
-                    .get("id")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("line {lineno}: span_close without id"))?;
-                let span = open.remove(&id).ok_or_else(|| {
-                    format!("line {lineno}: span id {id} closed but never opened")
-                })?;
-                let elapsed = rec.get("elapsed_ns").and_then(Value::as_u64).unwrap_or(0);
-                let entry = agg.entry(span.path.clone()).or_insert((0, 0, 0));
-                entry.0 += 1;
-                entry.1 += elapsed;
-                entry.2 += elapsed.saturating_sub(span.child_ns);
-                // Charge this span's time against the innermost *open*
-                // ancestor: with parents still open, that is the path
-                // prefix one frame up.
-                if span.path.len() > 1 {
-                    if let Some(parent) = open
-                        .values_mut()
-                        .find(|o| o.path.as_slice() == &span.path[..span.path.len() - 1])
-                    {
-                        parent.child_ns += elapsed;
-                    }
+                Kind::SpanClose { path, elapsed_ns, .. } => {
+                    let entry = agg.entry(path).or_insert((0, 0));
+                    entry.0 += 1;
+                    entry.1 += elapsed_ns;
                 }
+                _ => {}
             }
-            "metrics" => apply_metrics(&mut out, &rec),
-            _ => {}
         }
+        let mut child_ns: BTreeMap<&[String], u64> = BTreeMap::new();
+        for (path, &(_, total_ns)) in &agg {
+            if let Some((_, parent)) = path.split_last() {
+                *child_ns.entry(parent).or_insert(0) += total_ns;
+            }
+        }
+        out.frames = agg
+            .iter()
+            .map(|(path, &(count, total_ns))| FrameStat {
+                stack: path.to_vec(),
+                count,
+                total_ns,
+                self_ns: total_ns.saturating_sub(child_ns.get(path).copied().unwrap_or(0)),
+            })
+            .collect();
+        if let Some(m) = trace::last_metrics(records) {
+            out.apply_metrics(m);
+        }
+        out
     }
 
-    if out.run.is_empty() {
-        return Err("trace has no run_start record".to_string());
-    }
-    if !saw_end {
-        return Err("trace has no run_end record (run aborted or trace truncated)".to_string());
-    }
-    if !open.is_empty() {
-        return Err(format!("{} span(s) never closed", open.len()));
-    }
-    out.frames = agg
-        .into_iter()
-        .map(|(stack, (count, total_ns, self_ns))| FrameStat { stack, count, total_ns, self_ns })
-        .collect();
-    Ok(out)
-}
-
-/// Folds the latest `metrics` record into the profile (later snapshots
-/// supersede earlier ones, mirroring `trace::summarize`).
-fn apply_metrics(out: &mut Profile, rec: &Value) {
-    out.counters = rec
-        .get("counters")
-        .and_then(Value::as_obj)
-        .map(|kv| kv.iter().filter_map(|(k, v)| Some((k.clone(), v.as_u64()?))).collect())
-        .unwrap_or_default();
-    out.peak_resident_bytes =
-        rec.get("gauges").and_then(|g| g.get("tape.peak_resident_bytes")).and_then(Value::as_f64);
-    out.kernels.clear();
-    // Histogram quantiles per full stream name, when the record has them.
-    let quantiles_of = |stream: &str| -> Option<(f64, f64, f64)> {
-        let h = rec.get("hists").and_then(|h| h.get(stream))?;
-        Some((
-            h.get("p50").and_then(Value::as_f64)?,
-            h.get("p90").and_then(Value::as_f64)?,
-            h.get("p99").and_then(Value::as_f64)?,
-        ))
-    };
-    let Some(summaries) = rec.get("summaries").and_then(Value::as_obj) else { return };
-    // First the phased rows, tracking how much of each kernel they cover.
-    let mut phased: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for (key, v) in summaries {
-        let Some(rest) = key.strip_prefix("phase.") else { continue };
-        let Some((phase, kernel)) =
-            rest.split_once(".kernel.").and_then(|(p, k)| Some((p, k.strip_suffix(".ns")?)))
-        else {
-            continue;
+    /// Takes counters, the peak-resident gauge and the kernel rows from
+    /// the run's last `metrics` record.
+    fn apply_metrics(&mut self, m: &MetricSet) {
+        self.counters = m.counters().clone();
+        self.peak_resident_bytes = m.gauges().get("tape.peak_resident_bytes").copied();
+        // Histogram quantiles per full stream name, when it has them.
+        let quantiles_of = |stream: &str| {
+            m.hists().get(stream).map(|h| (h.quantile(0.5), h.quantile(0.9), h.quantile(0.99)))
         };
-        let count = v.get("count").and_then(Value::as_u64).unwrap_or(0);
-        let ns = v.get("sum").and_then(Value::as_f64).unwrap_or(0.0) as u64;
-        let covered = phased.entry(kernel.to_string()).or_insert((0, 0));
-        covered.0 += count;
-        covered.1 += ns;
-        out.kernels.push(KernelStat {
-            name: kernel.to_string(),
-            phase: Some(phase.to_string()),
-            count,
-            total_ns: ns,
-            quantiles: quantiles_of(key),
-        });
-    }
-    // Then the per-kernel totals; whatever the phases did not cover is
-    // the `None`-phase remainder.
-    for (key, v) in summaries {
-        let Some(kernel) = key.strip_prefix("kernel.").and_then(|k| k.strip_suffix(".ns")) else {
-            continue;
-        };
-        let count = v.get("count").and_then(Value::as_u64).unwrap_or(0);
-        let ns = v.get("sum").and_then(Value::as_f64).unwrap_or(0.0) as u64;
-        let (pc, pns) = phased.get(kernel).copied().unwrap_or((0, 0));
-        let rest_count = count.saturating_sub(pc);
-        let rest_ns = ns.saturating_sub(pns);
-        if rest_count > 0 || rest_ns > 0 {
-            out.kernels.push(KernelStat {
+        // First the phased rows, tracking how much of each kernel they cover.
+        let mut phased: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for (key, s) in m.summaries() {
+            let Some((phase, kernel)) = key
+                .strip_prefix("phase.")
+                .and_then(|rest| rest.split_once(".kernel."))
+                .and_then(|(p, k)| Some((p, k.strip_suffix(".ns")?)))
+            else {
+                continue;
+            };
+            let ns = s.sum as u64;
+            let covered = phased.entry(kernel).or_insert((0, 0));
+            covered.0 += s.count;
+            covered.1 += ns;
+            self.kernels.push(KernelStat {
                 name: kernel.to_string(),
-                phase: None,
-                count: rest_count,
-                total_ns: rest_ns,
-                quantiles: if pc == 0 { quantiles_of(key) } else { None },
+                phase: Some(phase.to_string()),
+                count: s.count,
+                total_ns: ns,
+                quantiles: quantiles_of(key),
             });
         }
+        // Then the per-kernel totals; whatever the phases did not cover is
+        // the `None`-phase remainder.
+        for (key, s) in m.summaries() {
+            let Some(kernel) = key.strip_prefix("kernel.").and_then(|k| k.strip_suffix(".ns"))
+            else {
+                continue;
+            };
+            let (pc, pns) = phased.get(kernel).copied().unwrap_or((0, 0));
+            let rest_count = s.count.saturating_sub(pc);
+            let rest_ns = (s.sum as u64).saturating_sub(pns);
+            if rest_count > 0 || rest_ns > 0 {
+                self.kernels.push(KernelStat {
+                    name: kernel.to_string(),
+                    phase: None,
+                    count: rest_count,
+                    total_ns: rest_ns,
+                    quantiles: if pc == 0 { quantiles_of(key) } else { None },
+                });
+            }
+        }
+        self.kernels.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
     }
-    out.kernels.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
-}
-
-/// Reads and profiles a trace file.
-pub fn profile_file(path: impl AsRef<Path>) -> Result<Profile, String> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    profile(&text)
 }
 
 impl fmt::Display for Profile {

@@ -283,8 +283,8 @@ impl RecorderHandle {
     }
 
     /// Drains the calling thread's metric buffer (when it reports into
-    /// this run) and returns a clone of the merged registry — the live
-    /// view the snapshot exporter serialises. Metrics still buffered on
+    /// this run) and returns a clone of the merged registry, a live view
+    /// of the run so far. Metrics still buffered on
     /// *other* attached threads appear once those threads detach.
     pub fn merged_metrics(&self) -> MetricSet {
         with_active(|inner| {

@@ -1,9 +1,9 @@
 //! Search dashboards: re-derive the paper's search-dynamics views (SANE
 //! ICDE 2021, Figs. 3–4) from a recorded run trace.
 //!
-//! [`dashboard`] first runs the strict [`crate::trace::summarize`]
-//! validator — a malformed trace is an error, never a half-empty chart —
-//! then replays the `search.alpha` / `search.epoch` events into:
+//! [`Dashboard::from_records`] folds the typed `search.alpha` /
+//! `search.epoch` rows of a trace validated by [`crate::trace::read`] — a
+//! malformed trace is an error, never a half-empty chart — into:
 //!
 //! * **per-op softmax trajectories**: for every mixed op (`group`,
 //!   `index`), the α softmax row per epoch,
@@ -20,9 +20,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
 
-use crate::trace::{self, TraceSummary};
+use crate::trace::{self, Event, Kind, Record, TraceSummary};
 use crate::value::Value;
 
 /// The α softmax trajectory of one mixed op across the search.
@@ -64,98 +63,58 @@ pub struct Dashboard {
     pub genotypes: Vec<(u64, String)>,
     /// The genotype the search settled on.
     pub final_genotype: Option<String>,
-    /// Mean entropy per group at the last epoch that reported the group —
-    /// must agree with [`TraceSummary::final_entropy`] (shared fixture
-    /// test holds this line).
+    /// Mean entropy per group at the last epoch that reported the group,
+    /// as in [`TraceSummary::final_entropy`].
     pub final_entropy: BTreeMap<String, f64>,
 }
 
-/// Builds the dashboard from raw JSONL trace text. Validation is
-/// delegated to [`trace::summarize`], so anything that passes here is a
-/// trace the rest of the tooling accepts too.
+/// Validates one JSONL trace (see [`trace::read`]) and builds its
+/// dashboard.
 pub fn dashboard(text: &str) -> Result<Dashboard, String> {
-    let summary = trace::summarize(text)?;
-    Ok(from_validated(text, &summary))
+    trace::read(text).map(|records| Dashboard::from_records(&records))
 }
 
-/// Reads and dashboards a trace file.
-pub fn dashboard_file(path: impl AsRef<Path>) -> Result<Dashboard, String> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    dashboard(&text)
-}
-
-/// Second pass over an already-validated trace: `summarize` proved every
-/// line parses and every α row is a softmax distribution, so this pass
-/// can use lenient field access.
-fn from_validated(text: &str, summary: &TraceSummary) -> Dashboard {
-    let mut out = Dashboard {
-        run: summary.run.clone(),
-        val_curve: summary.val_curve(),
-        genotypes: summary.genotypes.clone(),
-        final_genotype: summary.final_genotype().map(str::to_string),
-        ..Dashboard::default()
-    };
-    let mut trajectories: BTreeMap<(String, usize), AlphaTrajectory> = BTreeMap::new();
-    // (group, epoch) -> (entropy sum, rows) for the per-epoch mean.
-    let mut entropy_acc: BTreeMap<(String, u64), (f64, u64)> = BTreeMap::new();
-
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(rec) = Value::parse(line) else { continue };
-        if rec.get("kind").and_then(Value::as_str) != Some("event") {
-            continue;
-        }
-        let fields = |k: &str| rec.get("fields").and_then(|f| f.get(k));
-        match rec.get("name").and_then(Value::as_str) {
-            Some("search.alpha") => {
-                let epoch = fields("epoch").and_then(Value::as_u64).unwrap_or(0);
-                let group = fields("group").and_then(Value::as_str).unwrap_or("?").to_string();
-                let index = fields("index").and_then(Value::as_u64).unwrap_or(0) as usize;
-                let probs: Vec<f64> = fields("probs")
-                    .and_then(Value::as_arr)
-                    .map(|a| a.iter().filter_map(Value::as_f64).collect())
-                    .unwrap_or_default();
-                let entropy = fields("entropy").and_then(Value::as_f64).unwrap_or(0.0);
-                let t =
-                    trajectories.entry((group.clone(), index)).or_insert_with(|| AlphaTrajectory {
-                        group: group.clone(),
-                        index,
-                        epochs: Vec::new(),
-                        probs: Vec::new(),
-                        entropy: Vec::new(),
+impl Dashboard {
+    /// Folds a validated trace into its dashboard.
+    pub fn from_records(records: &[Record]) -> Dashboard {
+        let summary = TraceSummary::from_records(records);
+        let mut trajectories: BTreeMap<(&str, usize), AlphaTrajectory> = BTreeMap::new();
+        let mut loss_curve = Vec::new();
+        for rec in records {
+            match &rec.kind {
+                Kind::Event(Event::Alpha(row)) => {
+                    let t = trajectories.entry((&row.group, row.index)).or_insert_with(|| {
+                        AlphaTrajectory {
+                            group: row.group.clone(),
+                            index: row.index,
+                            epochs: Vec::new(),
+                            probs: Vec::new(),
+                            entropy: Vec::new(),
+                        }
                     });
-                t.epochs.push(epoch);
-                t.probs.push(probs);
-                t.entropy.push(entropy);
-                let acc = entropy_acc.entry((group, epoch)).or_insert((0.0, 0));
-                acc.0 += entropy;
-                acc.1 += 1;
-            }
-            Some("search.epoch") => {
-                let epoch = fields("epoch").and_then(Value::as_u64).unwrap_or(0);
-                if let Some(loss) = fields("loss_w").and_then(Value::as_f64) {
-                    out.loss_curve.push((epoch, loss));
+                    t.epochs.push(row.epoch);
+                    t.probs.push(row.probs.clone());
+                    t.entropy.push(row.entropy);
                 }
+                Kind::Event(Event::Epoch(row)) => {
+                    if let Some(loss) = row.loss_w {
+                        loss_curve.push((row.epoch, loss));
+                    }
+                }
+                _ => {}
             }
-            _ => {}
+        }
+        Dashboard {
+            val_curve: summary.val_curve(),
+            final_genotype: summary.final_genotype().map(str::to_string),
+            run: summary.run,
+            loss_curve,
+            trajectories: trajectories.into_values().collect(),
+            entropy_curves: trace::entropy_curves(records),
+            genotypes: summary.genotypes,
+            final_entropy: summary.final_entropy,
         }
     }
-
-    for ((group, epoch), (sum, n)) in entropy_acc {
-        let mean = if n == 0 { 0.0 } else { sum / n as f64 };
-        out.entropy_curves.entry(group).or_default().push((epoch, mean));
-    }
-    for (group, curve) in &out.entropy_curves {
-        if let Some(&(_, last)) = curve.last() {
-            out.final_entropy.insert(group.clone(), last);
-        }
-    }
-    out.trajectories = trajectories.into_values().collect();
-    out
 }
 
 fn curve_to_json(curve: &[(u64, f64)]) -> Value {

@@ -1,21 +1,320 @@
-//! Reading side: parse, validate and summarise a recorded JSONL trace.
+//! Reading side: parse and validate a recorded JSONL trace, once.
 //!
-//! This is what `cargo xtask trace-report <file>` runs, and what the
-//! search-trace tests assert against. [`summarize`] is strict on purpose:
-//! a trace with unparseable lines, backwards timestamps, unbalanced or
-//! orphan-parented spans, inconsistent histogram buckets, non-monotone
+//! [`read`] is the one place the trace format is decoded: it parses every
+//! line, checks it, and returns typed [`Record`]s. [`TraceSummary`] (what
+//! `cargo xtask trace-report <file>` prints), the profiler's
+//! [`crate::profile::Profile`] and the search [`crate::report::Dashboard`]
+//! are folds over those records, so every reader accepts and rejects
+//! exactly the same traces, with the same error.
+//!
+//! [`read`] is strict on purpose: a trace with unparseable lines,
+//! backwards timestamps, unknown record kinds, missing fields, unbalanced
+//! or orphan-parented spans, inconsistent histogram buckets, non-monotone
 //! epochs or alpha rows that are not probability distributions is an
-//! **error**, so CI fails on a malformed trace instead of summarising
-//! garbage. The same checks cover multi-thread traces: attached workers
-//! write through the recorder's serialising lock, so `t_ns` stays
-//! monotone in file order and every worker span's `parent` must already
-//! be open when the worker opens it.
+//! **error** naming its line, so CI fails on a malformed trace instead of
+//! summarising garbage. The same checks cover multi-thread traces:
+//! attached workers write through the recorder's serialising lock, so
+//! `t_ns` stays monotone in file order and every worker span's `parent`
+//! must already be open when the worker opens it.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
+use crate::metrics::MetricSet;
 use crate::value::Value;
+
+/// One validated trace line.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Record {
+    /// Nanoseconds since the recorder was installed, monotone in file order.
+    pub t_ns: u64,
+    /// The worker label on records written by attached workers.
+    pub thread: Option<String>,
+    pub kind: Kind,
+}
+
+/// A record's payload, by its `kind` field.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Kind {
+    RunStart {
+        run: String,
+    },
+    RunEnd {
+        elapsed_ns: u64,
+    },
+    /// `path` is the span's root-first name path: its parent's path plus
+    /// its own name.
+    SpanOpen {
+        id: u64,
+        parent: Option<u64>,
+        path: Vec<String>,
+        phase: Option<String>,
+    },
+    /// `path` is the path the span was opened with.
+    SpanClose {
+        path: Vec<String>,
+        elapsed_ns: u64,
+    },
+    Event(Event),
+    /// A cumulative metrics snapshot: later ones supersede earlier ones.
+    Metrics(MetricSet),
+}
+
+/// An `event` record. The search events are parsed into typed rows;
+/// every other event is kept by name.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Event {
+    Alpha(AlphaRow),
+    Epoch(EpochRow),
+    Other(String),
+}
+
+/// One `search.alpha` event: one mixed op's α softmax row at one epoch.
+#[derive(Clone, Debug, PartialEq)]
+pub struct AlphaRow {
+    pub epoch: u64,
+    /// α group (`node`, `skip`, `layer`).
+    pub group: String,
+    /// Mixed-op index within the group.
+    pub index: usize,
+    /// A probability distribution: entries in [0, 1] summing to 1.
+    pub probs: Vec<f64>,
+    pub entropy: f64,
+}
+
+/// One `search.epoch` event.
+#[derive(Clone, Debug, PartialEq)]
+pub struct EpochRow {
+    pub epoch: u64,
+    pub val_metric: Option<f64>,
+    /// Weight-step training loss (explore epochs skip the weight step).
+    pub loss_w: Option<f64>,
+    pub genotype: Option<String>,
+}
+
+/// Parses and validates one JSONL trace. See the module docs for what
+/// counts as malformed; every error names its line, or the whole-trace
+/// condition (no `run_start`, no `run_end`, spans left open).
+pub fn read(text: &str) -> Result<Vec<Record>, String> {
+    let mut reader = Reader::default();
+    for (idx, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let rec = reader.record(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        reader.records.push(rec);
+    }
+    reader.finish()
+}
+
+/// Reads and validates a trace file.
+pub fn read_file(path: impl AsRef<Path>) -> Result<Vec<Record>, String> {
+    let path = path.as_ref();
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    read(&text)
+}
+
+/// The validation state carried from line to line.
+#[derive(Default)]
+struct Reader {
+    records: Vec<Record>,
+    last_t: u64,
+    /// Open spans by id, with their root-first name paths.
+    open: BTreeMap<u64, Vec<String>>,
+    last_epoch: Option<u64>,
+    saw_end: bool,
+}
+
+/// A required field of `rec`; `what` names the record in the error.
+fn req<'a, T>(
+    rec: &'a Value,
+    key: &str,
+    what: &str,
+    as_t: impl Fn(&'a Value) -> Option<T>,
+) -> Result<T, String> {
+    rec.get(key).and_then(as_t).ok_or_else(|| format!("{what} without {key}"))
+}
+
+/// An optional field of `rec`: absent and `null` (a non-finite number, as
+/// the writer renders it) are `None`, any other value must convert.
+fn opt<'a, T>(
+    rec: &'a Value,
+    key: &str,
+    what: &str,
+    as_t: impl Fn(&'a Value) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match rec.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(v) => as_t(v).map(Some).ok_or_else(|| format!("{what} has a malformed {key}")),
+    }
+}
+
+impl Reader {
+    fn record(&mut self, line: &str) -> Result<Record, String> {
+        let rec = Value::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
+        let Some(fields) = rec.as_obj() else {
+            return Err("record is not a JSON object".to_string());
+        };
+        let t_ns = req(&rec, "t_ns", "record", Value::as_u64)?;
+        if t_ns < self.last_t {
+            return Err(format!("t_ns went backwards ({t_ns} < {})", self.last_t));
+        }
+        self.last_t = t_ns;
+        let thread = opt(&rec, "thread", "record", Value::as_str)?.map(str::to_string);
+        let kind = match req(&rec, "kind", "record", Value::as_str)? {
+            "run_start" => {
+                if !self.records.is_empty() {
+                    return Err("run_start must be the first record".to_string());
+                }
+                Kind::RunStart { run: req(&rec, "run", "run_start", Value::as_str)?.to_string() }
+            }
+            "run_end" => {
+                self.saw_end = true;
+                Kind::RunEnd { elapsed_ns: req(&rec, "elapsed_ns", "run_end", Value::as_u64)? }
+            }
+            "span_open" => self.open_span(&rec)?,
+            "span_close" => self.close_span(&rec)?,
+            "event" => Kind::Event(self.event(&rec)?),
+            "metrics" => Kind::Metrics(MetricSet::from_fields(fields)?),
+            other => return Err(format!("unknown record kind `{other}`")),
+        };
+        Ok(Record { t_ns, thread, kind })
+    }
+
+    fn open_span(&mut self, rec: &Value) -> Result<Kind, String> {
+        let id = req(rec, "id", "span_open", Value::as_u64)?;
+        let name = req(rec, "name", "span_open", Value::as_str)?;
+        let parent = opt(rec, "parent", "span_open", Value::as_u64)?;
+        let phase = opt(rec, "phase", "span_open", Value::as_str)?.map(str::to_string);
+        // A span's parent must be open at open time: worker root spans
+        // parent to the owning thread's span, which stays open while
+        // workers run, so a miss means a broken link.
+        let mut path = match parent {
+            Some(p) => self
+                .open
+                .get(&p)
+                .cloned()
+                .ok_or_else(|| format!("span id {id} has orphan parent {p} (not open)"))?,
+            None => Vec::new(),
+        };
+        path.push(name.to_string());
+        if self.open.insert(id, path.clone()).is_some() {
+            return Err(format!("span id {id} opened twice"));
+        }
+        Ok(Kind::SpanOpen { id, parent, path, phase })
+    }
+
+    fn close_span(&mut self, rec: &Value) -> Result<Kind, String> {
+        let id = req(rec, "id", "span_close", Value::as_u64)?;
+        let path =
+            self.open.remove(&id).ok_or_else(|| format!("span id {id} closed but never opened"))?;
+        let elapsed_ns = req(rec, "elapsed_ns", "span_close", Value::as_u64)?;
+        Ok(Kind::SpanClose { path, elapsed_ns })
+    }
+
+    fn event(&mut self, rec: &Value) -> Result<Event, String> {
+        let name = req(rec, "name", "event", Value::as_str)?;
+        Ok(match name {
+            "search.epoch" => {
+                let fields = req(rec, "fields", name, Some)?;
+                let epoch = req(fields, "epoch", name, Value::as_u64)?;
+                if let Some(prev) = self.last_epoch {
+                    if epoch <= prev {
+                        return Err(format!("epochs not monotone ({epoch} after {prev})"));
+                    }
+                }
+                self.last_epoch = Some(epoch);
+                Event::Epoch(EpochRow {
+                    epoch,
+                    val_metric: opt(fields, "val_metric", name, Value::as_f64)?,
+                    loss_w: opt(fields, "loss_w", name, Value::as_f64)?,
+                    genotype: opt(fields, "genotype", name, Value::as_str)?.map(str::to_string),
+                })
+            }
+            "search.alpha" => Event::Alpha(alpha_row(req(rec, "fields", name, Some)?)?),
+            other => Event::Other(other.to_string()),
+        })
+    }
+
+    fn finish(self) -> Result<Vec<Record>, String> {
+        match self.records.first() {
+            None => return Err("trace is empty".to_string()),
+            Some(Record { kind: Kind::RunStart { .. }, .. }) => {}
+            Some(_) => return Err("trace has no run_start record".to_string()),
+        }
+        if !self.saw_end {
+            return Err("trace has no run_end record (run aborted or trace truncated)".to_string());
+        }
+        if !self.open.is_empty() {
+            let names: Vec<&str> =
+                self.open.values().filter_map(|p| p.last()).map(String::as_str).collect();
+            return Err(format!("{} span(s) never closed: {}", names.len(), names.join(", ")));
+        }
+        Ok(self.records)
+    }
+}
+
+/// A `search.alpha` row must be a probability distribution: every entry
+/// finite in [0, 1], summing to 1 within 1e-3, with a finite non-negative
+/// entropy field.
+fn alpha_row(fields: &Value) -> Result<AlphaRow, String> {
+    let what = "search.alpha";
+    let probs = req(fields, "probs", what, Value::as_arr)?;
+    if probs.is_empty() {
+        return Err("search.alpha probs is empty".to_string());
+    }
+    let probs = probs
+        .iter()
+        .map(|p| p.as_f64().ok_or_else(|| "non-numeric alpha probability".to_string()))
+        .collect::<Result<Vec<f64>, String>>()?;
+    if let Some(p) = probs.iter().find(|p| !p.is_finite() || !(0.0..=1.0).contains(*p)) {
+        return Err(format!("alpha probability {p} outside [0,1]"));
+    }
+    let sum: f64 = probs.iter().sum();
+    if (sum - 1.0).abs() > 1e-3 {
+        return Err(format!("alpha probs sum to {sum}, not 1"));
+    }
+    let entropy = req(fields, "entropy", what, Value::as_f64)?;
+    if !entropy.is_finite() || entropy < -1e-6 {
+        return Err(format!("invalid alpha entropy {entropy}"));
+    }
+    Ok(AlphaRow {
+        epoch: req(fields, "epoch", what, Value::as_u64)?,
+        group: req(fields, "group", what, Value::as_str)?.to_string(),
+        index: req(fields, "index", what, Value::as_u64)? as usize,
+        probs,
+        entropy,
+    })
+}
+
+/// The run's last `metrics` record: metrics are cumulative, so it
+/// supersedes every earlier one.
+pub fn last_metrics(records: &[Record]) -> Option<&MetricSet> {
+    records.iter().rev().find_map(|rec| match &rec.kind {
+        Kind::Metrics(m) => Some(m),
+        _ => None,
+    })
+}
+
+/// Mean α entropy per group per epoch, epochs ascending: Fig. 3's
+/// sharpening view, shared by the summary and the dashboard.
+pub(crate) fn entropy_curves(records: &[Record]) -> BTreeMap<String, Vec<(u64, f64)>> {
+    let mut acc: BTreeMap<(&str, u64), (f64, u64)> = BTreeMap::new();
+    for rec in records {
+        if let Kind::Event(Event::Alpha(row)) = &rec.kind {
+            let a = acc.entry((row.group.as_str(), row.epoch)).or_insert((0.0, 0));
+            a.0 += row.entropy;
+            a.1 += 1;
+        }
+    }
+    let mut curves: BTreeMap<String, Vec<(u64, f64)>> = BTreeMap::new();
+    for ((group, epoch), (sum, n)) in acc {
+        curves.entry(group.to_string()).or_default().push((epoch, sum / n as f64));
+    }
+    curves
+}
 
 /// Aggregated time of one span name across the trace.
 #[derive(Clone, Debug, PartialEq)]
@@ -36,19 +335,12 @@ pub struct HistStat {
     pub max: f64,
 }
 
-/// One `search.epoch` event, as far as the summary cares.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EpochRow {
-    pub epoch: u64,
-    pub val_metric: Option<f64>,
-    pub genotype: Option<String>,
-}
-
 /// What a valid trace contained.
 #[derive(Clone, Debug, Default)]
 pub struct TraceSummary {
     pub run: String,
-    pub elapsed_ns: Option<u64>,
+    /// Run wall time from the `run_end` record.
+    pub elapsed_ns: u64,
     pub records: usize,
     pub events: usize,
     /// Span totals, longest first.
@@ -58,7 +350,7 @@ pub struct TraceSummary {
     /// Number of `search.alpha` rows validated as softmax distributions.
     pub alpha_rows: usize,
     /// Mean softmax entropy per alpha group (`node`, `skip`, `layer`),
-    /// from the *last* epoch that reported each group.
+    /// at the last epoch that reported each group.
     pub final_entropy: BTreeMap<String, f64>,
     /// Distinct genotypes in first-seen order with the epoch they appeared.
     pub genotypes: Vec<(u64, String)>,
@@ -77,6 +369,83 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
+    /// Folds a validated trace into its summary.
+    pub fn from_records(records: &[Record]) -> Self {
+        let mut out = TraceSummary { records: records.len(), ..TraceSummary::default() };
+        let mut span_totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for rec in records {
+            if let Some(thread) = &rec.thread {
+                if !out.threads.contains(thread) {
+                    out.threads.push(thread.clone());
+                }
+            }
+            match &rec.kind {
+                Kind::RunStart { run } => out.run = run.clone(),
+                Kind::RunEnd { elapsed_ns } => out.elapsed_ns = *elapsed_ns,
+                Kind::SpanOpen { .. } | Kind::Metrics(_) => {}
+                Kind::SpanClose { path, elapsed_ns, .. } => {
+                    if let Some(name) = path.last() {
+                        let entry = span_totals.entry(name).or_insert((0, 0));
+                        entry.0 += 1;
+                        entry.1 += elapsed_ns;
+                    }
+                }
+                Kind::Event(event) => {
+                    out.events += 1;
+                    match event {
+                        Event::Epoch(row) => {
+                            if let Some(g) = &row.genotype {
+                                if out.genotypes.last().map(|(_, prev)| prev) != Some(g) {
+                                    out.genotypes.push((row.epoch, g.clone()));
+                                }
+                            }
+                            out.epochs.push(row.clone());
+                        }
+                        Event::Alpha(_) => out.alpha_rows += 1,
+                        Event::Other(_) => {}
+                    }
+                }
+            }
+        }
+        if let Some(m) = last_metrics(records) {
+            out.counters = m.counters().clone();
+            out.gauges = m.gauges().clone();
+            out.kernels = m
+                .summaries()
+                .iter()
+                .filter_map(|(k, s)| {
+                    let short = k.strip_prefix("kernel.")?.strip_suffix(".ns")?;
+                    Some((short.to_string(), s.count, s.sum, s.mean()))
+                })
+                .collect();
+            out.hists = m
+                .hists()
+                .iter()
+                .map(|(k, h)| {
+                    let stat = HistStat {
+                        count: h.count(),
+                        dropped: h.dropped(),
+                        p50: h.quantile(0.5),
+                        p90: h.quantile(0.9),
+                        p99: h.quantile(0.99),
+                        max: h.max(),
+                    };
+                    (k.clone(), stat)
+                })
+                .collect();
+        }
+        out.spans = span_totals
+            .into_iter()
+            .map(|(name, (count, total_ns))| SpanStat { name: name.to_string(), count, total_ns })
+            .collect();
+        out.spans.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
+        out.final_entropy = entropy_curves(records)
+            .into_iter()
+            .filter_map(|(g, curve)| Some((g, curve.last()?.1)))
+            .collect();
+        out
+    }
+
     /// The genotype the search settled on, if any epoch reported one.
     pub fn final_genotype(&self) -> Option<&str> {
         self.epochs.iter().rev().find_map(|e| e.genotype.as_deref())
@@ -88,244 +457,9 @@ impl TraceSummary {
     }
 }
 
-fn field<'a>(rec: &'a Value, key: &str) -> Option<&'a Value> {
-    rec.get("fields").and_then(|f| f.get(key))
-}
-
-/// Validates and summarises one JSONL trace. See the module docs for what
-/// counts as malformed.
+/// Validates and summarises one JSONL trace.
 pub fn summarize(text: &str) -> Result<TraceSummary, String> {
-    let mut out = TraceSummary::default();
-    let mut last_t = 0u64;
-    let mut open_spans: BTreeMap<u64, String> = BTreeMap::new();
-    let mut span_totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    let mut last_epoch: Option<u64> = None;
-    let mut entropy_epoch: BTreeMap<String, u64> = BTreeMap::new();
-    let mut entropy_sum: BTreeMap<String, (f64, u64)> = BTreeMap::new();
-    let mut saw_end = false;
-
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rec = Value::parse(line).map_err(|e| format!("line {lineno}: bad JSON: {e}"))?;
-        out.records += 1;
-
-        if let Some(thread) = rec.get("thread").and_then(Value::as_str) {
-            if !out.threads.iter().any(|t| t == thread) {
-                out.threads.push(thread.to_string());
-            }
-        }
-
-        let t_ns = rec
-            .get("t_ns")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("line {lineno}: missing t_ns"))?;
-        if t_ns < last_t {
-            return Err(format!("line {lineno}: t_ns went backwards ({t_ns} < {last_t})"));
-        }
-        last_t = t_ns;
-
-        let kind = rec
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {lineno}: missing kind"))?;
-
-        match kind {
-            "run_start" => {
-                if out.records != 1 {
-                    return Err(format!("line {lineno}: run_start must be the first record"));
-                }
-                out.run = rec.get("run").and_then(Value::as_str).unwrap_or("?").to_string();
-            }
-            "run_end" => {
-                saw_end = true;
-                out.elapsed_ns = rec.get("elapsed_ns").and_then(Value::as_u64);
-            }
-            "span_open" => {
-                let id = rec
-                    .get("id")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("line {lineno}: span_open without id"))?;
-                let name = rec.get("name").and_then(Value::as_str).unwrap_or("?").to_string();
-                // A span's parent must be open at open time: worker root
-                // spans parent to the owning thread's span, which stays
-                // open while workers run, so a miss means a broken link.
-                if let Some(parent) = rec.get("parent").and_then(Value::as_u64) {
-                    if !open_spans.contains_key(&parent) {
-                        return Err(format!(
-                            "line {lineno}: span id {id} has orphan parent {parent} (not open)"
-                        ));
-                    }
-                }
-                if open_spans.insert(id, name).is_some() {
-                    return Err(format!("line {lineno}: span id {id} opened twice"));
-                }
-            }
-            "span_close" => {
-                let id = rec
-                    .get("id")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("line {lineno}: span_close without id"))?;
-                let name = open_spans.remove(&id).ok_or_else(|| {
-                    format!("line {lineno}: span id {id} closed but never opened")
-                })?;
-                let ns = rec.get("elapsed_ns").and_then(Value::as_u64).unwrap_or(0);
-                let entry = span_totals.entry(name).or_insert((0, 0));
-                entry.0 += 1;
-                entry.1 += ns;
-            }
-            "metrics" => {
-                // Later snapshots supersede earlier ones: metrics are
-                // cumulative over the run.
-                out.counters = rec
-                    .get("counters")
-                    .and_then(Value::as_obj)
-                    .map(|kv| {
-                        kv.iter().filter_map(|(k, v)| Some((k.clone(), v.as_u64()?))).collect()
-                    })
-                    .unwrap_or_default();
-                out.gauges = rec
-                    .get("gauges")
-                    .and_then(Value::as_obj)
-                    .map(|kv| {
-                        kv.iter().filter_map(|(k, v)| Some((k.clone(), v.as_f64()?))).collect()
-                    })
-                    .unwrap_or_default();
-                out.kernels.clear();
-                if let Some(kv) = rec.get("summaries").and_then(Value::as_obj) {
-                    for (k, v) in kv {
-                        let Some(short) =
-                            k.strip_prefix("kernel.").and_then(|k| k.strip_suffix(".ns"))
-                        else {
-                            continue;
-                        };
-                        let count = v.get("count").and_then(Value::as_u64).unwrap_or(0);
-                        let sum = v.get("sum").and_then(Value::as_f64).unwrap_or(0.0);
-                        let mean = v.get("mean").and_then(Value::as_f64).unwrap_or(0.0);
-                        out.kernels.push((short.to_string(), count, sum, mean));
-                    }
-                }
-                out.hists.clear();
-                if let Some(kv) = rec.get("hists").and_then(Value::as_obj) {
-                    for (k, v) in kv {
-                        let count = v.get("count").and_then(Value::as_u64).unwrap_or(0);
-                        // Histograms must be internally consistent: the
-                        // bucket counts account for every kept sample.
-                        let bucket_total: u64 = v
-                            .get("buckets")
-                            .and_then(Value::as_arr)
-                            .map(|rows| {
-                                rows.iter()
-                                    .filter_map(|r| r.as_arr()?.get(1).and_then(Value::as_u64))
-                                    .sum()
-                            })
-                            .unwrap_or(0);
-                        if bucket_total != count {
-                            return Err(format!(
-                                "line {lineno}: histogram `{k}` buckets sum to {bucket_total}, \
-                                 count says {count}"
-                            ));
-                        }
-                        out.hists.insert(
-                            k.clone(),
-                            HistStat {
-                                count,
-                                dropped: v.get("dropped").and_then(Value::as_u64).unwrap_or(0),
-                                p50: v.get("p50").and_then(Value::as_f64).unwrap_or(0.0),
-                                p90: v.get("p90").and_then(Value::as_f64).unwrap_or(0.0),
-                                p99: v.get("p99").and_then(Value::as_f64).unwrap_or(0.0),
-                                max: v.get("max").and_then(Value::as_f64).unwrap_or(0.0),
-                            },
-                        );
-                    }
-                }
-            }
-            "event" => {
-                out.events += 1;
-                let name = rec.get("name").and_then(Value::as_str).unwrap_or("");
-                match name {
-                    "search.epoch" => {
-                        let epoch = field(&rec, "epoch")
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| format!("line {lineno}: search.epoch without epoch"))?;
-                        if let Some(prev) = last_epoch {
-                            if epoch <= prev {
-                                return Err(format!(
-                                    "line {lineno}: epochs not monotone ({epoch} after {prev})"
-                                ));
-                            }
-                        }
-                        last_epoch = Some(epoch);
-                        let genotype =
-                            field(&rec, "genotype").and_then(Value::as_str).map(str::to_string);
-                        if let Some(g) = &genotype {
-                            if out.genotypes.last().map(|(_, prev)| prev) != Some(g) {
-                                out.genotypes.push((epoch, g.clone()));
-                            }
-                        }
-                        out.epochs.push(EpochRow {
-                            epoch,
-                            val_metric: field(&rec, "val_metric").and_then(Value::as_f64),
-                            genotype,
-                        });
-                    }
-                    "search.alpha" => {
-                        validate_alpha(&rec, lineno)?;
-                        out.alpha_rows += 1;
-                        let group =
-                            field(&rec, "group").and_then(Value::as_str).unwrap_or("?").to_string();
-                        let epoch = field(&rec, "epoch").and_then(Value::as_u64).unwrap_or(0);
-                        let entropy = field(&rec, "entropy").and_then(Value::as_f64).unwrap_or(0.0);
-                        // Keep the running mean of the newest epoch only.
-                        if entropy_epoch.get(&group) != Some(&epoch) {
-                            entropy_epoch.insert(group.clone(), epoch);
-                            entropy_sum.insert(group.clone(), (0.0, 0));
-                        }
-                        let e = entropy_sum.entry(group).or_insert((0.0, 0));
-                        e.0 += entropy;
-                        e.1 += 1;
-                    }
-                    _ => {}
-                }
-            }
-            other => return Err(format!("line {lineno}: unknown record kind `{other}`")),
-        }
-    }
-
-    if out.records == 0 {
-        return Err("trace is empty".to_string());
-    }
-    if out.run.is_empty() {
-        return Err("trace has no run_start record".to_string());
-    }
-    if !saw_end {
-        return Err("trace has no run_end record (run aborted or trace truncated)".to_string());
-    }
-    if !open_spans.is_empty() {
-        let names: Vec<&str> = open_spans.values().map(String::as_str).collect();
-        return Err(format!("{} span(s) never closed: {}", names.len(), names.join(", ")));
-    }
-
-    out.spans = span_totals
-        .into_iter()
-        .map(|(name, (count, total_ns))| SpanStat { name, count, total_ns })
-        .collect();
-    out.spans.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
-    out.final_entropy = entropy_sum
-        .into_iter()
-        .map(|(g, (sum, n))| (g, if n == 0 { 0.0 } else { sum / n as f64 }))
-        .collect();
-    Ok(out)
-}
-
-/// Reads and summarises a trace file.
-pub fn summarize_file(path: impl AsRef<Path>) -> Result<TraceSummary, String> {
-    let path = path.as_ref();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    summarize(&text)
+    read(text).map(|records| TraceSummary::from_records(&records))
 }
 
 /// Recorded trace files (`TRACE_*.jsonl`) directly under `dir`, sorted by
@@ -355,43 +489,10 @@ pub fn newest_trace(dir: impl AsRef<Path>) -> Option<std::path::PathBuf> {
         .max_by_key(|p| (std::fs::metadata(p).and_then(|m| m.modified()).ok(), p.clone()))
 }
 
-/// A `search.alpha` row must be a probability distribution: every entry
-/// finite in [0, 1], summing to 1 within 1e-3, with a finite non-negative
-/// entropy field.
-fn validate_alpha(rec: &Value, lineno: usize) -> Result<(), String> {
-    let probs = field(rec, "probs")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("line {lineno}: search.alpha without probs array"))?;
-    if probs.is_empty() {
-        return Err(format!("line {lineno}: search.alpha probs is empty"));
-    }
-    let mut sum = 0.0f64;
-    for p in probs {
-        let p =
-            p.as_f64().ok_or_else(|| format!("line {lineno}: non-numeric alpha probability"))?;
-        if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-            return Err(format!("line {lineno}: alpha probability {p} outside [0,1]"));
-        }
-        sum += p;
-    }
-    if (sum - 1.0).abs() > 1e-3 {
-        return Err(format!("line {lineno}: alpha probs sum to {sum}, not 1"));
-    }
-    let entropy = field(rec, "entropy")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("line {lineno}: search.alpha without entropy"))?;
-    if !entropy.is_finite() || entropy < -1e-6 {
-        return Err(format!("line {lineno}: invalid alpha entropy {entropy}"));
-    }
-    Ok(())
-}
-
 impl fmt::Display for TraceSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "run `{}`: {} record(s), {} event(s)", self.run, self.records, self.events)?;
-        if let Some(ns) = self.elapsed_ns {
-            writeln!(f, "  wall time: {:.3}s", ns as f64 / 1e9)?;
-        }
+        writeln!(f, "  wall time: {:.3}s", self.elapsed_ns as f64 / 1e9)?;
         if !self.spans.is_empty() {
             writeln!(f, "  top spans by total time:")?;
             for s in self.spans.iter().take(8) {
@@ -674,6 +775,138 @@ mod tests {
             .collect();
         let err = summarize(&broken.join("\n")).expect_err("orphan parent must fail");
         assert!(err.contains("orphan parent"), "{err}");
+    }
+
+    #[test]
+    fn records_carry_resolved_span_paths_and_typed_metrics() {
+        let text = recorded_trace(|| {
+            let _outer = recorder::span("outer");
+            let _inner = recorder::phase_span("inner", "arch_step");
+            recorder::kernel_sample("spmm", 700);
+            recorder::flush_metrics();
+        });
+        let records = read(&text).expect("valid trace");
+        let path_of = |want: &str| {
+            records.iter().find_map(|r| match &r.kind {
+                Kind::SpanClose { path, .. } if path.last().map(String::as_str) == Some(want) => {
+                    Some(path.clone())
+                }
+                _ => None,
+            })
+        };
+        assert_eq!(path_of("inner"), Some(vec!["outer".to_string(), "inner".to_string()]));
+        let phase = records.iter().find_map(|r| match &r.kind {
+            Kind::SpanOpen { phase: Some(phase), .. } => Some(phase.as_str()),
+            _ => None,
+        });
+        assert_eq!(phase, Some("arch_step"));
+        let m = last_metrics(&records).expect("metrics record");
+        assert_eq!(m.summaries()["kernel.spmm.ns"].count, 1);
+        assert_eq!(m.hists()["phase.arch_step.kernel.spmm.ns"].count(), 1);
+    }
+
+    /// Wraps body lines (stamped 1, 2, …) in a run_start and a run_end.
+    fn run_of(body: &[&str]) -> String {
+        let mut lines = vec![r#"{"t_ns":0,"kind":"run_start","level":"info","run":"bad"}"#];
+        lines.extend_from_slice(body);
+        lines.push(
+            r#"{"t_ns":900,"kind":"run_end","level":"info","elapsed_ns":900,"open_spans":0}"#,
+        );
+        lines.join("\n")
+    }
+
+    #[test]
+    fn every_reader_rejects_the_same_malformed_traces() {
+        let open = |t: u64, id: u64, parent: Option<u64>| match parent {
+            Some(p) => format!(
+                r#"{{"t_ns":{t},"kind":"span_open","level":"debug","id":{id},"name":"s{id}","parent":{p}}}"#
+            ),
+            None => {
+                format!(
+                    r#"{{"t_ns":{t},"kind":"span_open","level":"debug","id":{id},"name":"s{id}"}}"#
+                )
+            }
+        };
+        let close = |t: u64, id: u64| {
+            format!(
+                r#"{{"t_ns":{t},"kind":"span_close","level":"debug","id":{id},"name":"s{id}","elapsed_ns":1}}"#
+            )
+        };
+        let event = |t: u64, name: &str, fields: &str| {
+            format!(
+                r#"{{"t_ns":{t},"kind":"event","level":"info","name":"{name}","fields":{{{fields}}}}}"#
+            )
+        };
+        let hist = concat!(
+            r#"{"t_ns":1,"kind":"metrics","level":"info","counters":{},"gauges":{},"summaries":{},"#,
+            r#""hists":{"kernel.spmm.ns":{"count":3,"dropped":0,"sum":30,"min":10,"max":10,"#,
+            r#""p50":10,"p90":10,"p99":10,"buckets":[[34,2]]}}}"#
+        );
+        let alpha = r#""epoch":0,"group":"node","index":0,"probs":[0.9,0.9],"entropy":0.3"#;
+        let cases: Vec<(&str, String, &str)> = vec![
+            (
+                "orphan parent",
+                run_of(&[&open(1, 1, Some(99)), &close(2, 1)]),
+                "line 2: span id 1 has orphan parent 99 (not open)",
+            ),
+            (
+                "t_ns going backwards",
+                run_of(&[&event(5, "a", ""), &event(3, "b", "")]),
+                "line 3: t_ns went backwards (3 < 5)",
+            ),
+            (
+                "unknown kind",
+                run_of(&[r#"{"t_ns":1,"kind":"bogus","level":"info"}"#]),
+                "line 2: unknown record kind `bogus`",
+            ),
+            (
+                "span opened twice",
+                run_of(&[&open(1, 1, None), &open(2, 1, None), &close(3, 1)]),
+                "line 3: span id 1 opened twice",
+            ),
+            (
+                "close without open",
+                run_of(&[&close(1, 7)]),
+                "line 2: span id 7 closed but never opened",
+            ),
+            (
+                "histogram buckets not summing to count",
+                run_of(&[hist]),
+                "line 2: histogram `kernel.spmm.ns`: buckets sum to 2, count says 3",
+            ),
+            (
+                "alpha row not summing to 1",
+                run_of(&[&event(1, "search.alpha", alpha)]),
+                "line 2: alpha probs sum to 1.8, not 1",
+            ),
+            (
+                "non-monotone epochs",
+                run_of(&[
+                    &event(1, "search.epoch", r#""epoch":1"#),
+                    &event(2, "search.epoch", r#""epoch":0"#),
+                ]),
+                "line 3: epochs not monotone (0 after 1)",
+            ),
+            (
+                "no run_start",
+                run_of(&[]).lines().skip(1).collect::<Vec<_>>().join("\n"),
+                "trace has no run_start record",
+            ),
+            (
+                "no run_end",
+                run_of(&[]).lines().take(1).collect::<Vec<_>>().join("\n"),
+                "trace has no run_end record (run aborted or trace truncated)",
+            ),
+            ("unclosed span", run_of(&[&open(1, 4, None)]), "1 span(s) never closed: s4"),
+        ];
+        for (case, text, want) in &cases {
+            let err = summarize(text).expect_err(case);
+            assert_eq!(err, *want, "{case}");
+            let profile_err = crate::profile::profile(text).expect_err(case);
+            assert_eq!(profile_err, err, "{case}: profile disagrees");
+            let dashboard_err = crate::report::dashboard(text).expect_err(case);
+            assert_eq!(dashboard_err, err, "{case}: dashboard disagrees");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //!   `// lint:allow(nondeterministic-iteration)` when the loop provably
 //!   feeds an order-insensitive reduction — except in the files listed in
 //!   [`ARTIFACT_RENDER_PATHS`], which render committed or CI-gated
-//!   artifacts (snapshot exports, trace summaries, merged metric
+//!   artifacts (trace summaries, profiles, dashboards, merged metric
 //!   registries): there every loop ultimately feeds rendered output, no
 //!   reduction is order-insensitive, and the waiver is refused.
 //! * `waiver-reason` — every `lint:allow(...)` waiver must carry a
@@ -117,19 +117,16 @@ const ITER_METHOD_NEEDLES: [&str; 5] =
 const ITERATION_WAIVER: &str = concat!("lint:allow", "(nondeterministic-iteration)");
 
 /// Files whose loops render committed or CI-gated artifacts: the merged
-/// metric registry and its JSON/Prometheus snapshot export, the trace
-/// summary/profile/dashboard renderers, and the perf-history records the
-/// baseline gate diffs. Hash-ordered iteration anywhere in these files is
+/// metric registry, the trace summary/profile/dashboard renderers, and the
+/// perf gate's history and baseline files. Hash-ordered iteration anywhere in these files is
 /// forbidden outright — `// lint:allow(nondeterministic-iteration)` is
 /// refused, because output that is diffed, gated or committed can never
 /// treat iteration order as an implementation detail.
-const ARTIFACT_RENDER_PATHS: [&str; 7] = [
+const ARTIFACT_RENDER_PATHS: [&str; 5] = [
     "crates/telemetry/src/metrics.rs",
-    "crates/telemetry/src/snapshot.rs",
     "crates/telemetry/src/trace.rs",
     "crates/telemetry/src/profile.rs",
     "crates/telemetry/src/report.rs",
-    "crates/bench/src/history.rs",
     "crates/xtask/src/perf.rs",
 ];
 
@@ -943,7 +940,7 @@ mod tests {
     fn artifact_rendering_files_refuse_the_iteration_waiver() {
         // The same waived line that passes in ordinary library code must
         // still be a finding in a file that renders committed/gated
-        // artifacts: snapshot exports and merged registries have no
+        // artifacts: trace summaries and merged registries have no
         // order-insensitive loops.
         let waived = concat!(
             "let total: u64 = counts.values().sum(); // ",
@@ -952,7 +949,7 @@ mod tests {
             "fn f(counts: &Hash",
             "Map<String, u64>) {}\n",
         );
-        for file in ["crates/telemetry/src/snapshot.rs", "crates/telemetry/src/metrics.rs"] {
+        for file in ["crates/telemetry/src/trace.rs", "crates/telemetry/src/metrics.rs"] {
             let out = lint_nondeterministic_iteration(file, waived);
             assert_eq!(out.findings.len(), 1, "{file}: {:?}", out.findings);
             assert!(out.findings[0].message.contains("waiver is refused"), "{:?}", out.findings);

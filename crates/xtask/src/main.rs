@@ -67,6 +67,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 
+use sane_telemetry::profile::Profile;
+use sane_telemetry::report::Dashboard;
+use sane_telemetry::trace::TraceSummary;
 use xtask::perf;
 
 use xtask::lints::{
@@ -159,13 +162,14 @@ fn profile_cmd(root: &Path, args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
 
-    let profile = match sane_telemetry::profile::profile_file(&trace) {
-        Ok(p) => p,
+    let records = match sane_telemetry::trace::read_file(&trace) {
+        Ok(records) => records,
         Err(e) => {
             eprintln!("xtask profile: {}: {e}", trace.display());
             return ExitCode::FAILURE;
         }
     };
+    let profile = Profile::from_records(&records);
     println!("{profile}");
     let out_dir = trace.parent().unwrap_or(root);
 
@@ -181,20 +185,14 @@ fn profile_cmd(root: &Path, args: &[String]) -> ExitCode {
     }
     println!("[saved {}]", flame.display());
 
-    // The dashboard only exists for search traces; a trace without search
-    // events still profiles, so a dashboard failure is informational.
-    match sane_telemetry::report::dashboard_file(&trace) {
-        Ok(dash) => {
-            let dash_path = out_dir.join(format!("DASH_{}.json", profile.run));
-            if let Err(e) = std::fs::write(&dash_path, dash.to_json().to_json()) {
-                eprintln!("xtask profile: cannot write {}: {e}", dash_path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("{}", dash.to_text());
-            println!("[saved {}]", dash_path.display());
-        }
-        Err(e) => eprintln!("xtask profile: no dashboard: {e}"),
+    let dash = Dashboard::from_records(&records);
+    let dash_path = out_dir.join(format!("DASH_{}.json", profile.run));
+    if let Err(e) = std::fs::write(&dash_path, dash.to_json().to_json()) {
+        eprintln!("xtask profile: cannot write {}: {e}", dash_path.display());
+        return ExitCode::FAILURE;
     }
+    println!("{}", dash.to_text());
+    println!("[saved {}]", dash_path.display());
 
     let frac = profile.attributed_fraction();
     println!("attributed {:.1}% of wall time to named spans", frac * 100.0);
@@ -645,9 +643,9 @@ fn trace_report(root: &Path, arg: Option<&str>) -> ExitCode {
         list_available();
         return ExitCode::FAILURE;
     }
-    match sane_telemetry::trace::summarize_file(&path) {
-        Ok(summary) => {
-            println!("{summary}");
+    match sane_telemetry::trace::read_file(&path) {
+        Ok(records) => {
+            println!("{}", TraceSummary::from_records(&records));
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -30,6 +30,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use sane_telemetry::diff::{self, Attribution, NoiseModel, TraceDiff};
+use sane_telemetry::profile::Profile;
 use sane_telemetry::Value;
 
 /// History schema accepted by [`parse_history`].
@@ -856,14 +857,17 @@ pub fn explain(
     for (workload, rows) in by_workload {
         let base_path = baseline_trace_path(results_dir, workload);
         let cand_path = candidate_trace_path(results_dir, workload);
-        let base_prof = sane_telemetry::profile::profile_file(&base_path).map_err(|e| {
+        let profile_of = |path: &Path| {
+            sane_telemetry::trace::read_file(path).map(|records| Profile::from_records(&records))
+        };
+        let base_prof = profile_of(&base_path).map_err(|e| {
             format!(
                 "no usable baseline trace for workload `{workload}` ({}: {e}); \
                  retain one with `cargo xtask perf --quick --seed-baseline`",
                 base_path.display()
             )
         })?;
-        let cand_prof = sane_telemetry::profile::profile_file(&cand_path).map_err(|e| {
+        let cand_prof = profile_of(&cand_path).map_err(|e| {
             format!(
                 "no usable candidate trace for workload `{workload}` ({}: {e}); \
                  record one with `cargo xtask perf --quick`",

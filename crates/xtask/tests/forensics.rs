@@ -13,18 +13,20 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use sane_telemetry::diff::DIFF_SCHEMA;
-use sane_telemetry::Value;
+use sane_telemetry::{MetricSet, Value};
 use xtask::perf::{
     self, gate, parse_history, trend, Baseline, BaselineMetric, HistoryEntry, Manifest, MetricSpec,
     DEFAULT_TREND_MAD_MULT, DEFAULT_TREND_MIN_SHIFT, DEFAULT_TREND_WINDOW, PRESET, WINDOW,
 };
 
-/// One synthetic kernel row: name, phase, count, summed ns, quantiles.
-type KernelRow<'a> = (&'a str, &'a str, u64, u64, (f64, f64, f64));
+/// One synthetic kernel row: name, phase, count, summed ns. Every sample
+/// of a row takes the same time, so its quantiles are the per-call time.
+type KernelRow<'a> = (&'a str, &'a str, u64, u64);
 
-/// Hand-built deterministic trace: a chain of nested spans plus
-/// per-(kernel, phase) timing summaries, in the exact JSONL shape the
-/// recorder emits (see `sane_telemetry::diff` tests for the twin).
+/// Hand-built deterministic trace: a chain of nested spans plus a metrics
+/// record holding each (kernel, phase) row's samples, in the exact JSONL
+/// shape the recorder emits (see `sane_telemetry::diff` tests for the
+/// twin).
 fn synth(run: &str, spans: &[(&str, Option<&str>, u64)], kernels: &[KernelRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, r#"{{"kind":"run_start","t_ns":0,"level":"info","run":"{run}"}}"#);
@@ -45,26 +47,21 @@ fn synth(run: &str, spans: &[(&str, Option<&str>, u64)], kernels: &[KernelRow]) 
             100 + (spans.len() - i)
         );
     }
-    let mut summaries = String::new();
-    let mut hists = String::new();
-    let mut totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for &(kernel, phase, count, sum, (p50, p90, p99)) in kernels {
-        let t = totals.entry(kernel).or_insert((0, 0));
-        t.0 += count;
-        t.1 += sum;
-        let stream = format!("phase.{phase}.kernel.{kernel}.ns");
-        let _ = write!(summaries, r#""{stream}":{{"count":{count},"sum":{sum}.0}},"#);
-        let _ = write!(hists, r#""{stream}":{{"p50":{p50},"p90":{p90},"p99":{p99}}},"#);
+    let mut metrics = MetricSet::default();
+    for &(kernel, phase, count, sum) in kernels {
+        for _ in 0..count {
+            let ns = (sum / count) as f64;
+            metrics.record_latency(&format!("kernel.{kernel}.ns"), ns);
+            metrics.record_latency(&format!("phase.{phase}.kernel.{kernel}.ns"), ns);
+        }
     }
-    for (kernel, (count, sum)) in &totals {
-        let _ = write!(summaries, r#""kernel.{kernel}.ns":{{"count":{count},"sum":{sum}.0}},"#);
-    }
-    summaries.pop();
-    hists.pop();
-    let _ = writeln!(
-        out,
-        r#"{{"kind":"metrics","t_ns":500,"level":"debug","counters":{{}},"gauges":{{}},"summaries":{{{summaries}}},"hists":{{{hists}}}}}"#
-    );
+    let mut record = vec![
+        ("kind".to_string(), Value::from("metrics")),
+        ("t_ns".to_string(), Value::UInt(500)),
+        ("level".to_string(), Value::from("debug")),
+    ];
+    record.extend(metrics.to_fields());
+    let _ = writeln!(out, "{}", Value::Obj(record).to_json());
     let _ = writeln!(
         out,
         r#"{{"kind":"run_end","t_ns":1000,"level":"info","elapsed_ns":1000000,"open_spans":0}}"#
@@ -135,10 +132,7 @@ fn injected_kernel_slowdown_is_attributed_top_1() {
             ("spmm_forward", Some("spmm_forward"), 500_000),
             ("segment_sum_fwd_bwd", Some("segment_sum_fwd_bwd"), 700_000),
         ],
-        &[
-            ("spmm", "spmm_forward", 4, 400_000, (100_000.0, 110_000.0, 120_000.0)),
-            ("segment_sum", "segment_sum_fwd_bwd", 4, 600_000, (150_000.0, 155_000.0, 160_000.0)),
-        ],
+        &[("spmm", "spmm_forward", 4, 400_000), ("segment_sum", "segment_sum_fwd_bwd", 4, 600_000)],
     );
     // Candidate run: the same trace with the spmm kernel ~2× slower —
     // the injected regression the explainer must find. Everything else
@@ -150,10 +144,7 @@ fn injected_kernel_slowdown_is_attributed_top_1() {
             ("spmm_forward", Some("spmm_forward"), 900_000),
             ("segment_sum_fwd_bwd", Some("segment_sum_fwd_bwd"), 700_000),
         ],
-        &[
-            ("spmm", "spmm_forward", 4, 800_000, (200_000.0, 220_000.0, 240_000.0)),
-            ("segment_sum", "segment_sum_fwd_bwd", 4, 600_000, (150_000.0, 155_000.0, 160_000.0)),
-        ],
+        &[("spmm", "spmm_forward", 4, 800_000), ("segment_sum", "segment_sum_fwd_bwd", 4, 600_000)],
     );
     std::fs::write(perf::baseline_trace_path(&dir, "tiny"), base).expect("write baseline");
     std::fs::write(perf::candidate_trace_path(&dir, "tiny"), cand).expect("write candidate");

@@ -1,12 +1,15 @@
-//! Truncated and garbled input for the perf gate's three parsers: the
-//! history reader, the baseline reader and the benchmark result reader.
-//! Each must either parse every record it was given or return an error
-//! naming the line or key at fault — never panic, never drop a record
-//! silently.
+//! Truncated and garbled input for the perf gate's three parsers (the
+//! history reader, the baseline reader and the benchmark result reader)
+//! and for the run-trace reader that `trace-report`, `profile` and
+//! `perf --explain` share. Each must either parse every record it was
+//! given or return an error naming the line or key at fault — never
+//! panic, never drop a record silently.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use sane_telemetry::{self as tel, profile, report, trace};
 use xtask::perf::{
     baseline_to_json, history_line, parse_baseline, parse_history, parse_result, BaselineMetric,
 };
@@ -56,8 +59,104 @@ fn mutate(text: &str, op: u8, pos: usize, b: u8) -> String {
     chars.into_iter().collect()
 }
 
+/// A small recorded run trace: nested and phase-tagged spans, a worker
+/// span, α and epoch events, and a metrics record with histograms.
+fn trace_text() -> &'static str {
+    static TRACE: OnceLock<String> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        let buf = tel::MemoryBuffer::default();
+        let guard =
+            tel::Recorder::new("fuzz").with_memory(buf.clone()).with_kernel_timing(true).install();
+        {
+            let _search = tel::span("search");
+            for epoch in 0..2u64 {
+                let _epoch = tel::span("search.epoch");
+                {
+                    let _arch = tel::phase_span("search.arch_step", "arch_step");
+                    tel::kernel_sample("spmm", 1_000 + epoch);
+                }
+                let alpha: &[f32] = &[0.25, 0.75];
+                tel::info(
+                    "search.alpha",
+                    &[
+                        ("epoch", epoch.into()),
+                        ("group", "node".into()),
+                        ("index", 0u64.into()),
+                        ("probs", alpha.into()),
+                        ("entropy", 0.5623.into()),
+                    ],
+                );
+                tel::info(
+                    "search.epoch",
+                    &[
+                        ("epoch", epoch.into()),
+                        ("val_metric", 0.5.into()),
+                        ("genotype", "gcn".into()),
+                    ],
+                );
+            }
+            let handle = tel::handle().expect("recorder is installed");
+            let _worker = handle.attach("w0");
+            let _trial = tel::span("trial");
+            tel::kernel_sample("gemm", 300);
+        }
+        tel::flush_metrics();
+        drop(guard);
+        let text = buf.borrow().clone();
+        text
+    })
+}
+
+/// One edit to a trace: truncate it at a byte, garble one line with
+/// [`mutate`], or drop or duplicate one line.
+fn mangle_trace(op: u8, pos: usize, b: u8) -> String {
+    let text = trace_text();
+    let lines: Vec<&str> = text.lines().collect();
+    let at = pos % lines.len();
+    let mut out: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+    match op % 4 {
+        0 => return text[..pos % (text.len() + 1)].to_string(),
+        1 => out[at] = mutate(lines[at], b, pos / lines.len(), b.wrapping_mul(31)),
+        2 => _ = out.remove(at),
+        _ => out.insert(at, lines[at].to_string()),
+    }
+    out.join("\n")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 600, ..ProptestConfig::default() })]
+
+    /// Trace: every non-blank line becomes a record, or the error names a
+    /// line that exists or a whole-trace condition; the summary, profile
+    /// and dashboard give the reader's verdict, error for error.
+    #[test]
+    fn mangled_trace_fails_on_a_named_line_for_every_reader(
+        op in 0u8..4, pos in 0usize..100_000, b in 0u8..64
+    ) {
+        let text = mangle_trace(op, pos, b);
+        let verdict = trace::read(&text).map(|records| records.len());
+        match &verdict {
+            Ok(n) => {
+                let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
+                prop_assert_eq!(*n, lines, "a line was skipped silently:\n{}", text);
+            }
+            Err(e) => {
+                let whole_trace = e == "trace is empty"
+                    || e == "trace has no run_start record"
+                    || e.starts_with("trace has no run_end record")
+                    || e.contains("span(s) never closed: ");
+                let line = e.strip_prefix("line ").and_then(|r| r.split(':').next());
+                let named = line
+                    .and_then(|n| n.parse::<usize>().ok())
+                    .is_some_and(|n| (1..=text.lines().count()).contains(&n));
+                prop_assert!(whole_trace || named, "{}", e);
+            }
+        }
+        let verdict = verdict.map(|_| ());
+        prop_assert_eq!(trace::summarize(&text).map(|_| ()), verdict.clone(), "summarize");
+        prop_assert_eq!(profile::profile(&text).map(|_| ()), verdict.clone(), "profile");
+        prop_assert_eq!(report::dashboard(&text).map(|_| ()), verdict, "dashboard");
+    }
 
     /// History: every non-blank line becomes an entry, or the error names
     /// a line that exists.
@@ -122,4 +221,17 @@ fn cutting_into_the_last_record_never_parses() {
     for cut in cuts(RESULT) {
         assert!(parse_result(&cut).is_err(), "{cut}");
     }
+    for cut in cuts(trace_text()) {
+        assert!(trace::read(&cut).is_err(), "{cut}");
+    }
+}
+
+#[test]
+fn recorded_fixture_trace_reads_cleanly() {
+    let records = trace::read(trace_text()).expect("the fixture is a valid trace");
+    assert_eq!(records.len(), trace_text().lines().count());
+    let summary = trace::summarize(trace_text()).expect("summary");
+    assert_eq!((summary.alpha_rows, summary.epochs.len()), (2, 2));
+    assert_eq!(summary.threads, ["w0"]);
+    assert!(summary.hists.contains_key("kernel.spmm.ns"), "{summary}");
 }
