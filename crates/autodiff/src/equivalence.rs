@@ -1,10 +1,12 @@
-//! Fused-vs-chain equivalence checks for the fused kernels' tests.
+//! Fused-vs-chain equivalence checks for tests.
 //!
 //! A fused op (`segment_attention`, `gather_attention`,
 //! `gen_linear_score`) replaces a chain of plain tape ops. Its soundness
 //! has two halves: its `transfer` must over-approximate every concrete
 //! output, which absint checks on every audited tape, and it must compute
-//! what the chain computes, which [`fused_vs_chain`] checks here.
+//! what the chain computes, which [`fused_vs_chain`] checks here. The same
+//! check bounds a reordered model computation against the order it
+//! replaces, such as an aggregator that projects before it propagates.
 
 use crate::parallel::with_threads;
 use crate::simd::ulp_diff;
@@ -13,7 +15,7 @@ use crate::Matrix;
 
 /// How closely a fused op must track its unfused chain.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Equivalence {
+pub enum Equivalence {
     /// Forward values and gradients are bitwise identical. Holds for
     /// fusions that only change the schedule or the addressing: the
     /// determinism contract pins the arithmetic order.
@@ -102,7 +104,7 @@ fn compare(eq: Equivalence, a: &Run, b: &Run, wanted: &[bool]) -> Result<(), Str
 /// of each `wanted` input to agree under `eq`, with no gradient formed for
 /// the others. Each side must also match its own single-thread run
 /// bitwise.
-pub(crate) fn fused_vs_chain(
+pub fn fused_vs_chain(
     eq: Equivalence,
     inputs: &[Matrix],
     wanted: &[bool],

@@ -70,15 +70,13 @@ pub mod absint;
 pub mod analysis;
 pub mod audit;
 pub mod dataflow;
+pub mod equivalence;
 pub mod gradcheck;
 pub mod metrics;
 pub mod optim;
 pub mod parallel;
 pub mod pool;
 pub mod simd;
-
-#[cfg(test)]
-mod equivalence;
 
 /// Differentiable operations recorded on a [`Tape`].
 pub mod ops {

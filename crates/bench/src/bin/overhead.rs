@@ -3,9 +3,13 @@
 //! and at 2 worker threads. With `SANE_OVERHEAD_GATE=1` it fails when
 //! even the best interleaved round exceeds the 5% budget.
 //!
-//! The benchmark runs one worker thread, and its traced-vs-untraced
-//! `telemetry.overhead_frac` spans whole searches whose run-to-run spread
-//! is wider than the budget, so it cannot stand in for this gate.
+//! The benchmark's traced-vs-untraced `telemetry.overhead_frac` cannot
+//! stand in for this gate: it is not recording cost. Most of it is the
+//! `search.epoch_eval` phase, the extra mixed-supernet validation forward
+//! that `emit_epoch_telemetry` (`darts.rs`) runs each epoch only when
+//! tracing is on, so the traced search does more work than the untraced
+//! one. This probe times the same step both ways, so it sees only the
+//! recorder.
 //!
 //! Usage: `SANE_OVERHEAD_GATE=1 cargo run --release -p sane-bench --bin overhead -- --quick`
 

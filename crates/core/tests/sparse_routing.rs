@@ -50,12 +50,12 @@ fn cora_layer0_products_take_the_sparse_route() {
     let routed = dense("gemm") - sparse("gemm");
     assert_eq!(sparse("spmm") - dense("spmm"), routed, "each saved GEMM ran as an spmm");
     // Twelve layer-0 products read a mostly-zero value, once forward and
-    // once for their weight's gradient: nine read the dropped-out features
-    // (SAGE-MAX, GCN, the five GATs, GeniePath's two) and three read them
-    // aggregated (SAGE-SUM, SAGE-MEAN, GIN).
+    // once for their weight's gradient. Every one of them projects the
+    // dropped-out features themselves: SAGE-SUM, SAGE-MEAN, SAGE-MAX, GCN,
+    // the five GATs, GIN's first layer and GeniePath's two.
     assert_eq!(routed, 24);
-    // Those products read four values, and each is viewed once.
-    assert_eq!(sparse("sparse_view") - dense("sparse_view"), 4);
+    // So all twelve read one value, which is viewed once.
+    assert_eq!(sparse("sparse_view") - dense("sparse_view"), 1);
 }
 
 #[test]

@@ -29,12 +29,16 @@ impl GinAggregator {
 
 impl NodeAggregator for GinAggregator {
     fn forward(&self, tape: &mut Tape, store: &VarStore, ctx: &GraphContext, h: Tensor) -> Tensor {
+        // fc1 projects first: `((1 + ε) h + Σ h_u) W₁ + b₁` is
+        // `(1 + ε)(h W₁) + Σ (h_u W₁) + b₁`, so the self term, the
+        // neighbour sum and `ε`'s gradient are all `out_dim` wide.
+        let hw = self.fc1.project(tape, store, h);
         let eps = tape.param(store, self.eps);
         let one_plus_eps = tape.add_scalar(eps, 1.0);
-        let self_term = tape.mul_scalar_tensor(h, one_plus_eps);
-        let neighbor_sum = tape.spmm(&ctx.sum_no_self, h);
+        let self_term = tape.mul_scalar_tensor(hw, one_plus_eps);
+        let neighbor_sum = tape.spmm(&ctx.sum_no_self, hw);
         let combined = tape.add(self_term, neighbor_sum);
-        let z1 = self.fc1.forward(tape, store, combined);
+        let z1 = self.fc1.add_bias(tape, store, combined);
         let a1 = tape.relu(z1);
         self.fc2.forward(tape, store, a1)
     }

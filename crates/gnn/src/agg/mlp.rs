@@ -3,6 +3,8 @@
 //!
 //! Aggregates `Ñ(v)` by summation (as GIN does) and then applies an MLP of
 //! configurable width `w ∈ {8, 16, 32, 64}` and depth `d ∈ {1, 2, 3}`.
+//! The sum and the MLP's first linear layer commute, so the layer projects
+//! before the sum and adds its bias after it.
 
 use rand::rngs::StdRng;
 
@@ -51,13 +53,16 @@ impl MlpAggregator {
 
 impl NodeAggregator for MlpAggregator {
     fn forward(&self, tape: &mut Tape, store: &VarStore, ctx: &GraphContext, h: Tensor) -> Tensor {
-        let mut x = tape.spmm(&ctx.sum, h);
-        let last = self.layers.len() - 1;
+        let mut x = h;
         for (i, layer) in self.layers.iter().enumerate() {
-            x = layer.forward(tape, store, x);
-            if i < last {
-                x = tape.relu(x);
-            }
+            x = if i == 0 {
+                let hw = layer.project(tape, store, x);
+                let agg = tape.spmm(&ctx.sum, hw);
+                layer.add_bias(tape, store, agg)
+            } else {
+                let a = tape.relu(x);
+                layer.forward(tape, store, a)
+            };
         }
         x
     }

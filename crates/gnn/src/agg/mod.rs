@@ -188,10 +188,23 @@ impl Linear {
 
     /// Applies `x · W + b`.
     pub fn forward(&self, tape: &mut Tape, store: &VarStore, x: Tensor) -> Tensor {
+        let xw = self.project(tape, store, x);
+        self.add_bias(tape, store, xw)
+    }
+
+    /// Applies `x · W` alone. Aggregators that propagate over the graph do
+    /// it between this and [`Linear::add_bias`]: projecting first keeps
+    /// the propagated operand `out_dim` wide, and adding the bias last
+    /// keeps the neighbourhood sum from scaling it.
+    pub fn project(&self, tape: &mut Tape, store: &VarStore, x: Tensor) -> Tensor {
         let w = tape.param(store, self.w);
+        tape.matmul(x, w)
+    }
+
+    /// Adds the bias `b` to every row of `y`.
+    pub fn add_bias(&self, tape: &mut Tape, store: &VarStore, y: Tensor) -> Tensor {
         let b = tape.param(store, self.b);
-        let xw = tape.matmul(x, w);
-        tape.add_bias(xw, b)
+        tape.add_bias(y, b)
     }
 
     /// The two parameters of the layer.

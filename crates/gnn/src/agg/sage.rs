@@ -1,4 +1,10 @@
 //! GraphSAGE-family and GCN aggregators — the spmm-style members of `O_n`.
+//!
+//! SAGE-SUM, SAGE-MEAN and GCN project before they propagate: `Ã·(H W)`
+//! equals `(Ã H)·W` in exact arithmetic, and the projected operand is
+//! `out_dim` wide where `H` may be the 716-wide input features. The bias
+//! goes on after propagation, so summing over a neighbourhood never
+//! scales it.
 
 use rand::rngs::StdRng;
 
@@ -7,7 +13,7 @@ use sane_autodiff::{ParamId, Tape, Tensor, VarStore};
 use crate::agg::{Linear, NodeAggregator};
 use crate::context::GraphContext;
 
-/// `W · Σ_{u ∈ Ñ(v)} h_u + b`.
+/// `W · Σ_{u ∈ Ñ(v)} h_u + b`, computed as `Σ_{u ∈ Ñ(v)} (h_u W) + b`.
 pub struct SageSumAggregator {
     linear: Linear,
     out_dim: usize,
@@ -21,8 +27,9 @@ impl SageSumAggregator {
 
 impl NodeAggregator for SageSumAggregator {
     fn forward(&self, tape: &mut Tape, store: &VarStore, ctx: &GraphContext, h: Tensor) -> Tensor {
-        let agg = tape.spmm(&ctx.sum, h);
-        self.linear.forward(tape, store, agg)
+        let hw = self.linear.project(tape, store, h);
+        let agg = tape.spmm(&ctx.sum, hw);
+        self.linear.add_bias(tape, store, agg)
     }
 
     fn params(&self) -> Vec<ParamId> {
@@ -34,7 +41,7 @@ impl NodeAggregator for SageSumAggregator {
     }
 }
 
-/// `W · mean_{u ∈ Ñ(v)} h_u + b`.
+/// `W · mean_{u ∈ Ñ(v)} h_u + b`, computed as `mean_{u ∈ Ñ(v)} (h_u W) + b`.
 pub struct SageMeanAggregator {
     linear: Linear,
     out_dim: usize,
@@ -48,8 +55,9 @@ impl SageMeanAggregator {
 
 impl NodeAggregator for SageMeanAggregator {
     fn forward(&self, tape: &mut Tape, store: &VarStore, ctx: &GraphContext, h: Tensor) -> Tensor {
-        let agg = tape.spmm(&ctx.mean, h);
-        self.linear.forward(tape, store, agg)
+        let hw = self.linear.project(tape, store, h);
+        let agg = tape.spmm(&ctx.mean, hw);
+        self.linear.add_bias(tape, store, agg)
     }
 
     fn params(&self) -> Vec<ParamId> {
@@ -107,10 +115,9 @@ impl GcnAggregator {
 
 impl NodeAggregator for GcnAggregator {
     fn forward(&self, tape: &mut Tape, store: &VarStore, ctx: &GraphContext, h: Tensor) -> Tensor {
-        // Project first when it shrinks the spmm operand; the operator is
-        // linear so the order is mathematically irrelevant.
-        let hw = self.linear.forward(tape, store, h);
-        tape.spmm(&ctx.gcn, hw)
+        let hw = self.linear.project(tape, store, h);
+        let agg = tape.spmm(&ctx.gcn, hw);
+        self.linear.add_bias(tape, store, agg)
     }
 
     fn params(&self) -> Vec<ParamId> {
@@ -191,6 +198,30 @@ mod tests {
         let expected = ctx.gcn.spmm(&Matrix::from_vec(3, 1, vec![2.0, 2.0, 2.0]));
         for (a, b) in tape.value(out).data().iter().zip(expected.data()) {
             assert!((a - b).abs() < 1e-6);
+        }
+    }
+
+    /// The bias is added once per node after propagation, not propagated:
+    /// `Â`'s rows do not sum to 1, so `Â·(HW + b)` would scale it by degree.
+    #[test]
+    fn gcn_adds_its_bias_after_propagation() {
+        let ctx = ctx();
+        let mut store = VarStore::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        let agg = GcnAggregator::new(&mut store, &mut rng, 2, 2);
+        let w = Matrix::from_vec(2, 2, vec![0.5, -1.0, 2.0, 0.25]);
+        store.set(agg.linear.w, w.clone());
+        store.set(agg.linear.b, Matrix::from_vec(1, 2, vec![0.75, -0.5]));
+        let h = Matrix::from_vec(3, 2, vec![1.0, 2.0, -1.0, 0.5, 3.0, 1.0]);
+        let mut tape = Tape::new(0);
+        let x = tape.constant(h.clone());
+        let out = agg.forward(&mut tape, &store, &ctx, x);
+        let propagated = ctx.gcn.spmm(&h.matmul(&w));
+        for r in 0..3 {
+            for (c, b) in [0.75, -0.5].into_iter().enumerate() {
+                let want = propagated.get(r, c) + b;
+                assert!((tape.value(out).get(r, c) - want).abs() < 1e-6, "({r}, {c})");
+            }
         }
     }
 
