@@ -237,6 +237,8 @@ fn run_alignment(
         }
         let mut grads = tape.backward(loss);
         grads.clip_global_norm(5.0);
+        // Free the weights' buffers for an in-place update.
+        drop(tape);
         opt.step(store, &grads);
 
         if epoch % cfg.eval_every == 0 || epoch + 1 == cfg.epochs {
@@ -396,6 +398,7 @@ pub fn sane_align_search(task: &AlignTask, cfg: &AlignSearchConfig) -> Architect
         let loss = margin_loss(&mut tape, e1, e2, pairs, cfg.margin, cfg.neg_samples, rng);
         let mut grads = tape.backward(loss);
         grads.clip_global_norm(5.0);
+        drop(tape);
         opt.step_subset(store, &grads, params);
     };
 

@@ -4,7 +4,7 @@
 //! shape (with symbolic dims for node/edge counts), value interval, derived
 //! sign, and NaN/Inf-freedom — propagated through the op registry via the
 //! per-op [`Op::transfer`] functions declared alongside each op's
-//! `GradReads` contract. `transfer` is each op's one static contract: the
+//! backward. `transfer` is each op's one static contract: the
 //! tape auditor's shape pass calls the same function with shape-only
 //! inputs. The analysis runs to a fixed point over the DAG; because the
 //! Wengert list is topologically ordered the fixed point is reached in one

@@ -38,7 +38,6 @@
 //! [`Op::transfer`]: crate::tape::Op::transfer
 
 use crate::absint::{AbsReport, AbsSummary, AbsVal, Dim};
-use crate::dataflow::{MemPlan, MemSummary};
 use crate::tape::{Gradients, Tape, Tensor, VarStore};
 
 /// Declared number of inputs an op consumes from the tape.
@@ -187,9 +186,6 @@ pub struct TapeReport {
     /// process-lifetime counters here, which accumulated across epochs
     /// and hid late-run regressions.
     pub pool: crate::pool::PoolStats,
-    /// Planned-vs-baseline peak residency from the dataflow memory plan;
-    /// `None` unless the report came from [`Tape::audit_with_memplan`].
-    pub mem: Option<MemSummary>,
     /// Abstract-interpretation summary (shape/interval/NaN analysis);
     /// `None` unless the report came from [`Tape::audit_with_absint`].
     pub absint: Option<AbsSummary>,
@@ -229,9 +225,6 @@ impl std::fmt::Display for TapeReport {
             },
         )?;
         writeln!(f, "  buffer pool: {}", self.pool)?;
-        if let Some(mem) = &self.mem {
-            writeln!(f, "  memory plan: {mem}")?;
-        }
         if let Some(absint) = &self.absint {
             writeln!(f, "  abstract interpretation: {absint}")?;
         }
@@ -248,6 +241,23 @@ impl std::fmt::Display for TapeReport {
 }
 
 impl Tape {
+    /// Per-node reachability from `output` via a reverse walk over inputs:
+    /// `true` for every node the output depends on, itself included.
+    fn reachable_from(&self, output: Tensor) -> Vec<bool> {
+        let mut reachable = vec![false; self.len()];
+        let mut stack = vec![output.0];
+        reachable[output.0] = true;
+        while let Some(i) = stack.pop() {
+            for t in &self.node(i).inputs {
+                if !reachable[t.0] {
+                    reachable[t.0] = true;
+                    stack.push(t.0);
+                }
+            }
+        }
+        reachable
+    }
+
     /// Audits the tape as a computation ending at `output` (the loss node).
     ///
     /// Runs all static passes: arity, shape consistency, reachability /
@@ -354,11 +364,8 @@ impl Tape {
             }
         }
 
-        // Pass 3: reachability from the loss. This is the dataflow
-        // module's reachability — one implementation shared with the
-        // memory planner, so the dead-compute findings below and a
-        // [`MemPlan`]'s dead list cannot disagree.
-        let reachable = self.op_graph(Some(output)).reachable();
+        // Pass 3: reachability from the loss.
+        let reachable = self.reachable_from(output);
         let reachable_nodes = reachable.iter().filter(|&&r| r).count();
 
         let mut num_param_nodes = 0;
@@ -420,28 +427,8 @@ impl Tape {
             num_param_nodes,
             fan,
             pool: self.pool_activity(),
-            mem: None,
             absint: None,
         }
-    }
-
-    /// [`Tape::audit`], extended with a verified dataflow memory plan:
-    /// the report gains planned-vs-baseline peak residency in
-    /// [`TapeReport::mem`] and the plan is returned for execution via
-    /// [`Tape::backward_measured`].
-    ///
-    /// # Panics
-    /// Panics if the generated plan fails [`crate::dataflow::check_memplan`]
-    /// (see [`Tape::memplan`]).
-    pub fn audit_with_memplan(
-        &self,
-        output: Tensor,
-        store: Option<&VarStore>,
-    ) -> (TapeReport, MemPlan) {
-        let mut report = self.audit(output, store);
-        let plan = self.memplan(output);
-        report.mem = Some(plan.summary());
-        (report, plan)
     }
 
     /// [`Tape::audit`], extended with the abstract interpreter: every
@@ -700,25 +687,23 @@ mod tests {
         assert!(!report.has_errors(), "dead params are warnings, not errors");
     }
 
-    /// The audit's dead-compute findings and the memory plan's dead list
-    /// come from one shared reachability pass; this fixture pins them to
-    /// each other so the two reports can never disagree.
+    /// Every op of a dead chain is flagged, in node order, and nothing the
+    /// loss depends on is: leaves and the loss itself stay out of the list.
     #[test]
-    fn dead_compute_report_matches_memplan_dead_list() {
+    fn dead_compute_report_lists_every_dead_op() {
         let mut tape = Tape::new(0);
         let x = tape.constant(Matrix::from_vec(2, 2, vec![1.0; 4]));
         let w1 = tape.relu(x);
-        let _w2 = tape.add_scalar(w1, 1.0); // dead chain of two ops
-        let loss = tape.sum_all(x);
-        let (report, plan) = tape.audit_with_memplan(loss, None);
+        let w2 = tape.add_scalar(w1, 1.0); // dead chain of two ops
+        let live = tape.tanh(x);
+        let loss = tape.sum_all(live);
+        let report = tape.audit(loss, None);
         let audit_dead: Vec<usize> = report
             .of_kind(FindingKind::DeadCompute)
             .map(|f| f.node.expect("dead-compute findings name a node")) // lint:allow(expect) -- dead-compute findings name a node
             .collect();
-        assert_eq!(audit_dead, plan.dead, "{report}");
-        let mem = report.mem.expect("memplan audit fills the summary"); // lint:allow(expect) -- memplan audit fills the summary
-        assert_eq!(mem.dead_ops, 2);
-        assert!(format!("{report}").contains("memory plan:"), "{report}");
+        assert_eq!(audit_dead, vec![w1.index(), w2.index()], "{report}");
+        assert_eq!(report.reachable_nodes, 3, "{report}");
     }
 
     #[test]

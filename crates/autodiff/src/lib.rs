@@ -25,12 +25,6 @@
 //! * [`absint`] — abstract interpretation over recorded tapes: per-value
 //!   shape (symbolic dims included), interval, sign and NaN/Inf-freedom
 //!   via the same per-op transfer functions ([`Tape::absint`]).
-//! * [`dataflow`] — liveness/interference analysis over the recorded tape
-//!   and a verified memory-reuse plan ([`Tape::memplan`] /
-//!   [`Tape::backward_measured`]): every op declares what its backward
-//!   pass reads, the planner frees everything else as early as possible,
-//!   and an independent checker proves the plan before any executor
-//!   consumes it.
 //! * [`parallel`] — the one threading policy every dense/sparse/segment
 //!   kernel partitions through (`SANE_NUM_THREADS` to override).
 //! * [`simd`] — pinned-reduction-order vectorized inner loops (8 fixed
@@ -69,7 +63,6 @@ mod tape;
 pub mod absint;
 pub mod analysis;
 pub mod audit;
-pub mod dataflow;
 pub mod equivalence;
 pub mod gradcheck;
 pub mod metrics;
@@ -91,9 +84,8 @@ pub mod ops {
 pub use absint::{AbsReport, AbsSummary, AbsVal, AbsViolation, Dim, Interval, Sign};
 pub use analysis::{PartitionPlan, PlanError, ShadowFinding, ShadowLog, WriteRange};
 pub use audit::{Arity, FanStats, Finding, FindingKind, Severity, TapeReport};
-pub use dataflow::{GradReads, InputReads, MemPlan, MemPlanError, MemSummary, OpGraph};
 pub use matrix::Matrix;
 pub use ops::Segments;
 pub use pool::PoolStats;
 pub use sparse::Csr;
-pub use tape::{glorot_init, uniform_init, ExecStats, Gradients, ParamId, Tape, Tensor, VarStore};
+pub use tape::{glorot_init, uniform_init, Gradients, ParamId, Tape, Tensor, VarStore};

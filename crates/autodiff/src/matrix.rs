@@ -365,9 +365,9 @@ impl Matrix {
         })
     }
 
-    /// Column sums as a `1 x cols` matrix.
+    /// Column sums as a `1 x cols` matrix, drawn from the buffer pool.
     pub fn col_sums(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
+        let mut out = crate::pool::zeros(1, self.cols);
         for r in 0..self.rows {
             let row = self.row(r);
             for (o, v) in out.data.iter_mut().zip(row) {
@@ -377,9 +377,9 @@ impl Matrix {
         out
     }
 
-    /// Row sums as a `rows x 1` matrix.
+    /// Row sums as a `rows x 1` matrix, drawn from the buffer pool.
     pub fn row_sums(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, 1);
+        let mut out = crate::pool::scratch(self.rows, 1);
         for r in 0..self.rows {
             out.data[r] = self.row(r).iter().sum();
         }

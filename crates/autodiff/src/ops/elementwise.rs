@@ -9,7 +9,6 @@ use crate::absint::{
     AbsVal, Dim, Interval,
 };
 use crate::audit::Arity;
-use crate::dataflow::GradReads;
 use crate::matrix::Matrix;
 use crate::pool;
 use crate::simd::ACTIVATION_REL_ERR;
@@ -42,9 +41,6 @@ impl Op for AddOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::NONE
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let (a, b) = (&inputs[0], &inputs[1]);
         let range = a.range.add(b.range);
@@ -70,9 +66,6 @@ impl Op for SubOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(2)
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::NONE
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let (a, b) = (&inputs[0], &inputs[1]);
@@ -106,9 +99,6 @@ impl Op for MulOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::INPUTS_ONLY
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let (a, b) = (&inputs[0], &inputs[1]);
         let range = a.range.mul(b.range);
@@ -134,9 +124,6 @@ impl Op for ScaleOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::NONE
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let a = &inputs[0];
@@ -173,9 +160,6 @@ impl Op for AddScalarOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::NONE
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let a = &inputs[0];
         if self.0.is_nan() {
@@ -209,9 +193,6 @@ impl Op for MulScalarTensorOp {
     }
     fn name(&self) -> &'static str {
         "mul_scalar_tensor"
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::INPUTS_ONLY
     }
     fn arity(&self) -> Arity {
         Arity::Exact(2)
@@ -254,9 +235,6 @@ impl Op for ReluOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::OUT_ONLY
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let a = &inputs[0];
         let range = Interval::new(a.range.lo.max(0.0), a.range.hi.max(0.0));
@@ -286,9 +264,6 @@ impl Op for LeakyReluOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::inputs_at(&[0])
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let a = &inputs[0];
@@ -329,9 +304,6 @@ impl Op for EluOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::OUT_ONLY
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let a = &inputs[0];
         let f = |x: f32| if x > 0.0 { x } else { x.exp() - 1.0 };
@@ -364,9 +336,6 @@ impl Op for TanhOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::OUT_ONLY
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let a = &inputs[0];
         // libm at the ends, widened by the vectorized kernel's error bound
@@ -398,9 +367,6 @@ impl Op for SigmoidOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::OUT_ONLY
     }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let a = &inputs[0];
@@ -445,9 +411,6 @@ impl Op for AbsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::inputs_at(&[0])
-    }
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
         let a = &inputs[0];
         Ok(a.with_range(a.range.abs(), a.nan_free, a.inf_free))
@@ -475,9 +438,6 @@ impl Op for DropoutOp {
     }
     fn name(&self) -> &'static str {
         "dropout"
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::NONE // the scaled mask is saved at forward time
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)

@@ -18,7 +18,6 @@ use crate::absint::{
     dilate, finite_arith, nan_free_addsub, nan_free_mul, require_compatible, AbsVal, Dim, Interval,
 };
 use crate::audit::Arity;
-use crate::dataflow::{GradReads, InputReads};
 use crate::matrix::Matrix;
 use crate::parallel::{parallel_ranges, parallel_ranges_pair, parallel_rows, parallel_rows_pair};
 use crate::pool;
@@ -159,9 +158,6 @@ impl Op for GatherRowsOp {
     fn name(&self) -> &'static str {
         "gather_rows"
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::inputs_at(&[0]) // shape of the scatter target
-    }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
@@ -216,9 +212,6 @@ impl Op for SegmentSumOp {
     }
     fn name(&self) -> &'static str {
         "segment_sum"
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::inputs_at(&[0]) // shape of the scatter target
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
@@ -286,9 +279,6 @@ impl Op for SegmentMeanOp {
     }
     fn name(&self) -> &'static str {
         "segment_mean"
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::inputs_at(&[0]) // shape of the scatter target
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
@@ -360,10 +350,6 @@ impl Op for SegmentMaxOp {
     fn name(&self) -> &'static str {
         "segment_max"
     }
-    fn grad_reads(&self) -> GradReads {
-        // `out.rows()` sizes the partition; inputs[0] only for its shape.
-        GradReads { out: true, inputs: InputReads::Only(&[0]) }
-    }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
@@ -419,9 +405,6 @@ impl Op for SegmentSoftmaxOp {
     fn name(&self) -> &'static str {
         "segment_softmax"
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::OUT_ONLY
-    }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
@@ -453,7 +436,7 @@ struct SegmentAttentionOp {
     segs: Arc<Segments>,
     /// Normalised attention weight per edge (`E x 1`), saved by the forward
     /// pass. Op-private state, so the backward pass needs neither the scores
-    /// nor the output value — only the messages (declared in `grad_reads`).
+    /// nor the output value — only the messages.
     alpha: Matrix,
 }
 impl Drop for SegmentAttentionOp {
@@ -540,12 +523,6 @@ impl Op for SegmentAttentionOp {
     }
     fn name(&self) -> &'static str {
         "segment_attention"
-    }
-    fn grad_reads(&self) -> GradReads {
-        // Scores and the output are never revisited: the saved alpha column
-        // carries everything the softmax backward needs. The planner may
-        // free both as soon as the forward pass is done.
-        GradReads { out: false, inputs: InputReads::Only(&[1]) }
     }
     fn arity(&self) -> Arity {
         Arity::Exact(2)
@@ -655,11 +632,6 @@ impl Op for GatherAttentionOp {
     fn name(&self) -> &'static str {
         "gather_attention"
     }
-    fn grad_reads(&self) -> GradReads {
-        // Like `segment_attention`, the saved alpha column replaces the
-        // scores and the output; only the node features are revisited.
-        GradReads { out: false, inputs: InputReads::Only(&[1]) }
-    }
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
@@ -768,11 +740,6 @@ impl Op for GenLinearScoreOp {
     fn name(&self) -> &'static str {
         "gen_linear_score"
     }
-    fn grad_reads(&self) -> GradReads {
-        // The projections for the scatter targets' shapes, `gen_out` for its
-        // values; the saved plane replaces the output and the gathered sums.
-        GradReads::inputs_at(&[0, 1, 2])
-    }
     fn arity(&self) -> Arity {
         Arity::Exact(3)
     }
@@ -851,9 +818,6 @@ impl Op for MulColBroadcastOp {
     }
     fn name(&self) -> &'static str {
         "mul_col_broadcast"
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::INPUTS_ONLY
     }
     fn arity(&self) -> Arity {
         Arity::Exact(2)
@@ -1078,8 +1042,7 @@ impl Tape {
     /// chain with one op: no `alpha`, `exp` or weighted `E x d`
     /// intermediate ever lands on the tape, and the backward pass emits
     /// both gradients in a single sweep. The normalised weights live in
-    /// op-private state, so the dataflow planner can retire the scores
-    /// right after this op runs (see the op's `GradReads`).
+    /// op-private state, so the backward pass never reads the scores.
     ///
     /// The forward kernel writes two planes — the `num_segments x d` output
     /// and the per-edge weight column — through the pair partition, which

@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use crate::absint::{finite_arith, nan_free_addsub, require_compatible, AbsVal, Dim, Interval};
 use crate::audit::Arity;
-use crate::dataflow::GradReads;
 use crate::matrix::Matrix;
 use crate::pool;
 use crate::sparse::Csr;
@@ -97,9 +96,6 @@ impl Op for MatMulOp {
     fn name(&self) -> &'static str {
         "matmul"
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::INPUTS_ONLY
-    }
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
@@ -132,9 +128,6 @@ impl Op for SpmmOp {
     }
     fn name(&self) -> &'static str {
         "spmm"
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::NONE // the sparse operator is saved in the op
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
@@ -178,9 +171,6 @@ impl Op for AddBiasOp {
     }
     fn name(&self) -> &'static str {
         "add_bias"
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::NONE
     }
     fn arity(&self) -> Arity {
         Arity::Exact(2)
@@ -229,9 +219,6 @@ impl Op for ConcatColsOp {
     }
     fn name(&self) -> &'static str {
         "concat_cols"
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::NONE // the column widths are saved at record time
     }
     fn arity(&self) -> Arity {
         Arity::AtLeast(1)
@@ -287,9 +274,6 @@ impl Op for SliceColsOp {
     fn name(&self) -> &'static str {
         "slice_cols"
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::inputs_at(&[0]) // shape of the scatter target
-    }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
@@ -328,9 +312,6 @@ impl Op for RowSumOp {
     fn name(&self) -> &'static str {
         "row_sum"
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::inputs_at(&[0]) // shape of the broadcast target
-    }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
@@ -361,9 +342,6 @@ impl Op for SumAllOp {
     }
     fn name(&self) -> &'static str {
         "sum_all"
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::inputs_at(&[0]) // shape of the broadcast target
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
@@ -396,9 +374,6 @@ impl Op for MeanAllOp {
     }
     fn name(&self) -> &'static str {
         "mean_all"
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::inputs_at(&[0]) // shape of the broadcast target
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
@@ -449,9 +424,6 @@ impl Op for SoftmaxRowsOp {
     fn name(&self) -> &'static str {
         "softmax_rows"
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::OUT_ONLY
-    }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
@@ -487,9 +459,6 @@ impl Op for LogSoftmaxRowsOp {
     fn name(&self) -> &'static str {
         "log_softmax_rows"
     }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::OUT_ONLY
-    }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
@@ -523,9 +492,6 @@ impl Op for MaxStackOp {
     }
     fn name(&self) -> &'static str {
         "max_stack"
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::inputs_at(&[0]) // shape only; winners are saved
     }
     fn arity(&self) -> Arity {
         Arity::AtLeast(1)

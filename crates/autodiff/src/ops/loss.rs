@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use crate::absint::{require_compatible, AbsVal, Dim, Interval};
 use crate::audit::Arity;
-use crate::dataflow::GradReads;
 use crate::matrix::Matrix;
 use crate::ops::linalg::softmax_rows_value;
 use crate::pool;
@@ -59,9 +58,6 @@ impl Op for CrossEntropyOp {
     }
     fn name(&self) -> &'static str {
         "cross_entropy"
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::inputs_at(&[0]) // logits shape; probabilities are saved
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)
@@ -135,9 +131,6 @@ impl Op for BceWithLogitsOp {
     }
     fn name(&self) -> &'static str {
         "bce_with_logits"
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::inputs_at(&[0]) // re-derives sigmoids from the logits
     }
     fn arity(&self) -> Arity {
         Arity::Exact(1)

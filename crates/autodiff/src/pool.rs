@@ -6,9 +6,12 @@
 //! This pool intercepts that churn: kernels draw their output buffers from
 //! per-size free lists via [`zeros`] / [`clone_of`], and buffers flow back via
 //! [`put`] at the points where the engine can prove a matrix is dead — tape
-//! teardown (`Drop for Tape`), gradient consumption inside
-//! `Tape::backward_seeded`, and `Gradients::recycle` after an optimiser step.
-//! In steady state a training step allocates nothing for tape buffers.
+//! teardown (`Drop for Tape`), gradient consumption inside the tape's one
+//! reverse sweep, and `Gradients::recycle` after an optimiser step. In
+//! steady state a training step allocates nothing for tape buffers, provided
+//! every per-step buffer is drawn from here: a buffer allocated elsewhere
+//! still comes back at tape teardown, so its size class gains one buffer
+//! that no request takes out, and the pool grows every step.
 //!
 //! The pool is **thread-local** on purpose: only the thread driving the tape
 //! ever allocates (kernel worker threads write into pre-split `&mut [f32]`

@@ -20,7 +20,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::absint::{AbsVal, Dim};
 use crate::audit::Arity;
-use crate::dataflow::{GradReads, MemPlan};
 use crate::matrix::Matrix;
 use crate::ops::linalg::SparseView;
 use crate::pool;
@@ -75,16 +74,6 @@ pub(crate) trait Op: Send + Sync {
     /// Declared number of tape inputs, checked by the tape auditor.
     fn arity(&self) -> Arity;
 
-    /// Declared set of forward values (output / inputs, shapes included)
-    /// this op's [`Op::backward`] dereferences. The memory planner in
-    /// [`crate::dataflow`] releases values whose declared reads are all in
-    /// the past; the conservative default forfeits reuse but is always
-    /// safe. Overrides are guarded by the bitwise plan-vs-eager parity
-    /// test in the dataflow suite.
-    fn grad_reads(&self) -> GradReads {
-        GradReads::ALL
-    }
-
     /// The op's one static contract: maps the abstract values of the inputs
     /// (in wiring order) to the abstract value of the output, or `Err` when
     /// the inputs violate the op's contract (e.g. `matmul` inner dimensions
@@ -92,8 +81,8 @@ pub(crate) trait Op: Send + Sync {
     ///
     /// [`crate::absint`] propagates full abstract values through it, and
     /// the tape auditor's shape pass feeds it shape-only inputs. Each
-    /// implementation lives next to its op's `grad_reads` declaration and
-    /// is property-checked in the absint suite: the abstract result must
+    /// implementation lives next to its op's `backward` and is
+    /// property-checked in the absint suite: the abstract result must
     /// over-approximate every concrete execution.
     fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String>;
 }
@@ -109,9 +98,6 @@ impl Op for InputOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(0)
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::NONE // backward is never invoked on leaves
     }
     fn transfer(&self, _: &[AbsVal]) -> Result<AbsVal, String> {
         Ok(AbsVal::top(Dim::Any, Dim::Any)) // never called: leaves keep their values
@@ -130,9 +116,6 @@ impl Op for ParamOp {
     }
     fn arity(&self) -> Arity {
         Arity::Exact(0)
-    }
-    fn grad_reads(&self) -> GradReads {
-        GradReads::NONE // backward is never invoked on leaves
     }
     fn transfer(&self, _: &[AbsVal]) -> Result<AbsVal, String> {
         Ok(AbsVal::top(Dim::Any, Dim::Any)) // never called: leaves keep their values
@@ -222,6 +205,12 @@ impl Tape {
     /// Records a constant (no gradient), taking ownership of the matrix.
     pub fn constant(&mut self, value: Matrix) -> Tensor {
         self.input(Arc::new(value))
+    }
+
+    /// Records an all-zeros `rows x cols` constant drawn from the buffer
+    /// pool, so a zero state rebuilt every step allocates nothing.
+    pub fn zeros(&mut self, rows: usize, cols: usize) -> Tensor {
+        self.constant(pool::zeros(rows, cols))
     }
 
     /// Records a `1 x 1` constant.
@@ -327,8 +316,7 @@ impl Tape {
     /// The demand mask of one reverse sweep: `needs[i]` holds iff node `i`
     /// is a parameter leaf that `wanted` accepts, or any of its inputs
     /// needs. Inputs precede their consumers, so one forward pass settles
-    /// it. Both sweeps ([`Tape::backward_wrt`] and
-    /// [`Tape::backward_measured`]) prune with this mask.
+    /// it.
     fn needs(&self, wanted: impl Fn(ParamId) -> bool) -> Vec<bool> {
         let mut needs = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
@@ -341,6 +329,11 @@ impl Tape {
         needs
     }
 
+    /// The one reverse sweep. A parameter leaf banks its gradient in the
+    /// result. An op node runs [`Op::backward`] with its inputs' demand,
+    /// accumulates the gradients of demanded inputs, and recycles the rest
+    /// along with its own. Only demanded nodes receive a gradient, so
+    /// constant leaves are never visited.
     fn sweep(&self, output: Tensor, seed: Matrix, needs: &[bool]) -> Gradients {
         assert_eq!(seed.shape(), self.value(output).shape(), "seed gradient shape mismatch");
         let mut result = Gradients::default();
@@ -352,230 +345,50 @@ impl Tape {
         grads[output.0] = Some(seed);
         // Nodes recorded after `output` cannot feed it.
         for i in (0..=output.0).rev() {
-            if let Some(grad) = grads[i].take() {
-                self.backward_step(i, grad, needs, &mut grads, &mut result, None);
+            let Some(grad) = grads[i].take() else { continue };
+            let node = &self.nodes[i];
+            if let Some(pid) = node.param {
+                result.accumulate(pid, grad);
+                continue;
             }
+            let input_vals: Vec<&Matrix> =
+                node.inputs.iter().map(|t| &*self.nodes[t.0].value).collect();
+            let wants: Vec<bool> = node.inputs.iter().map(|t| needs[t.0]).collect();
+            let input_grads = node.op.backward(&node.value, &grad, &input_vals, &wants);
+            assert_eq!(
+                input_grads.len(),
+                node.inputs.len(),
+                "op `{}` returned {} gradients for {} inputs",
+                node.op.name(),
+                input_grads.len(),
+                node.inputs.len()
+            );
+            for (t, g) in node.inputs.iter().zip(input_grads) {
+                let Some(g) = g else { continue };
+                if !needs[t.0] {
+                    pool::put(g);
+                    continue;
+                }
+                assert_eq!(
+                    g.shape(),
+                    self.nodes[t.0].value.shape(),
+                    "op `{}` (node {i}) produced a gradient of the wrong shape for input node {}",
+                    node.op.name(),
+                    t.0
+                );
+                match &mut grads[t.0] {
+                    Some(acc) => {
+                        acc.add_assign(&g);
+                        pool::put(g);
+                    }
+                    slot @ None => *slot = Some(g),
+                }
+            }
+            // `grad` was fully distributed to the inputs; recycle it.
+            pool::put(grad);
         }
         result
     }
-
-    /// One node's step of a reverse sweep, shared by both sweeps.
-    ///
-    /// A parameter leaf banks `grad` in `result`. An op node runs
-    /// [`Op::backward`] with its inputs' demand, accumulates the gradients
-    /// of demanded inputs into `grads`, and recycles the rest along with
-    /// `grad`. Only demanded nodes receive a gradient, so constant leaves
-    /// never get here. `plan` supplies the recorded shapes of inputs a
-    /// planned sweep has already released.
-    ///
-    /// Returns `(held, freed)`: bytes of gradient buffers this step newly
-    /// holds in `grads` or `result`, and bytes it released.
-    fn backward_step(
-        &self,
-        i: usize,
-        grad: Matrix,
-        needs: &[bool],
-        grads: &mut [Option<Matrix>],
-        result: &mut Gradients,
-        plan: Option<&MemPlan>,
-    ) -> (usize, usize) {
-        let node = &self.nodes[i];
-        let bytes = grad.len() * 4;
-        if let Some(pid) = node.param {
-            // Merging into an existing accumulator recycles `grad`; a
-            // fresh slot keeps it resident until the caller is done with
-            // the gradient set.
-            let merged = result.get(pid).is_some();
-            result.accumulate(pid, grad);
-            return (0, if merged { bytes } else { 0 });
-        }
-        let input_vals: Vec<&Matrix> =
-            node.inputs.iter().map(|t| &*self.nodes[t.0].value).collect();
-        let wants: Vec<bool> = node.inputs.iter().map(|t| needs[t.0]).collect();
-        let input_grads = node.op.backward(&node.value, &grad, &input_vals, &wants);
-        assert_eq!(
-            input_grads.len(),
-            node.inputs.len(),
-            "op `{}` returned {} gradients for {} inputs",
-            node.op.name(),
-            input_grads.len(),
-            node.inputs.len()
-        );
-        let mut held = 0;
-        for (t, g) in node.inputs.iter().zip(input_grads) {
-            let Some(g) = g else { continue };
-            if !needs[t.0] {
-                pool::put(g);
-                continue;
-            }
-            // Released inputs have lost their shape; the plan remembers
-            // what was recorded.
-            let expected = match plan {
-                Some(p) => p.values[t.0].shape,
-                None => self.nodes[t.0].value.shape(),
-            };
-            assert_eq!(
-                g.shape(),
-                expected,
-                "op `{}` (node {i}) produced a gradient of the wrong shape for input node {}",
-                node.op.name(),
-                t.0
-            );
-            match &mut grads[t.0] {
-                Some(acc) => {
-                    acc.add_assign(&g);
-                    pool::put(g);
-                }
-                slot @ None => {
-                    held += g.len() * 4;
-                    *slot = Some(g);
-                }
-            }
-        }
-        // `grad` was fully distributed to the inputs; recycle it.
-        pool::put(grad);
-        (held, bytes)
-    }
-
-    /// Reverse sweep with memory instrumentation and, optionally,
-    /// plan-driven buffer release.
-    ///
-    /// With `plan: None` this is an instrumented [`Tape::backward`]: the
-    /// same demand-pruned sweep, plus exact accounting of resident bytes
-    /// (all forward values held by the tape, plus every gradient buffer in
-    /// flight, including accumulated parameter gradients). With a verified
-    /// [`MemPlan`], each non-pinned value is additionally *released* into
-    /// the [`crate::pool`] the moment its planned interval closes — values
-    /// dead before backward go first, the rest retire step by step — so
-    /// backward gradient buffers are drawn from memory the forward pass no
-    /// longer needs. Gradients are bitwise identical either way; the
-    /// dataflow test suite pins that.
-    ///
-    /// Releasing swaps the node's value for an empty matrix, so the tape
-    /// must not be read through [`Tape::value`] afterwards (dropping or
-    /// re-auditing it is fine). Values the caller still holds an `Arc` to
-    /// are skipped and keep counting as resident.
-    ///
-    /// # Panics
-    /// Panics if `output` is not `1 x 1`, or if `plan` does not cover this
-    /// tape's nodes.
-    pub fn backward_measured(
-        &mut self,
-        output: Tensor,
-        plan: Option<&MemPlan>,
-    ) -> (Gradients, ExecStats) {
-        self.assert_scalar(output);
-        let n = self.nodes.len();
-        if let Some(plan) = plan {
-            assert_eq!(plan.values.len(), n, "memory plan does not cover this tape");
-        }
-        let needs = self.needs(|_| true);
-
-        // Planned release schedule: values whose last use predates the
-        // backward sweep go before it; a value last used at backward time
-        // `n + (n - 1 - j)` is released right after node j's step.
-        let mut release_now: Vec<usize> = Vec::new();
-        let mut release_after: Vec<Vec<usize>> = vec![Vec::new(); n];
-        if let Some(plan) = plan {
-            for (v, vp) in plan.values.iter().enumerate() {
-                if vp.pinned || vp.len == 0 {
-                    continue;
-                }
-                if vp.last_use < n {
-                    release_now.push(v);
-                } else if vp.last_use < 2 * n {
-                    release_after[2 * n - 1 - vp.last_use].push(v);
-                }
-            }
-        }
-
-        let baseline_value_bytes: usize = self.nodes.iter().map(|nd| nd.value.len() * 4).sum();
-        let mut value_bytes = baseline_value_bytes;
-        let mut grad_bytes = 0usize;
-        let mut released_values = 0usize;
-        let mut released_bytes = 0usize;
-        let mut peak = value_bytes;
-
-        let release = |tape: &mut Tape, v: usize| {
-            let husk = Arc::new(Matrix::from_vec(0, 0, Vec::new()));
-            let old = std::mem::replace(&mut tape.nodes[v].value, husk);
-            match Arc::try_unwrap(old) {
-                Ok(m) => {
-                    let bytes = m.len() * 4;
-                    pool::put(m);
-                    Some(bytes)
-                }
-                // The caller kept a handle; the buffer stays resident.
-                Err(arc) => {
-                    tape.nodes[v].value = arc;
-                    None
-                }
-            }
-        };
-        for &v in &release_now {
-            if let Some(bytes) = release(self, v) {
-                value_bytes -= bytes;
-                released_values += 1;
-                released_bytes += bytes;
-            }
-        }
-
-        let mut grads: Vec<Option<Matrix>> = (0..n).map(|_| None).collect();
-        if needs[output.0] {
-            grad_bytes += 4;
-            grads[output.0] = Some(Matrix::scalar(1.0));
-        }
-        peak = peak.max(value_bytes + grad_bytes);
-        let mut result = Gradients::default();
-
-        for i in (0..n).rev() {
-            if let Some(grad) = grads[i].take() {
-                let (held, freed) =
-                    self.backward_step(i, grad, &needs, &mut grads, &mut result, plan);
-                grad_bytes = grad_bytes + held - freed;
-            }
-            if plan.is_some() {
-                // Take the list to end the borrow of `release_after`
-                // before mutating `self`.
-                let due = std::mem::take(&mut release_after[i]);
-                for v in due {
-                    if let Some(bytes) = release(self, v) {
-                        value_bytes -= bytes;
-                        released_values += 1;
-                        released_bytes += bytes;
-                    }
-                }
-            }
-            peak = peak.max(value_bytes + grad_bytes);
-        }
-
-        if sane_telemetry::active() {
-            sane_telemetry::gauge_max("dataflow.actual_peak_bytes", peak as f64);
-            sane_telemetry::counter_add("dataflow.released_bytes", released_bytes as u64);
-        }
-        let stats = ExecStats {
-            peak_resident_bytes: peak,
-            baseline_value_bytes,
-            released_values,
-            released_bytes,
-        };
-        (result, stats)
-    }
-}
-
-/// Memory accounting from one [`Tape::backward_measured`] sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct ExecStats {
-    /// Max over the sweep of (forward values still held) + (gradient
-    /// buffers in flight, including accumulated parameter gradients).
-    pub peak_resident_bytes: usize,
-    /// Bytes of forward values held when the sweep started — what an
-    /// unplanned tape keeps resident throughout.
-    pub baseline_value_bytes: usize,
-    /// Values released into the pool under the plan.
-    pub released_values: usize,
-    /// Bytes those releases returned to the pool.
-    pub released_bytes: usize,
 }
 
 /// Gradients of one backward sweep, keyed by [`ParamId`].

@@ -149,6 +149,8 @@ pub fn train_graph_classifier(
             let loss = tape.cross_entropy(logits, &labels, &idx);
             let mut grads = tape.backward(loss);
             grads.clip_global_norm(5.0);
+            // Free the weights' buffers for an in-place update.
+            drop(tape);
             opt.step(&mut store, &grads);
             grads.recycle();
         }

@@ -158,6 +158,9 @@ pub fn sane_search(task: &Task, cfg: &SaneSearchConfig) -> SaneSearchOutput {
                 obs::record_audit("search.audit", epoch, &report);
             }
             grad_norm_w = Some(grads.clip_global_norm(5.0));
+            // The tape shares every weight's buffer; dropped first, the
+            // update writes in place instead of cloning each weight.
+            drop(tape);
             opt_w.step_subset(&mut store, &grads, net.weight_params());
             grads.recycle();
         }

@@ -133,6 +133,7 @@ pub fn search_step_fingerprint(task: &Task, cfg: &SaneSearchConfig) -> StepFinge
         grads.iter().map(|(id, m)| (store.name(id).to_string(), bits(m.data()))).collect();
     grad_bits.sort_by(|a, b| a.0.cmp(&b.0));
 
+    drop(tape);
     opt_w.step_subset(&mut store, &grads, net.weight_params());
     grads.recycle();
 

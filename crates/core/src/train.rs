@@ -232,6 +232,9 @@ fn train_transductive(
             obs::record_audit("train.audit", epoch, &report);
         }
         let grad_norm = grads.clip_global_norm(5.0);
+        // Dropped before the update, the tape no longer shares the weights'
+        // buffers, so the optimizer writes in place instead of cloning.
+        drop(tape);
         opt.step(store, &grads);
         grads.recycle();
         tel::debug(
@@ -324,6 +327,7 @@ fn train_inductive(
                 obs::record_audit("train.audit", epoch, &report);
             }
             epoch_grad_norm += f64::from(grads.clip_global_norm(5.0));
+            drop(tape);
             opt.step(store, &grads);
             grads.recycle();
         }

@@ -163,8 +163,8 @@ impl LayerAggregator {
         let b = tape.param(store, p.b);
         let attn = tape.param(store, p.attn);
 
-        let mut h = tape.constant(Matrix::zeros(n, d));
-        let mut c = tape.constant(Matrix::zeros(n, d));
+        let mut h = tape.zeros(n, d);
+        let mut c = tape.zeros(n, d);
         let mut scores = Vec::with_capacity(layers.len());
         for &x in layers {
             let zx = tape.matmul(x, wx);

@@ -485,7 +485,7 @@ pub fn lint_nondeterministic_iteration(file: &str, src: &str) -> LintOutcome {
 /// True for files whose arithmetic runs inside hot numeric kernels —
 /// the op implementations, aggregators, and the sparse/dense/parallel
 /// primitives they call. Bookkeeping modules (tape, pool, optim,
-/// metrics, dataflow) are out of scope: their casts count bytes and
+/// metrics, audit) are out of scope: their casts count bytes and
 /// indices, not graph-scale float data.
 pub fn is_kernel_path(file: &str) -> bool {
     KERNEL_DIRS.iter().any(|d| file.starts_with(d)) || KERNEL_FILES.contains(&file)

@@ -39,12 +39,6 @@
 //!   gradient, parameter and α row (report: `results/DETERMINISM.json`),
 //!   plus a report-only `simd-lane-drift` case (scalar vs vectorized
 //!   kernels). `--quick` uses the small preset for CI.
-//! * `memplan` — the tape dataflow gate: drives the `memplan` bench
-//!   binary, which plans memory reuse for the supernet and
-//!   derived-architecture fixtures, proves each plan with the
-//!   independent verifier, and compares measured peak residency with
-//!   and without the plan (report: `results/MEMPLAN.json`).
-//!   `--quick` uses the small preset for CI.
 //! * `graph-audit` — the op-graph static-analysis gate: drives the
 //!   `graph_audit` bench binary, which runs the combined tape audit +
 //!   abstract interpreter over the supernet and derived fixtures (fused
@@ -112,7 +106,6 @@ fn main() -> ExitCode {
             _ => perf_cmd(&root, &args[1..]),
         },
         Some("determinism") => determinism_cmd(&root, &args[1..]),
-        Some("memplan") => memplan_cmd(&root, &args[1..]),
         Some("graph-audit") => graph_audit_cmd(&root, &args[1..]),
         _ => {
             eprintln!(
@@ -124,7 +117,6 @@ fn main() -> ExitCode {
                  perf trend [--window <n>]|\
                  perf compact [--keep <n>]|\
                  determinism [--quick]|\
-                 memplan [--quick]|\
                  graph-audit [--quick]>"
             );
             ExitCode::from(2)
@@ -522,41 +514,6 @@ fn determinism_cmd(root: &Path, args: &[String]) -> ExitCode {
         eprintln!(
             "xtask determinism: search step is NOT bitwise deterministic across thread counts; \
              see results/DETERMINISM.json for the diverging sections and suspect kernels"
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// The tape dataflow gate: runs the `memplan` bench binary, which plans
-/// memory reuse for the supernet and derived-architecture fixtures,
-/// proves every plan with the independent `check_memplan` verifier, and
-/// exits non-zero — failing this command and CI — when a plan is unsound,
-/// plan-driven gradients diverge bitwise from the eager sweep, or the
-/// plan fails to reduce measured peak residency. The structured report
-/// lands in `results/MEMPLAN.json`.
-fn memplan_cmd(root: &Path, args: &[String]) -> ExitCode {
-    let mut quick = false;
-    for arg in args {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other => {
-                eprintln!("xtask memplan: unknown argument `{other}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let mut cmd = Command::new(env!("CARGO"));
-    cmd.current_dir(root);
-    cmd.args(["run", "--release", "-p", "sane-bench", "--bin", "memplan", "--"]);
-    if quick {
-        cmd.arg("--quick");
-    }
-    cmd.arg("--out").arg(root.join("results"));
-    if run(cmd) != ExitCode::SUCCESS {
-        eprintln!(
-            "xtask memplan: memory plan rejected or ineffective; see results/MEMPLAN.json \
-             for per-phase verifier findings and peak-residency numbers"
         );
         return ExitCode::FAILURE;
     }
