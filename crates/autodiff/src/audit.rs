@@ -3,19 +3,17 @@
 //! A [`Tape`] is a Wengert list: a flat, already-scheduled dataflow graph
 //! with eagerly computed forward values. That makes it cheap to *audit*
 //! without running backward — every op declares its input arity and one
-//! transfer function ([`Op::arity`] / [`Op::transfer`]), and the auditor
-//! replays those declarations against what was actually recorded.
+//! shape rule ([`Op::arity`] / [`Op::shape`]), and the auditor replays
+//! those declarations against what was actually recorded.
 //!
 //! [`Tape::audit`] runs five passes and collects everything it finds into a
 //! [`TapeReport`]:
 //!
 //! 1. **Arity check** — each node's recorded input count matches its op's
 //!    declared [`Arity`].
-//! 2. **Shape consistency** — the op's transfer function, fed the recorded
-//!    input shapes with unknown values, accepts them (e.g. `matmul` inner
-//!    dimensions agree) and infers an output shape that admits the
-//!    recorded one. The value facts of the same function are checked by
-//!    [`Tape::audit_with_absint`].
+//! 2. **Shape consistency** — the op's shape rule accepts the recorded
+//!    input shapes (e.g. `matmul` inner dimensions agree) and infers the
+//!    recorded output shape.
 //! 3. **Reachability** — a reverse walk from the loss node flags recorded
 //!    compute that can never receive gradient (dead compute) and parameter
 //!    leaves the loss does not depend on (dead parameters, the classic
@@ -35,9 +33,8 @@
 //! emit behind their `audit_every` debug flags.
 //!
 //! [`Op::arity`]: crate::tape::Op::arity
-//! [`Op::transfer`]: crate::tape::Op::transfer
+//! [`Op::shape`]: crate::tape::Op::shape
 
-use crate::absint::{AbsReport, AbsSummary, AbsVal, Dim};
 use crate::tape::{Gradients, Tape, Tensor, VarStore};
 
 /// Declared number of inputs an op consumes from the tape.
@@ -68,6 +65,20 @@ impl std::fmt::Display for Arity {
     }
 }
 
+/// The building block of every op's shape rule: `Err` naming `what` unless
+/// `a == b`.
+pub(crate) fn require_eq<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    a: T,
+    b: T,
+) -> Result<(), String> {
+    if a == b {
+        Ok(())
+    } else {
+        Err(format!("{what}: {a:?} vs {b:?}"))
+    }
+}
+
 /// How bad a finding is.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -82,16 +93,8 @@ pub enum Severity {
 pub enum FindingKind {
     /// A node's recorded input count contradicts its op's declared arity.
     ArityMismatch,
-    /// A node's recorded shapes contradict its op's transfer function.
+    /// A node's recorded shapes contradict its op's shape rule.
     ShapeMismatch,
-    /// A non-leaf op's transfer function left an output dim unknown from
-    /// concrete input shapes (dynamic output arity), so the shape pass
-    /// could not check this node. Reported rather than dropped, so the
-    /// coverage gap stays visible.
-    ShapeUnknown,
-    /// The abstract interpreter found a node whose transfer function
-    /// rejected its inputs (see [`crate::absint`]).
-    AbsintViolation,
     /// A non-leaf node the loss does not depend on: wasted forward compute.
     DeadCompute,
     /// A parameter leaf the loss does not depend on: it will never train.
@@ -107,8 +110,6 @@ impl std::fmt::Display for FindingKind {
         let s = match self {
             FindingKind::ArityMismatch => "arity-mismatch",
             FindingKind::ShapeMismatch => "shape-mismatch",
-            FindingKind::ShapeUnknown => "shape-unknown",
-            FindingKind::AbsintViolation => "absint-violation",
             FindingKind::DeadCompute => "dead-compute",
             FindingKind::DeadParam => "dead-param",
             FindingKind::NonFiniteValue => "non-finite-value",
@@ -186,9 +187,6 @@ pub struct TapeReport {
     /// process-lifetime counters here, which accumulated across epochs
     /// and hid late-run regressions.
     pub pool: crate::pool::PoolStats,
-    /// Abstract-interpretation summary (shape/interval/NaN analysis);
-    /// `None` unless the report came from [`Tape::audit_with_absint`].
-    pub absint: Option<AbsSummary>,
 }
 
 impl TapeReport {
@@ -225,9 +223,6 @@ impl std::fmt::Display for TapeReport {
             },
         )?;
         writeln!(f, "  buffer pool: {}", self.pool)?;
-        if let Some(absint) = &self.absint {
-            writeln!(f, "  abstract interpretation: {absint}")?;
-        }
         if self.findings.is_empty() {
             write!(f, "  clean: no findings")
         } else {
@@ -271,7 +266,7 @@ impl Tape {
         assert!(output.0 < n, "audit output node {} out of range", output.0);
         let mut findings = Vec::new();
 
-        // Pass 1 + 2: declared arity and shape transfer vs recorded reality.
+        // Pass 1 + 2: declared arity and shape rule vs recorded reality.
         for i in 0..n {
             let node = self.node(i);
             let op_name = node.op.name();
@@ -299,46 +294,23 @@ impl Tape {
             if shapes.is_empty() {
                 continue;
             }
-            let ins: Vec<AbsVal> =
-                shapes.iter().map(|&(r, c)| AbsVal::top(Dim::Const(r), Dim::Const(c))).collect();
-            let (kind, severity, message) = match node.op.transfer(&ins) {
-                Err(msg) => (
-                    FindingKind::ShapeMismatch,
-                    Severity::Error,
-                    format!("inconsistent input shapes {shapes:?}: {msg}"),
-                ),
-                Ok(out) => {
-                    let actual = node.value.shape();
-                    if !out.rows.compatible(Dim::Const(actual.0))
-                        || !out.cols.compatible(Dim::Const(actual.1))
-                    {
-                        (
-                            FindingKind::ShapeMismatch,
-                            Severity::Error,
-                            format!(
-                                "inputs {shapes:?} infer output {}x{} \
-                                 but recorded value is {actual:?}",
-                                out.rows, out.cols
-                            ),
-                        )
-                    } else if out.rows == Dim::Any || out.cols == Dim::Any {
-                        // A non-leaf that cannot name its output shape is a
-                        // blind spot of this pass, which must be visible,
-                        // not silently skipped.
-                        (
-                            FindingKind::ShapeUnknown,
-                            Severity::Warning,
-                            format!(
-                                "op infers no output shape from inputs {shapes:?}; \
-                                 this node is unchecked by the shape pass"
-                            ),
-                        )
-                    } else {
-                        continue;
-                    }
+            let actual = node.value.shape();
+            let message = match node.op.shape(&shapes) {
+                Err(msg) => format!("inconsistent input shapes {shapes:?}: {msg}"),
+                Ok(out) if out != actual => {
+                    format!(
+                        "inputs {shapes:?} infer output {out:?} but recorded value is {actual:?}"
+                    )
                 }
+                Ok(_) => continue,
             };
-            findings.push(Finding { kind, severity, node: Some(i), op: Some(op_name), message });
+            findings.push(Finding {
+                kind: FindingKind::ShapeMismatch,
+                severity: Severity::Error,
+                node: Some(i),
+                op: Some(op_name),
+                message,
+            });
         }
 
         // Fan accounting.
@@ -427,33 +399,7 @@ impl Tape {
             num_param_nodes,
             fan,
             pool: self.pool_activity(),
-            absint: None,
         }
-    }
-
-    /// [`Tape::audit`], extended with the abstract interpreter: every
-    /// transfer-function violation becomes an [`FindingKind::AbsintViolation`]
-    /// error and the analysis summary lands in [`TapeReport::absint`]. The
-    /// full [`AbsReport`] is returned for callers that want per-value
-    /// domains (e.g. the graph-audit exporter).
-    pub fn audit_with_absint(
-        &self,
-        output: Tensor,
-        store: Option<&VarStore>,
-    ) -> (TapeReport, AbsReport) {
-        let mut report = self.audit(output, store);
-        let abs = self.absint();
-        for v in &abs.violations {
-            report.findings.push(Finding {
-                kind: FindingKind::AbsintViolation,
-                severity: Severity::Error,
-                node: Some(v.node),
-                op: Some(v.op),
-                message: v.message.clone(),
-            });
-        }
-        report.absint = Some(abs.summary());
-        (report, abs)
     }
 
     /// [`Tape::audit`], extended with a non-finite scan over a gradient set
@@ -526,7 +472,7 @@ mod tests {
     }
 
     /// Mutation test: an op whose recorded output contradicts its declared
-    /// transfer function must produce a `ShapeMismatch` error.
+    /// shape rule must produce a `ShapeMismatch` error.
     #[test]
     fn wrong_shape_op_is_flagged() {
         struct BrokenTransposeOp;
@@ -546,9 +492,9 @@ mod tests {
             fn arity(&self) -> Arity {
                 Arity::Exact(1)
             }
-            fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
+            fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
                 // Declares a transpose...
-                Ok(AbsVal::top(inputs[0].cols, inputs[0].rows))
+                Ok((inputs[0].1, inputs[0].0))
             }
         }
 
@@ -569,65 +515,10 @@ mod tests {
         assert!(report.has_errors());
     }
 
-    /// Mutation test: a non-leaf op whose transfer leaves its output shape
-    /// unknown must surface as a `shape-unknown` warning, not be silently
-    /// dropped from the shape pass.
+    /// A matmul wired with incompatible inner dimensions (which
+    /// `Tape::matmul` itself would refuse to record) fails its shape rule.
     #[test]
-    fn dynamic_arity_op_is_reported_not_skipped() {
-        struct OpaqueOp;
-        impl Op for OpaqueOp {
-            fn backward(
-                &self,
-                _: &Matrix,
-                grad: &Matrix,
-                _: &[&Matrix],
-                _wants: &[bool],
-            ) -> Vec<Option<Matrix>> {
-                vec![Some(grad.clone())]
-            }
-            fn name(&self) -> &'static str {
-                "opaque"
-            }
-            fn arity(&self) -> Arity {
-                Arity::Exact(1)
-            }
-            fn transfer(&self, _inputs: &[AbsVal]) -> Result<AbsVal, String> {
-                // Dynamic output arity: refuses to commit to a shape.
-                Ok(AbsVal::top(Dim::Any, Dim::Any))
-            }
-        }
-
-        let mut tape = Tape::new(0);
-        let x = tape.constant(Matrix::from_vec(2, 3, vec![1.0; 6]));
-        let y = tape.push_op(Matrix::from_vec(4, 1, vec![1.0; 4]), Box::new(OpaqueOp), vec![x]);
-        let loss = tape.sum_all(y);
-        let report = tape.audit(loss, None);
-        let f: Vec<_> = report.of_kind(FindingKind::ShapeUnknown).collect();
-        assert_eq!(f.len(), 1, "{report}");
-        assert_eq!(f[0].node, Some(y.index()));
-        assert_eq!(f[0].op, Some("opaque"));
-        assert_eq!(f[0].severity, Severity::Warning);
-        // A warning, not an error: the tape is suspect but not provably broken.
-        assert!(!report.has_errors(), "{report}");
-        // Leaves (constants here) also infer no shape but must stay silent.
-        assert!(!report.findings.iter().any(|f| f.node == Some(x.index())));
-    }
-
-    /// `audit_with_absint` folds interpreter violations into the report as
-    /// errors and records the analysis summary.
-    #[test]
-    fn audit_with_absint_reports_transfer_violations() {
-        // Clean tape: summary present, no violations.
-        let (tape, store, loss) = small_loss_tape();
-        let (report, abs) = tape.audit_with_absint(loss, Some(&store));
-        assert!(report.is_clean(), "{report}");
-        assert!(abs.is_clean());
-        let summary = report.absint.expect("summary must be recorded");
-        assert_eq!(summary.analyzed, tape.len());
-        assert_eq!(summary.violations, 0);
-
-        // Corrupted tape: a matmul recorded with incompatible inner dims
-        // trips the transfer contract and must surface as an error finding.
+    fn inconsistent_matmul_is_a_shape_mismatch() {
         let mut tape = Tape::new(0);
         let a = tape.constant(Matrix::from_vec(2, 3, vec![1.0; 6]));
         let b = tape.constant(Matrix::from_vec(2, 2, vec![1.0; 4]));
@@ -637,18 +528,126 @@ mod tests {
             vec![a, b],
         );
         let loss = tape.sum_all(bad);
-        let (report, abs) = tape.audit_with_absint(loss, None);
-        assert!(!abs.is_clean());
-        let f: Vec<_> = report.of_kind(FindingKind::AbsintViolation).collect();
-        assert!(!f.is_empty(), "{report}");
-        assert_eq!(f[0].node, Some(bad.index()));
-        assert!(report.has_errors());
-        assert_eq!(report.absint.expect("summary").violations, abs.violations.len());
-        // The shape pass runs the same transfer, so it rejects the node too.
+        let report = tape.audit(loss, None);
         let f: Vec<_> = report.of_kind(FindingKind::ShapeMismatch).collect();
         assert_eq!((f.len(), f[0].node), (1, Some(bad.index())), "{report}");
+        assert!(f[0].message.contains("inner dimensions"), "{}", f[0].message);
+        assert!(report.has_errors());
     }
 
+    /// Every op's shape rule, checked on one tape that records each of the
+    /// 35 ops at least once, with non-square shapes so a rule that swaps
+    /// rows and columns cannot pass. The fixtures cover the boundary
+    /// cases: a sparse operator with an empty row, a segment layout with
+    /// an empty segment, train-mode dropout, and both losses.
+    #[test]
+    fn every_op_passes_the_shape_pass() {
+        use crate::ops::Segments;
+        use crate::Csr;
+        use std::collections::BTreeSet;
+        use std::sync::Arc;
+
+        let mat = |rows: usize, cols: usize, salt: f32| {
+            Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * 0.37 + salt).sin())
+        };
+        let mut tape = Tape::new(3);
+        let mut outs = Vec::new();
+
+        // Elementwise ops on 4 x 3 operands.
+        let a = tape.constant(mat(4, 3, 0.0));
+        let b = tape.constant(mat(4, 3, 1.0));
+        let s = tape.scalar(0.5);
+        outs.push(tape.add(a, b));
+        outs.push(tape.sub(a, b));
+        outs.push(tape.mul(a, b));
+        outs.push(tape.scale(a, -1.5));
+        outs.push(tape.add_scalar(a, 2.5));
+        outs.push(tape.mul_scalar_tensor(a, s));
+        outs.push(tape.relu(a));
+        outs.push(tape.leaky_relu(a, 0.2));
+        outs.push(tape.elu(a));
+        outs.push(tape.tanh(a));
+        outs.push(tape.sigmoid(a));
+        outs.push(tape.abs(a));
+        outs.push(tape.dropout(a, 0.5));
+
+        // Linear algebra: a 4 x 3 by 3 x 2 product, an operator with an
+        // empty row, and the row-wise reductions.
+        let w = tape.constant(mat(3, 2, 2.0));
+        outs.push(tape.matmul(a, w));
+        let op =
+            Arc::new(Csr::from_coo(5, 4, &[(0, 0, 1.5), (0, 2, -2.0), (2, 1, 0.5), (4, 3, 1.0)]));
+        outs.push(tape.spmm(&op, a));
+        let bias = tape.constant(mat(1, 3, 3.0));
+        outs.push(tape.add_bias(a, bias));
+        let narrow = tape.constant(mat(4, 2, 4.0));
+        outs.push(tape.concat_cols(&[a, narrow]));
+        let sliced = tape.slice_cols(a, 1, 3);
+        outs.push(tape.max_stack(&[sliced, narrow]));
+        outs.push(tape.row_sum(a));
+        outs.push(tape.sum_all(a));
+        outs.push(tape.mean_all(a));
+        outs.push(tape.softmax_rows(a));
+        outs.push(tape.log_softmax_rows(a));
+
+        // Graph ops over 10 edges into 5 segments, one of them empty.
+        let segs = Arc::new(Segments::from_lengths(&[3, 0, 4, 2, 1]));
+        let src: Arc<Vec<u32>> = Arc::new(vec![0, 3, 3, 1, 2, 0, 3, 2, 1, 0]);
+        let dst: Arc<Vec<u32>> = Arc::new(vec![1, 0, 2, 2, 0, 1, 1, 2, 0, 0]);
+        let edges = tape.gather_rows(a, &src);
+        outs.push(tape.segment_sum(edges, &segs));
+        outs.push(tape.segment_mean(edges, &segs));
+        outs.push(tape.segment_max(edges, &segs));
+        let scores = tape.constant(mat(10, 1, 5.0));
+        outs.push(tape.segment_softmax(scores, &segs));
+        outs.push(tape.segment_attention(scores, edges, &segs));
+        outs.push(tape.gather_attention(scores, a, &src, &segs));
+        let proj_dst = tape.constant(mat(3, 3, 6.0));
+        let gen_out = tape.constant(mat(3, 1, 7.0));
+        outs.push(tape.gen_linear_score(a, proj_dst, gen_out, &src, &dst));
+        let col = tape.constant(mat(10, 1, 8.0));
+        outs.push(tape.mul_col_broadcast(edges, col));
+
+        // Both losses over a row subset of 6 x 4 logits.
+        let logits = tape.constant(mat(6, 4, 9.0));
+        let labels: Arc<Vec<u32>> = Arc::new(vec![0, 1, 2, 3, 0, 1]);
+        let rows: Arc<Vec<u32>> = Arc::new(vec![0, 1, 3, 4, 5]);
+        outs.push(tape.cross_entropy(logits, &labels, &rows));
+        let targets = Arc::new(Matrix::from_fn(6, 4, |r, c| ((r + c) % 2) as f32));
+        outs.push(tape.bce_with_logits(logits, &targets, &rows));
+
+        let mut loss = tape.scalar(0.0);
+        for out in outs {
+            let total = tape.sum_all(out);
+            loss = tape.add(loss, total);
+        }
+        let report = tape.audit(loss, None);
+        assert!(report.is_clean(), "{report}");
+
+        let ops: BTreeSet<&str> = (0..tape.len())
+            .map(|i| tape.node(i).op.name())
+            .filter(|&name| name != "input" && name != "param")
+            .collect();
+        assert_eq!(ops.len(), 35, "every op recorded once: {ops:?}");
+    }
+
+    /// The segment ops check that their rows cover the segments; the tape
+    /// builders assert it too, so only the rule itself can be handed a
+    /// wrong row count.
+    #[test]
+    fn segment_rows_that_miss_the_segments_are_rejected() {
+        use crate::ops::Segments;
+        use std::sync::Arc;
+
+        let segs = Arc::new(Segments::from_lengths(&[3, 2]));
+        let mut tape = Tape::new(0);
+        let x = tape.constant(Matrix::from_vec(5, 2, vec![1.0; 10]));
+        let out = tape.segment_sum(x, &segs);
+        let rule = &tape.node(out.index()).op;
+        assert_eq!(rule.shape(&[(5, 2)]), Ok((2, 2)));
+        let err = rule.shape(&[(6, 2)]).expect_err("6 rows do not cover 5 segmented elements");
+        assert!(err.contains("segment"), "{err}");
+    }
     /// Mutation test: an op recorded with the wrong number of inputs must
     /// produce an `ArityMismatch` error.
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! A fused op (`segment_attention`, `gather_attention`,
 //! `gen_linear_score`) replaces a chain of plain tape ops. Its soundness
-//! has two halves: its `transfer` must over-approximate every concrete
-//! output, which absint checks on every audited tape, and it must compute
-//! what the chain computes, which [`fused_vs_chain`] checks here. The same
+//! has two halves: its shape rule must agree with what it records, which
+//! the tape audit checks, and it must compute what the chain computes,
+//! which [`fused_vs_chain`] checks here. The same
 //! check bounds a reordered model computation against the order it
 //! replaces, such as an aggregator that projects before it propagates.
 

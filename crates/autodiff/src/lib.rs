@@ -19,12 +19,9 @@
 //! * [`optim`] — SGD and Adam with decoupled weight decay.
 //! * [`gradcheck`] — finite-difference verification used by the test suite.
 //! * [`audit`] — static tape analysis: arity and shape checking against
-//!   each op's declared arity and transfer function, dead-compute and
+//!   each op's declared arity and shape rule, dead-compute and
 //!   dead-parameter detection, gradient-accumulation accounting and
 //!   NaN/inf provenance.
-//! * [`absint`] — abstract interpretation over recorded tapes: per-value
-//!   shape (symbolic dims included), interval, sign and NaN/Inf-freedom
-//!   via the same per-op transfer functions ([`Tape::absint`]).
 //! * [`parallel`] — the one threading policy every dense/sparse/segment
 //!   kernel partitions through (`SANE_NUM_THREADS` to override).
 //! * [`simd`] — pinned-reduction-order vectorized inner loops (8 fixed
@@ -60,7 +57,6 @@ mod matrix;
 mod sparse;
 mod tape;
 
-pub mod absint;
 pub mod analysis;
 pub mod audit;
 pub mod equivalence;
@@ -81,7 +77,6 @@ pub mod ops {
     pub use graphops::Segments;
 }
 
-pub use absint::{AbsReport, AbsSummary, AbsVal, AbsViolation, Dim, Interval, Sign};
 pub use analysis::{PartitionPlan, PlanError, ShadowFinding, ShadowLog, WriteRange};
 pub use audit::{Arity, FanStats, Finding, FindingKind, Severity, TapeReport};
 pub use matrix::Matrix;

@@ -4,14 +4,9 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use crate::absint::{
-    binary_elementwise, dilate, finite_arith, nan_free_addsub, nan_free_mul, require_compatible,
-    AbsVal, Dim, Interval,
-};
-use crate::audit::Arity;
+use crate::audit::{require_eq, Arity};
 use crate::matrix::Matrix;
 use crate::pool;
-use crate::simd::ACTIVATION_REL_ERR;
 use crate::tape::{Op, Tape, Tensor};
 
 fn binary_shape_check(tape: &Tape, a: Tensor, b: Tensor, what: &str) {
@@ -22,6 +17,13 @@ fn binary_shape_check(tape: &Tape, a: Tensor, b: Tensor, what: &str) {
         tape.value(a).shape(),
         tape.value(b).shape()
     );
+}
+
+/// Shape rule of the binary elementwise ops: both operands and the output
+/// share one shape.
+fn same_shape(what: &str, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+    require_eq(&format!("{what}: operand shapes disagree"), inputs[0], inputs[1])?;
+    Ok(inputs[0])
 }
 
 struct AddOp;
@@ -41,10 +43,8 @@ impl Op for AddOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let (a, b) = (&inputs[0], &inputs[1]);
-        let range = a.range.add(b.range);
-        binary_elementwise("add", a, b, range, nan_free_addsub(a, b), finite_arith(range, &[a, b]))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        same_shape("add", inputs)
     }
 }
 
@@ -67,10 +67,8 @@ impl Op for SubOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let (a, b) = (&inputs[0], &inputs[1]);
-        let range = a.range.sub(b.range);
-        binary_elementwise("sub", a, b, range, nan_free_addsub(a, b), finite_arith(range, &[a, b]))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        same_shape("sub", inputs)
     }
 }
 
@@ -99,10 +97,8 @@ impl Op for MulOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let (a, b) = (&inputs[0], &inputs[1]);
-        let range = a.range.mul(b.range);
-        binary_elementwise("mul", a, b, range, nan_free_mul(a, b), finite_arith(range, &[a, b]))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        same_shape("mul", inputs)
     }
 }
 
@@ -125,25 +121,13 @@ impl Op for ScaleOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let a = &inputs[0];
-        let range = a.range.scale(self.0);
-        let (nan_free, inf_free) = if self.0 == 0.0 {
-            // 0 * inf is NaN; the surviving entries are exactly zero.
-            (a.nan_free && a.inf_free, true)
-        } else {
-            (
-                a.nan_free && self.0.is_finite(),
-                a.inf_free && self.0.is_finite() && range.is_finite(),
-            )
-        };
-        Ok(a.with_range(range, nan_free, inf_free))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Ok(inputs[0])
     }
 }
 
-/// `a + c`; the constant is kept so the abstract transfer can shift the
-/// interval (backward never needs it).
-struct AddScalarOp(f32);
+/// `a + c`; backward passes the gradient through unchanged.
+struct AddScalarOp;
 impl Op for AddScalarOp {
     fn backward(
         &self,
@@ -160,14 +144,8 @@ impl Op for AddScalarOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let a = &inputs[0];
-        if self.0.is_nan() {
-            return Ok(AbsVal::top(a.rows, a.cols));
-        }
-        let range = a.range.add(Interval::point(self.0));
-        let nan_free = a.nan_free && (a.inf_free || self.0.is_finite());
-        Ok(a.with_range(range, nan_free, a.inf_free && range.is_finite()))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Ok(inputs[0])
     }
 }
 
@@ -197,18 +175,9 @@ impl Op for MulScalarTensorOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let (a, s) = (&inputs[0], &inputs[1]);
-        require_compatible("mul_scalar_tensor: scale rows", s.rows, Dim::Const(1))?;
-        require_compatible("mul_scalar_tensor: scale cols", s.cols, Dim::Const(1))?;
-        let range = a.range.mul(s.range);
-        Ok(AbsVal {
-            rows: a.rows,
-            cols: a.cols,
-            range,
-            nan_free: nan_free_mul(a, s),
-            inf_free: finite_arith(range, &[a, s]),
-        })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        require_eq("mul_scalar_tensor: the scale must be 1 x 1", inputs[1], (1, 1))?;
+        Ok(inputs[0])
     }
 }
 
@@ -235,10 +204,8 @@ impl Op for ReluOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let a = &inputs[0];
-        let range = Interval::new(a.range.lo.max(0.0), a.range.hi.max(0.0));
-        Ok(a.with_range(range, a.nan_free, a.inf_free))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Ok(inputs[0])
     }
 }
 
@@ -265,18 +232,8 @@ impl Op for LeakyReluOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let a = &inputs[0];
-        let slope = self.0;
-        if slope.is_nan() || slope < 0.0 {
-            // Negative or NaN slope: keep the shape, claim nothing.
-            return Ok(AbsVal::top(a.rows, a.cols));
-        }
-        let pos = Interval::new(a.range.lo.max(0.0), a.range.hi.max(0.0));
-        let neg = Interval::new(a.range.lo.min(0.0), a.range.hi.min(0.0)).scale(slope);
-        let range = pos.join(neg);
-        let nan_free = a.nan_free && (slope != 0.0 || a.inf_free);
-        Ok(a.with_range(range, nan_free, a.inf_free))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Ok(inputs[0])
     }
 }
 
@@ -304,14 +261,8 @@ impl Op for EluOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let a = &inputs[0];
-        let f = |x: f32| if x > 0.0 { x } else { x.exp() - 1.0 };
-        // Monotone: the image of [lo, hi] is [f(lo), f(hi)], bounded below
-        // by -1; only a +inf input keeps the output unbounded.
-        let range = Interval::new(f(a.range.lo), f(a.range.hi));
-        let inf_free = a.inf_free || a.range.hi <= 0.0;
-        Ok(a.with_range(range, a.nan_free, inf_free))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Ok(inputs[0])
     }
 }
 
@@ -336,14 +287,8 @@ impl Op for TanhOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let a = &inputs[0];
-        // libm at the ends, widened by the vectorized kernel's error bound
-        // (it is not monotone at ulp scale), then cut back to [-1, 1].
-        let exact = Interval::new(a.range.lo.tanh(), a.range.hi.tanh());
-        let range = dilate(exact, ACTIVATION_REL_ERR);
-        let range = Interval::new(range.lo.max(-1.0), range.hi.min(1.0));
-        Ok(a.with_range(range, a.nan_free, true))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Ok(inputs[0])
     }
 }
 
@@ -368,18 +313,8 @@ impl Op for SigmoidOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let a = &inputs[0];
-        let sig = |x: f32| 1.0 / (1.0 + (-x).exp());
-        // As for tanh, plus an absolute MIN_POSITIVE where the outputs are
-        // subnormal and the kernel's relative bound does not hold.
-        let exact = Interval::new(sig(a.range.lo), sig(a.range.hi));
-        let range = dilate(exact, ACTIVATION_REL_ERR);
-        let range = Interval::new(
-            (range.lo - f32::MIN_POSITIVE).max(0.0),
-            (range.hi + f32::MIN_POSITIVE).min(1.0),
-        );
-        Ok(a.with_range(range, a.nan_free, true))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Ok(inputs[0])
     }
 }
 
@@ -411,9 +346,8 @@ impl Op for AbsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let a = &inputs[0];
-        Ok(a.with_range(a.range.abs(), a.nan_free, a.inf_free))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Ok(inputs[0])
     }
 }
 
@@ -442,21 +376,10 @@ impl Op for DropoutOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String> {
-        let a = &inputs[0];
-        if let (Some(r), Some(c)) = (a.rows.known(), a.cols.known()) {
-            if self.mask.len() != r * c {
-                return Err(format!(
-                    "saved mask has {} entries for a {r}x{c} input",
-                    self.mask.len()
-                ));
-            }
-        }
-        let mask_hi = self.mask.iter().fold(0.0f32, |m, &v| m.max(v));
-        let range = a.range.mul(Interval::new(0.0, mask_hi));
-        // Dropping an infinite entry is 0 * inf = NaN.
-        let nan_free = a.nan_free && a.inf_free;
-        Ok(a.with_range(range, nan_free, a.inf_free && range.is_finite()))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (rows, cols) = inputs[0];
+        require_eq("dropout: saved mask entries", self.mask.len(), rows * cols)?;
+        Ok(inputs[0])
     }
 }
 
@@ -498,7 +421,7 @@ impl Tape {
     pub fn add_scalar(&mut self, a: Tensor, c: f32) -> Tensor {
         let mut out = pool::clone_of(self.value(a));
         out.map_inplace(|x| x + c);
-        self.push_op(out, Box::new(AddScalarOp(c)), vec![a])
+        self.push_op(out, Box::new(AddScalarOp), vec![a])
     }
 
     /// `a * s` where `s` is a differentiable `1 x 1` tensor. This is the

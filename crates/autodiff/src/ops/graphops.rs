@@ -14,41 +14,25 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::absint::{
-    dilate, finite_arith, nan_free_addsub, nan_free_mul, require_compatible, AbsVal, Dim, Interval,
-};
-use crate::audit::Arity;
+use crate::audit::{require_eq, Arity};
 use crate::matrix::Matrix;
 use crate::parallel::{parallel_ranges, parallel_ranges_pair, parallel_rows, parallel_rows_pair};
 use crate::pool;
 use crate::tape::{Op, Tape, Tensor};
 
-type Transferred = Result<AbsVal, String>;
-
-/// Segment-boundary invariant shared by every segment transfer: the input's
-/// row dim must be compatible with the total segmented length (the segments
-/// are sorted and covering by construction of [`Segments`]).
-fn require_segment_cover(what: &str, segs: &Segments, rows: Dim) -> Result<(), String> {
-    require_compatible(
-        &format!("{what}: input rows must cover the segmented elements"),
-        rows,
-        Dim::Const(segs.total_len()),
-    )
+/// Segment-boundary invariant shared by every segment op's shape rule: the
+/// rows must be exactly the segmented elements (the segments are sorted and
+/// covering by construction of [`Segments`]).
+fn require_segment_cover(what: &str, segs: &Segments, rows: usize) -> Result<(), String> {
+    require_eq(&format!("{what}: rows must cover the segmented elements"), rows, segs.total_len())
 }
 
-/// Shortest and longest segment, for interval bounds on segment sums.
-fn segment_len_bounds(segs: &Segments) -> (usize, usize) {
-    let mut min = usize::MAX;
-    let mut max = 0;
-    for s in 0..segs.num_segments() {
-        let n = segs.len_of(s);
-        min = min.min(n);
-        max = max.max(n);
-    }
-    if min == usize::MAX {
-        (0, 0)
-    } else {
-        (min, max)
+/// Every index must address one of `rows` rows.
+pub(crate) fn require_in_bounds(what: &str, idx: &[u32], rows: usize) -> Result<(), String> {
+    let bad = idx.iter().find(|&&i| i as usize >= rows); // lint:allow(lossy-cast) -- u32 index widens losslessly
+    match bad {
+        Some(bad) => Err(format!("{what}: index {bad} out of bounds for {rows} rows")),
+        None => Ok(()),
     }
 }
 
@@ -161,16 +145,10 @@ impl Op for GatherRowsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let a = &inputs[0];
-        if let Some(rows) = a.rows.known() {
-            if let Some(&bad) = self.idx.iter().find(|&&i| i as usize >= rows) {
-                // lint:allow(lossy-cast) -- u32 index widens losslessly
-                return Err(format!("gather_rows: index {bad} out of bounds for {rows} rows"));
-            }
-        }
-        // A gather permutes/duplicates rows: values pass through untouched.
-        Ok(AbsVal { rows: Dim::Const(self.idx.len()), ..*a })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (rows, cols) = inputs[0];
+        require_in_bounds("gather_rows", &self.idx, rows)?;
+        Ok((self.idx.len(), cols))
     }
 }
 
@@ -216,21 +194,10 @@ impl Op for SegmentSumOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let a = &inputs[0];
-        require_segment_cover("segment_sum", &self.segs, a.rows)?;
-        // A segment of n elements sums into n·[lo, hi]; n·lo and n·hi are
-        // monotone in n, so the two extreme lengths bound every segment
-        // (length 0 collapses to the zero row the kernel writes).
-        let (min_len, max_len) = segment_len_bounds(&self.segs);
-        let range = a.range.sum_of(Dim::Const(min_len)).join(a.range.sum_of(Dim::Const(max_len)));
-        Ok(AbsVal {
-            rows: Dim::Const(self.segs.num_segments()),
-            cols: a.cols,
-            range,
-            nan_free: a.nan_free && a.inf_free,
-            inf_free: finite_arith(range, &[a]),
-        })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (rows, cols) = inputs[0];
+        require_segment_cover("segment_sum", &self.segs, rows)?;
+        Ok((self.segs.num_segments(), cols))
     }
 }
 
@@ -283,26 +250,10 @@ impl Op for SegmentMeanOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let a = &inputs[0];
-        require_segment_cover("segment_mean", &self.segs, a.rows)?;
-        let (min_len, max_len) = segment_len_bounds(&self.segs);
-        // The kernel sums first and scales by 1/n after, so the mean stays
-        // in the input hull unless the sum overflows on the way.
-        let sum = a.range.sum_of(Dim::Const(max_len));
-        let lo = if sum.lo == f32::NEG_INFINITY { f32::NEG_INFINITY } else { a.range.lo };
-        let hi = if sum.hi == f32::INFINITY { f32::INFINITY } else { a.range.hi };
-        let mut range = Interval::new(lo, hi);
-        if min_len == 0 {
-            range = range.hull_with_zero();
-        }
-        Ok(AbsVal {
-            rows: Dim::Const(self.segs.num_segments()),
-            cols: a.cols,
-            range,
-            nan_free: a.nan_free && a.inf_free,
-            inf_free: a.inf_free && sum.is_finite(),
-        })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (rows, cols) = inputs[0];
+        require_segment_cover("segment_mean", &self.segs, rows)?;
+        Ok((self.segs.num_segments(), cols))
     }
 }
 
@@ -353,22 +304,10 @@ impl Op for SegmentMaxOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let a = &inputs[0];
-        require_segment_cover("segment_max", &self.segs, a.rows)?;
-        let (min_len, _) = segment_len_bounds(&self.segs);
-        let mut range = a.range;
-        if min_len == 0 {
-            // Empty segments produce a zero row, not a -inf max.
-            range = range.hull_with_zero();
-        }
-        Ok(AbsVal {
-            rows: Dim::Const(self.segs.num_segments()),
-            cols: a.cols,
-            range,
-            nan_free: a.nan_free,
-            inf_free: a.inf_free,
-        })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (rows, cols) = inputs[0];
+        require_segment_cover("segment_max", &self.segs, rows)?;
+        Ok((self.segs.num_segments(), cols))
     }
 }
 
@@ -408,23 +347,11 @@ impl Op for SegmentSoftmaxOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let a = &inputs[0];
-        require_compatible(
-            "segment_softmax: expects an n x 1 score column",
-            a.cols,
-            Dim::Const(1),
-        )?;
-        require_segment_cover("segment_softmax", &self.segs, a.rows)?;
-        // exp(x - max) ≤ 1 and the nonnegative partial sums dominate every
-        // term, so each weight lands in [0, 1] even in f32.
-        Ok(AbsVal {
-            rows: Dim::Const(self.segs.total_len()),
-            cols: Dim::Const(1),
-            range: Interval::new(0.0, 1.0),
-            nan_free: a.nan_free && a.inf_free,
-            inf_free: true,
-        })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (rows, cols) = inputs[0];
+        require_eq("segment_softmax: expects an n x 1 score column", cols, 1)?;
+        require_segment_cover("segment_softmax", &self.segs, rows)?;
+        Ok((rows, 1))
     }
 }
 
@@ -527,26 +454,12 @@ impl Op for SegmentAttentionOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let (s, m) = (&inputs[0], &inputs[1]);
-        require_compatible(
-            "segment_attention: expects an n x 1 score column",
-            s.cols,
-            Dim::Const(1),
-        )?;
-        require_segment_cover("segment_attention scores", &self.segs, s.rows)?;
-        require_segment_cover("segment_attention messages", &self.segs, m.rows)?;
-        // Convex combination of message rows (empty segments give zero
-        // rows), dilated for the kernel's reciprocal-normalisation rounding.
-        let range = dilate(m.range.hull_with_zero(), 1e-4);
-        let clean = s.nan_free && s.inf_free && m.nan_free && m.inf_free;
-        Ok(AbsVal {
-            rows: Dim::Const(self.segs.num_segments()),
-            cols: m.cols,
-            range,
-            nan_free: clean,
-            inf_free: clean && range.is_finite(),
-        })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (s, m) = (inputs[0], inputs[1]);
+        require_eq("segment_attention: expects an n x 1 score column", s.1, 1)?;
+        require_segment_cover("segment_attention scores", &self.segs, s.0)?;
+        require_segment_cover("segment_attention messages", &self.segs, m.0)?;
+        Ok((self.segs.num_segments(), m.1))
     }
 }
 
@@ -635,40 +548,13 @@ impl Op for GatherAttentionOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let (s, x) = (&inputs[0], &inputs[1]);
-        require_compatible(
-            "gather_attention: expects an n x 1 score column",
-            s.cols,
-            Dim::Const(1),
-        )?;
-        require_segment_cover("gather_attention scores", &self.segs, s.rows)?;
-        if self.idx.len() != self.segs.total_len() {
-            return Err(format!(
-                "gather_attention: {} indices but segments cover {} edges",
-                self.idx.len(),
-                self.segs.total_len()
-            ));
-        }
-        if let Some(xrows) = x.rows.known() {
-            if let Some(&bad) = self.idx.iter().find(|&&i| i as usize >= xrows) {
-                // lint:allow(lossy-cast) -- u32 index widens losslessly
-                return Err(format!(
-                    "gather_attention: index {bad} out of bounds for {xrows} rows"
-                ));
-            }
-        }
-        // Same convex-combination bound as `segment_attention` — the gather
-        // only changes the addressing of the message rows.
-        let range = dilate(x.range.hull_with_zero(), 1e-4);
-        let clean = s.nan_free && s.inf_free && x.nan_free && x.inf_free;
-        Ok(AbsVal {
-            rows: Dim::Const(self.segs.num_segments()),
-            cols: x.cols,
-            range,
-            nan_free: clean,
-            inf_free: clean && range.is_finite(),
-        })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (s, x) = (inputs[0], inputs[1]);
+        require_eq("gather_attention: expects an n x 1 score column", s.1, 1)?;
+        require_segment_cover("gather_attention scores", &self.segs, s.0)?;
+        require_segment_cover("gather_attention indices", &self.segs, self.idx.len())?;
+        require_in_bounds("gather_attention", &self.idx, x.0)?;
+        Ok((self.segs.num_segments(), x.1))
     }
 }
 
@@ -743,42 +629,14 @@ impl Op for GenLinearScoreOp {
     fn arity(&self) -> Arity {
         Arity::Exact(3)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let (s, t, w) = (&inputs[0], &inputs[1], &inputs[2]);
-        require_compatible("gen_linear_score: projection widths", s.cols, t.cols)?;
-        require_compatible("gen_linear_score: gen_out rows", w.rows, s.cols)?;
-        require_compatible("gen_linear_score: gen_out must be a column", w.cols, Dim::Const(1))?;
-        if self.src.len() != self.dst.len() {
-            return Err(format!(
-                "gen_linear_score: {} source but {} target indices",
-                self.src.len(),
-                self.dst.len()
-            ));
-        }
-        for (idx, rows) in [(&self.src, s.rows), (&self.dst, t.rows)] {
-            if let Some(rows) = rows.known() {
-                if let Some(&bad) = idx.iter().find(|&&i| i as usize >= rows) {
-                    // lint:allow(lossy-cast) -- u32 index widens losslessly
-                    return Err(format!("gen_linear_score: index {bad} out of bounds for {rows}"));
-                }
-            }
-        }
-        // |tanh| ≤ 1, so |score| ≤ Σ_k |w_k|. The FMA chain rounds each of
-        // its d steps, which the k·ε dilation covers.
-        let bound = w.range.abs().sum_of(w.rows);
-        let range = match w.rows.known() {
-            Some(k) => dilate(Interval::new(-bound.hi, bound.hi), k as f32 * f32::EPSILON), // lint:allow(lossy-cast) -- head widths are far below 2^24
-            None => Interval::new(-bound.hi, bound.hi),
-        };
-        // tanh(±inf) is ±1, so only inf − inf and an infinite weight
-        // (0·inf, inf − inf in the chain) can make NaN.
-        Ok(AbsVal {
-            rows: Dim::Const(self.src.len()),
-            cols: Dim::Const(1),
-            range,
-            nan_free: nan_free_addsub(s, t) && w.nan_free && w.inf_free,
-            inf_free: w.inf_free && range.is_finite(),
-        })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (s, t, w) = (inputs[0], inputs[1], inputs[2]);
+        require_eq("gen_linear_score: projection widths", s.1, t.1)?;
+        require_eq("gen_linear_score: gen_out must be a width x 1 column", w, (s.1, 1))?;
+        require_eq("gen_linear_score: source vs target indices", self.src.len(), self.dst.len())?;
+        require_in_bounds("gen_linear_score sources", &self.src, s.0)?;
+        require_in_bounds("gen_linear_score targets", &self.dst, t.0)?;
+        Ok((self.src.len(), 1))
     }
 }
 
@@ -822,22 +680,10 @@ impl Op for MulColBroadcastOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let (a, w) = (&inputs[0], &inputs[1]);
-        require_compatible("mul_col_broadcast: weight rows must match the input", w.rows, a.rows)?;
-        require_compatible(
-            "mul_col_broadcast: weights must be a single column",
-            w.cols,
-            Dim::Const(1),
-        )?;
-        let range = a.range.mul(w.range);
-        Ok(AbsVal {
-            rows: a.rows.join2(w.rows),
-            cols: a.cols,
-            range,
-            nan_free: nan_free_mul(a, w),
-            inf_free: finite_arith(range, &[a, w]),
-        })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (a, w) = (inputs[0], inputs[1]);
+        require_eq("mul_col_broadcast: weights must be one column per input row", w, (a.0, 1))?;
+        Ok(a)
     }
 }
 

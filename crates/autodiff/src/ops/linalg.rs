@@ -3,24 +3,11 @@
 
 use std::sync::Arc;
 
-use crate::absint::{finite_arith, nan_free_addsub, require_compatible, AbsVal, Dim, Interval};
-use crate::audit::Arity;
+use crate::audit::{require_eq, Arity};
 use crate::matrix::Matrix;
 use crate::pool;
 use crate::sparse::Csr;
 use crate::tape::{Op, Tape, Tensor};
-
-type Transferred = Result<AbsVal, String>;
-
-/// Total element count as a [`Dim`]: concrete when both dims are, zero when
-/// either provably is.
-fn dim_product(r: Dim, c: Dim) -> Dim {
-    match (r.known(), c.known()) {
-        (Some(a), Some(b)) => Dim::Const(a * b),
-        (Some(0), _) | (_, Some(0)) => Dim::Const(0),
-        _ => Dim::Any,
-    }
-}
 
 /// A value gets a sparse view when at most one entry in this many is
 /// nonzero. Set well below the measured crossover (DESIGN.md §17); the
@@ -99,16 +86,10 @@ impl Op for MatMulOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let (a, b) = (&inputs[0], &inputs[1]);
-        require_compatible("matmul: inner dimensions disagree", a.cols, b.rows)?;
-        // Each output element is a length-k dot of products from P.
-        let range = a.range.mul(b.range).sum_of(a.cols.join2(b.rows));
-        // Finite, NaN-free inputs can only overflow to inf (caught by the
-        // range); any input inf risks 0·inf or inf−inf inside the dot.
-        let nan_free = a.nan_free && b.nan_free && a.inf_free && b.inf_free;
-        let inf_free = finite_arith(range, &[a, b]);
-        Ok(AbsVal { rows: a.rows, cols: b.cols, range, nan_free, inf_free })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (a, b) = (inputs[0], inputs[1]);
+        require_eq("matmul: inner dimensions disagree", a.1, b.0)?;
+        Ok((a.0, b.1))
     }
 }
 
@@ -132,29 +113,14 @@ impl Op for SpmmOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let b = &inputs[0];
-        require_compatible(
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (rows, cols) = inputs[0];
+        require_eq(
             "spmm: dense rows must match sparse operator columns",
-            b.rows,
-            Dim::Const(self.sparse.cols()),
+            rows,
+            self.sparse.cols(),
         )?;
-        // The sparse values are saved in the op, so the product interval
-        // and the dot length (max row occupancy) are both concrete.
-        let vals = self.sparse.values();
-        let sv = vals.iter().fold(Interval::point(0.0), |acc, &v| {
-            if v.is_nan() {
-                Interval::TOP
-            } else {
-                acc.join(Interval::point(v))
-            }
-        });
-        let sparse_clean = vals.iter().all(|v| v.is_finite());
-        let max_nnz = self.sparse.indptr().windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-        let range = sv.mul(b.range).sum_of(Dim::Const(max_nnz));
-        let nan_free = b.nan_free && b.inf_free && sparse_clean;
-        let inf_free = b.inf_free && sparse_clean && range.is_finite();
-        Ok(AbsVal { rows: Dim::Const(self.sparse.rows()), cols: b.cols, range, nan_free, inf_free })
+        Ok((self.sparse.rows(), cols))
     }
 }
 
@@ -175,18 +141,10 @@ impl Op for AddBiasOp {
     fn arity(&self) -> Arity {
         Arity::Exact(2)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let (a, b) = (&inputs[0], &inputs[1]);
-        require_compatible("add_bias: bias must be a single row", b.rows, Dim::Const(1))?;
-        require_compatible("add_bias: bias width must match the input", b.cols, a.cols)?;
-        let range = a.range.add(b.range);
-        Ok(AbsVal {
-            rows: a.rows,
-            cols: a.cols.join2(b.cols),
-            range,
-            nan_free: nan_free_addsub(a, b),
-            inf_free: finite_arith(range, &[a, b]),
-        })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (a, b) = (inputs[0], inputs[1]);
+        require_eq("add_bias: bias must be one row as wide as the input", b, (1, a.1))?;
+        Ok(a)
     }
 }
 
@@ -223,32 +181,14 @@ impl Op for ConcatColsOp {
     fn arity(&self) -> Arity {
         Arity::AtLeast(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        if inputs.len() != self.widths.len() {
-            return Err(format!("saved {} widths for {} inputs", self.widths.len(), inputs.len()));
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        require_eq("concat_cols: saved widths vs inputs", self.widths.len(), inputs.len())?;
+        let rows = inputs[0].0;
+        for (&(r, c), &w) in inputs.iter().zip(&self.widths) {
+            require_eq("concat_cols: row counts disagree", r, rows)?;
+            require_eq("concat_cols: saved width mismatch", c, w)?;
         }
-        let mut rows = inputs[0].rows;
-        let mut range: Option<Interval> = None;
-        let mut nan_free = true;
-        let mut inf_free = true;
-        for (v, &w) in inputs.iter().zip(&self.widths) {
-            require_compatible("concat_cols: row counts disagree", v.rows, rows)?;
-            require_compatible("concat_cols: saved width mismatch", v.cols, Dim::Const(w))?;
-            rows = rows.join2(v.rows);
-            // A zero-width operand contributes no elements to the output.
-            if w > 0 {
-                range = Some(range.map_or(v.range, |r| r.join(v.range)));
-                nan_free &= v.nan_free;
-                inf_free &= v.inf_free;
-            }
-        }
-        Ok(AbsVal {
-            rows,
-            cols: Dim::Const(self.widths.iter().sum()),
-            range: range.unwrap_or(Interval::point(0.0)),
-            nan_free,
-            inf_free,
-        })
+        Ok((rows, self.widths.iter().sum()))
     }
 }
 
@@ -277,17 +217,12 @@ impl Op for SliceColsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let a = &inputs[0];
-        if self.start >= self.end {
-            return Err(format!("slice {}..{} is empty", self.start, self.end));
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (rows, cols) = inputs[0];
+        if self.start >= self.end || self.end > cols {
+            return Err(format!("slice {}..{} is empty or out of 0..{cols}", self.start, self.end));
         }
-        if let Some(c) = a.cols.known() {
-            if self.end > c {
-                return Err(format!("slice {}..{} out of 0..{c}", self.start, self.end));
-            }
-        }
-        Ok(AbsVal { cols: Dim::Const(self.end - self.start), ..*a })
+        Ok((rows, self.end - self.start))
     }
 }
 
@@ -315,16 +250,8 @@ impl Op for RowSumOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let a = &inputs[0];
-        let range = a.range.sum_of(a.cols);
-        Ok(AbsVal {
-            rows: a.rows,
-            cols: Dim::Const(1),
-            range,
-            nan_free: a.nan_free && a.inf_free,
-            inf_free: finite_arith(range, &[a]),
-        })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Ok((inputs[0].0, 1))
     }
 }
 
@@ -346,16 +273,8 @@ impl Op for SumAllOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let a = &inputs[0];
-        let range = a.range.sum_of(dim_product(a.rows, a.cols));
-        Ok(AbsVal {
-            rows: Dim::Const(1),
-            cols: Dim::Const(1),
-            range,
-            nan_free: a.nan_free && a.inf_free,
-            inf_free: finite_arith(range, &[a]),
-        })
+    fn shape(&self, _: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Ok((1, 1))
     }
 }
 
@@ -378,24 +297,8 @@ impl Op for MeanAllOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let a = &inputs[0];
-        let count = dim_product(a.rows, a.cols);
-        // The kernel divides the (overflowable) sum by the count: the mean
-        // is in the input hull unless the sum escapes to ±inf first, and an
-        // empty matrix yields 0/0.
-        let sum = a.range.sum_of(count);
-        let lo = if sum.lo == f32::NEG_INFINITY { f32::NEG_INFINITY } else { a.range.lo };
-        let hi = if sum.hi == f32::INFINITY { f32::INFINITY } else { a.range.hi };
-        let range = Interval::new(lo, hi);
-        let nonempty = matches!(count.known(), Some(n) if n > 0);
-        Ok(AbsVal {
-            rows: Dim::Const(1),
-            cols: Dim::Const(1),
-            range,
-            nan_free: a.nan_free && a.inf_free && nonempty,
-            inf_free: a.inf_free && sum.is_finite(),
-        })
+    fn shape(&self, _: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Ok((1, 1))
     }
 }
 
@@ -427,12 +330,8 @@ impl Op for SoftmaxRowsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let a = &inputs[0];
-        // Probabilities: exp(x - max)/sum with sum ≥ exp(0) = 1, so the
-        // output is in [0, 1] and never infinite; any input inf turns the
-        // max shift into inf - inf.
-        Ok(a.with_range(Interval::new(0.0, 1.0), a.nan_free && a.inf_free, true))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Ok(inputs[0])
     }
 }
 
@@ -462,10 +361,8 @@ impl Op for LogSoftmaxRowsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let a = &inputs[0];
-        // x - max - ln(sumexp) ≤ 0, but exp underflow makes -inf reachable.
-        Ok(a.with_range(Interval::new(f32::NEG_INFINITY, 0.0), a.nan_free && a.inf_free, false))
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Ok(inputs[0])
     }
 }
 
@@ -496,33 +393,13 @@ impl Op for MaxStackOp {
     fn arity(&self) -> Arity {
         Arity::AtLeast(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let mut rows = inputs[0].rows;
-        let mut cols = inputs[0].cols;
-        for v in inputs {
-            require_compatible("max_stack: operand rows disagree", v.rows, rows)?;
-            require_compatible("max_stack: operand cols disagree", v.cols, cols)?;
-            rows = rows.join2(v.rows);
-            cols = cols.join2(v.cols);
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (rows, cols) = inputs[0];
+        for &s in inputs {
+            require_eq("max_stack: operand shapes disagree", s, (rows, cols))?;
         }
-        if let (Some(r), Some(c)) = (rows.known(), cols.known()) {
-            if self.winners.len() != r * c {
-                return Err(format!(
-                    "saved {} winner indices for a {r}x{c} output",
-                    self.winners.len()
-                ));
-            }
-        }
-        // Elementwise max of k values, one from each operand interval.
-        let lo = inputs.iter().map(|v| v.range.lo).fold(f32::NEG_INFINITY, f32::max);
-        let hi = inputs.iter().map(|v| v.range.hi).fold(f32::NEG_INFINITY, f32::max);
-        Ok(AbsVal {
-            rows,
-            cols,
-            range: Interval::new(lo, hi),
-            nan_free: inputs.iter().all(|v| v.nan_free),
-            inf_free: inputs.iter().all(|v| v.inf_free),
-        })
+        require_eq("max_stack: saved winner indices", self.winners.len(), rows * cols)?;
+        Ok((rows, cols))
     }
 }
 

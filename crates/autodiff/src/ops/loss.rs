@@ -7,14 +7,12 @@
 
 use std::sync::Arc;
 
-use crate::absint::{require_compatible, AbsVal, Dim, Interval};
-use crate::audit::Arity;
+use crate::audit::{require_eq, Arity};
 use crate::matrix::Matrix;
+use crate::ops::graphops::require_in_bounds;
 use crate::ops::linalg::softmax_rows_value;
 use crate::pool;
 use crate::tape::{Op, Tape, Tensor};
-
-type Transferred = Result<AbsVal, String>;
 
 /// Mean softmax cross-entropy over a subset of rows.
 struct CrossEntropyOp {
@@ -62,41 +60,17 @@ impl Op for CrossEntropyOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let a = &inputs[0];
-        require_compatible(
-            "cross_entropy: one label per logit row",
-            a.rows,
-            Dim::Const(self.labels.len()),
-        )?;
-        if let Some(&r) = self.rows.iter().max() {
-            if r as usize >= self.labels.len() {
-                // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
-                return Err(format!(
-                    "cross_entropy: selected row {r} out of {} labelled rows",
-                    self.labels.len()
-                ));
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (rows, classes) = inputs[0];
+        require_eq("cross_entropy: one label per logit row", rows, self.labels.len())?;
+        require_in_bounds("cross_entropy rows", &self.rows, rows)?;
+        for &r in self.rows.iter() {
+            let label = self.labels[r as usize] as usize; // lint:allow(lossy-cast) -- u32 index widens losslessly
+            if label >= classes {
+                return Err(format!("cross_entropy: label {label} out of {classes} classes"));
             }
         }
-        if let Some(c) = a.cols.known() {
-            for &r in self.rows.iter() {
-                let label = self.labels[r as usize] as usize; // lint:allow(lossy-cast) -- u32 index widens losslessly
-                if label >= c {
-                    return Err(format!("cross_entropy: label {label} out of {c} classes"));
-                }
-            }
-        }
-        // Probabilities are clamped to ≥ 1e-12, so each row's loss lies in
-        // [0, -ln(1e-12)], and so does the mean.
-        let range = Interval::new(0.0, -(1e-12f32).ln());
-        let clean = a.nan_free && a.inf_free && !self.rows.is_empty();
-        Ok(AbsVal {
-            rows: Dim::Const(1),
-            cols: Dim::Const(1),
-            range,
-            nan_free: clean,
-            inf_free: clean,
-        })
+        Ok((1, 1))
     }
 }
 
@@ -135,36 +109,11 @@ impl Op for BceWithLogitsOp {
     fn arity(&self) -> Arity {
         Arity::Exact(1)
     }
-    fn transfer(&self, inputs: &[AbsVal]) -> Transferred {
-        let a = &inputs[0];
-        let (tr, tc) = self.targets.shape();
-        require_compatible("bce_with_logits: target rows", a.rows, Dim::Const(tr))?;
-        require_compatible("bce_with_logits: target cols", a.cols, Dim::Const(tc))?;
-        if let Some(&r) = self.rows.iter().max() {
-            if r as usize >= tr {
-                // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
-                return Err(format!("bce_with_logits: selected row {r} out of {tr} target rows"));
-            }
-        }
-        // Per element: max(x,0) - x·t + ln(1 + e^{-|x|}), the last term in
-        // [0, ln 2]; the mean over the selected rows stays in that hull
-        // unless the sum overflows first.
-        let t = AbsVal::from_matrix(&self.targets);
-        let per = Interval::new(a.range.lo.max(0.0), a.range.hi.max(0.0))
-            .add(a.range.mul(t.range).neg())
-            .add(Interval::new(0.0, std::f32::consts::LN_2));
-        let count = self.rows.len() * tc;
-        let sum = per.sum_of(Dim::Const(count));
-        let lo = if sum.lo == f32::NEG_INFINITY { f32::NEG_INFINITY } else { per.lo };
-        let hi = if sum.hi == f32::INFINITY { f32::INFINITY } else { per.hi };
-        let clean = a.nan_free && a.inf_free && t.nan_free && t.inf_free && count > 0;
-        Ok(AbsVal {
-            rows: Dim::Const(1),
-            cols: Dim::Const(1),
-            range: Interval::new(lo, hi),
-            nan_free: clean,
-            inf_free: clean && sum.is_finite(),
-        })
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (rows, _) = inputs[0];
+        require_eq("bce_with_logits: logits vs targets", inputs[0], self.targets.shape())?;
+        require_in_bounds("bce_with_logits rows", &self.rows, rows)?;
+        Ok((1, 1))
     }
 }
 

@@ -236,10 +236,9 @@ impl Flavour {
 
 /// Relative error bound of the vectorized [`Flavour::tanh`] and
 /// [`Flavour::sigmoid`] against the exact functions, with margin over the
-/// measured 3.5e-7 and 4.2e-7; the margin also covers the ≤1 ulp error of
-/// the libm calls the abstract transfers evaluate at interval ends. Below
-/// the smallest normal float only an absolute bound holds: `sigmoid`'s
-/// output there is off by less than [`f32::MIN_POSITIVE`].
+/// measured 3.5e-7 and 4.2e-7. Below the smallest normal float only an
+/// absolute bound holds: `sigmoid`'s output there is off by less than
+/// [`f32::MIN_POSITIVE`].
 pub const ACTIVATION_REL_ERR: f32 = 1e-6;
 
 /// ULP distance between two floats: bit patterns mapped onto a single
@@ -559,13 +558,18 @@ mod tests {
         }
     }
 
-    /// Every 1/4096 step over [-12, 12] plus the small-magnitude band.
+    /// Every 1/4096 step over [-12, 12] plus the small-magnitude band, and
+    /// the off-grid points where the error peaks: the rational tanh's near
+    /// ±2.85, 4.91 and 5.98, sigmoid's far left (where its outputs are
+    /// still normal floats), and the edge and inside of tanh's identity
+    /// band.
     fn activation_grid() -> Vec<f32> {
         let mut xs: Vec<f32> = (-49_152..=49_152).map(|i| i as f32 / 4096.0).collect(); // lint:allow(lossy-cast) -- small integer grid, exact in f32
         xs.extend((1..=400).flat_map(|i| {
             let x = i as f32 * 2.5e-6; // lint:allow(lossy-cast) -- small integer grid
             [x, -x]
         }));
+        xs.extend([2.85, -2.85, 4.909_769_5, 5.981_79, -86.295_62, 0.0004, 1e-30]);
         xs
     }
 

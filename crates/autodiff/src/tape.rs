@@ -18,7 +18,6 @@ use std::sync::{Arc, OnceLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::absint::{AbsVal, Dim};
 use crate::audit::Arity;
 use crate::matrix::Matrix;
 use crate::ops::linalg::SparseView;
@@ -74,17 +73,15 @@ pub(crate) trait Op: Send + Sync {
     /// Declared number of tape inputs, checked by the tape auditor.
     fn arity(&self) -> Arity;
 
-    /// The op's one static contract: maps the abstract values of the inputs
-    /// (in wiring order) to the abstract value of the output, or `Err` when
-    /// the inputs violate the op's contract (e.g. `matmul` inner dimensions
-    /// disagree).
+    /// The op's one static contract: maps the `(rows, cols)` of the inputs
+    /// (in wiring order) to the output's, or `Err` when the inputs violate
+    /// the op's contract (e.g. `matmul` inner dimensions disagree, or a
+    /// segment op's rows do not cover its segments).
     ///
-    /// [`crate::absint`] propagates full abstract values through it, and
-    /// the tape auditor's shape pass feeds it shape-only inputs. Each
-    /// implementation lives next to its op's `backward` and is
-    /// property-checked in the absint suite: the abstract result must
-    /// over-approximate every concrete execution.
-    fn transfer(&self, inputs: &[AbsVal]) -> Result<AbsVal, String>;
+    /// The tape auditor's shape pass checks every recorded node against it.
+    /// Each implementation lives next to its op's `backward`; the audit
+    /// tests record every op once and require a clean shape pass.
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String>;
 }
 
 /// Leaf op for constants / external inputs: no gradient flows past it.
@@ -99,8 +96,8 @@ impl Op for InputOp {
     fn arity(&self) -> Arity {
         Arity::Exact(0)
     }
-    fn transfer(&self, _: &[AbsVal]) -> Result<AbsVal, String> {
-        Ok(AbsVal::top(Dim::Any, Dim::Any)) // never called: leaves keep their values
+    fn shape(&self, _: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Err("leaves have no shape rule: their recorded value is their shape".to_string())
     }
 }
 
@@ -117,8 +114,8 @@ impl Op for ParamOp {
     fn arity(&self) -> Arity {
         Arity::Exact(0)
     }
-    fn transfer(&self, _: &[AbsVal]) -> Result<AbsVal, String> {
-        Ok(AbsVal::top(Dim::Any, Dim::Any)) // never called: leaves keep their values
+    fn shape(&self, _: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        Err("leaves have no shape rule: their recorded value is their shape".to_string())
     }
 }
 

@@ -575,6 +575,48 @@ mod tests {
         assert_eq!(report.reachable_nodes, report.num_nodes, "{report}");
     }
 
+    /// A train-mode step of the derived architecture, dropout on, must
+    /// audit clean too: it is the tape shape of retraining after the search.
+    #[test]
+    fn derived_train_step_tape_audits_clean() {
+        use sane_gnn::{GnnModel, ModelHyper};
+        let task = Task::node(CitationConfig::cora().scaled(0.05).with_seed(7).generate());
+        let t = node_task_of(&task).expect("a node task");
+        let hidden = 16;
+        let mut store = VarStore::new();
+        let net = Supernet::new(
+            SupernetConfig { hidden, ..SupernetConfig::default() },
+            task.feature_dim(),
+            task.num_outputs(),
+            &mut store,
+            &mut StdRng::seed_from_u64(7),
+        );
+        let hyper = ModelHyper { hidden, ..ModelHyper::default() };
+        assert!(hyper.dropout > 0.0);
+        let mut model_store = VarStore::new();
+        let model = GnnModel::new(
+            net.derive(&store),
+            task.feature_dim(),
+            task.num_outputs(),
+            hyper,
+            &mut model_store,
+            &mut StdRng::seed_from_u64(8),
+        );
+        let nodes = |training: bool| {
+            let mut tape = Tape::new(7);
+            let x = tape.input(Arc::clone(&t.data.features));
+            let logits = model.forward(&mut tape, &model_store, &t.ctx, x, training);
+            let loss = tape.cross_entropy(logits, &t.data.labels, &t.data.train);
+            let report = tape.audit(loss, Some(&model_store));
+            assert!(
+                report.is_clean(),
+                "derived tape (training: {training}) has findings:\n{report}"
+            );
+            report.num_nodes
+        };
+        assert!(nodes(true) > nodes(false), "train mode must record the dropout ops");
+    }
+
     /// The α step's pruned sweep must hand Adam exactly the α gradients
     /// the full sweep computes, at every worker count, and form no weight
     /// gradient at all.

@@ -3,12 +3,14 @@
 //! Training a candidate architecture costs seconds to minutes; statically
 //! checking that its tape is well-formed costs microseconds. The pre-flight
 //! validator builds the candidate's model over a tiny probe graph, records
-//! one forward pass, and runs the combined audit + abstract interpretation
-//! (`Tape::audit_with_absint`) over it. A genome whose tape has any
-//! error-severity finding — arity/shape contradictions, transfer-function
-//! violations, non-finite values — is rejected before any training budget
-//! is spent, and the rejection is counted in telemetry
-//! (`search.preflight.checked` / `search.preflight.rejected`).
+//! one forward pass, and runs [`Tape::audit`] over it. A genome whose tape
+//! has any error-severity finding — arity or shape-rule contradictions,
+//! non-finite values — is rejected before any training budget is spent.
+//! A searcher opts in with `GenomeOracle::with_preflight`, which counts
+//! checks and rejections in telemetry (`search.preflight.checked` /
+//! `search.preflight.rejected`); none of the built-in searchers installs
+//! it, since every genome of the SANE space decodes to a valid
+//! architecture (the tests below check a sample of them).
 
 use std::sync::Arc;
 
@@ -83,14 +85,13 @@ pub fn check_genome(space: &CategoricalSpace, genome: &[usize]) -> Result<(), Pr
     Ok(())
 }
 
-/// Runs the combined audit + abstract interpretation over a recorded probe
-/// tape and rejects on any error-severity finding.
+/// Audits a recorded probe tape and rejects on any error-severity finding.
 pub fn preflight_tape(
     tape: &Tape,
     loss: Tensor,
     store: Option<&VarStore>,
 ) -> Result<(), PreflightError> {
-    let (report, _abs) = tape.audit_with_absint(loss, store);
+    let report = tape.audit(loss, store);
     if report.has_errors() {
         let findings = report
             .findings
@@ -109,7 +110,7 @@ pub fn preflight_tape(
 ///
 /// The probe fixture is deliberately small (6 nodes, 5 features, 3
 /// classes) — the static properties being checked (op wiring, shape
-/// transfer, interval/NaN contracts) do not depend on graph scale.
+/// rules, finite values) do not depend on graph scale.
 pub struct SanePreflight {
     space: SaneSpace,
     cat: CategoricalSpace,
@@ -179,14 +180,18 @@ mod tests {
     #[test]
     fn every_sane_genome_corner_passes_preflight() {
         // All-minimum and all-maximum genomes exercise both extremes of
-        // every decision; the validator must accept them all — the SANE
-        // space contains no statically-invalid architecture by design.
+        // every decision, and sampled genomes mix them; the validator must
+        // accept them all — the SANE space contains no statically-invalid
+        // architecture by design.
         let pf = SanePreflight::new(SaneSpace::paper());
         let dims = pf.space().dims.clone();
         let lo: Vec<usize> = dims.iter().map(|_| 0).collect();
         let hi: Vec<usize> = dims.iter().map(|&d| d - 1).collect();
-        assert_eq!(pf.check(&lo), Ok(()));
-        assert_eq!(pf.check(&hi), Ok(()));
+        let mut rng = StdRng::seed_from_u64(7);
+        let sampled = (0..16).map(|_| pf.space().sample(&mut rng));
+        for genome in [lo, hi].into_iter().chain(sampled) {
+            assert_eq!(pf.check(&genome), Ok(()), "genome {genome:?}");
+        }
     }
 
     /// Acceptance pin: an injected statically-invalid candidate is rejected

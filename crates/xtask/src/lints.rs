@@ -143,16 +143,12 @@ const NUMERIC_CAST_TYPES: [&str; 12] =
     ["f32", "f64", "usize", "isize", "u8", "u16", "u32", "u64", "i8", "i16", "i32", "i64"];
 /// Directories whose every file is a numeric kernel path.
 const KERNEL_DIRS: [&str; 2] = ["crates/autodiff/src/ops/", "crates/gnn/src/agg/"];
-/// Individual kernel-path files outside those directories. The abstract
-/// interpreter is a kernel path from day one: its interval arithmetic is
-/// exactly the casts and orderings the lossy-cast and iteration lints
-/// exist to police.
-const KERNEL_FILES: [&str; 7] = [
+/// Individual kernel-path files outside those directories.
+const KERNEL_FILES: [&str; 6] = [
     "crates/autodiff/src/matrix.rs",
     "crates/autodiff/src/sparse.rs",
     "crates/autodiff/src/parallel.rs",
     "crates/autodiff/src/simd.rs",
-    "crates/autodiff/src/absint.rs",
     "crates/gnn/src/layer_agg.rs",
     "crates/gnn/src/pooling.rs",
 ];
@@ -1047,13 +1043,18 @@ mod tests {
         assert_eq!(lint_waiver_reason("lib.rs", empty).len(), 1);
     }
 
+    /// A kernel path that no longer exists is a lint entry that silently
+    /// checks nothing: every listed file and directory must be present.
     #[test]
-    fn absint_file_is_a_kernel_path() {
-        // Day-one coverage: the abstract interpreter gets the kernel-path
-        // lints like every numeric kernel.
-        assert!(is_kernel_path("crates/autodiff/src/absint.rs"));
-        let cast = concat!("let w = 1.0 / (count", " as f32", ");\n");
-        assert_eq!(lint_lossy_cast("crates/autodiff/src/absint.rs", cast).findings.len(), 1);
+    fn every_kernel_lint_path_exists() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for file in KERNEL_FILES {
+            assert!(root.join(file).is_file(), "KERNEL_FILES lists missing `{file}`");
+            assert!(is_kernel_path(file));
+        }
+        for dir in KERNEL_DIRS {
+            assert!(root.join(dir).is_dir(), "KERNEL_DIRS lists missing `{dir}`");
+        }
     }
 
     #[test]

@@ -39,12 +39,10 @@
 //!   gradient, parameter and α row (report: `results/DETERMINISM.json`),
 //!   plus a report-only `simd-lane-drift` case (scalar vs vectorized
 //!   kernels). `--quick` uses the small preset for CI.
-//! * `graph-audit` — the op-graph static-analysis gate: drives the
-//!   `graph_audit` bench binary, which runs the combined tape audit +
-//!   abstract interpreter over the supernet and derived fixtures (fused
-//!   ops included) and self-tests the search pre-flight validator
-//!   (report: `results/GRAPH_AUDIT.json`). `--quick` uses the small
-//!   preset for CI.
+//!
+//! Tape audits (every op's shape rule, the supernet and derived-model
+//! tapes, the search pre-flight) are unit tests and run under
+//! `cargo test`, not here.
 //!
 //! `audit` additionally accepts `--sanitizer-report <log>` (repeatable):
 //! each file is scanned for Miri / ThreadSanitizer diagnostics, which are
@@ -106,7 +104,6 @@ fn main() -> ExitCode {
             _ => perf_cmd(&root, &args[1..]),
         },
         Some("determinism") => determinism_cmd(&root, &args[1..]),
-        Some("graph-audit") => graph_audit_cmd(&root, &args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <audit [--sanitizer-report <log>] \
@@ -116,8 +113,7 @@ fn main() -> ExitCode {
                  perf [--quick] [--check] [--explain] [--seed-baseline]|\
                  perf trend [--window <n>]|\
                  perf compact [--keep <n>]|\
-                 determinism [--quick]|\
-                 graph-audit [--quick]>"
+                 determinism [--quick]>"
             );
             ExitCode::from(2)
         }
@@ -514,40 +510,6 @@ fn determinism_cmd(root: &Path, args: &[String]) -> ExitCode {
         eprintln!(
             "xtask determinism: search step is NOT bitwise deterministic across thread counts; \
              see results/DETERMINISM.json for the diverging sections and suspect kernels"
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// The op-graph static-analysis gate: drives the `graph_audit` bench
-/// binary, which runs the combined tape audit + abstract interpreter over
-/// the supernet and derived-architecture fixtures and self-tests the
-/// search pre-flight validator. Exits non-zero — failing this command and
-/// CI — on any violation. The structured report lands in
-/// `results/GRAPH_AUDIT.json`.
-fn graph_audit_cmd(root: &Path, args: &[String]) -> ExitCode {
-    let mut quick = false;
-    for arg in args {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            other => {
-                eprintln!("xtask graph-audit: unknown argument `{other}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let mut cmd = Command::new(env!("CARGO"));
-    cmd.current_dir(root);
-    cmd.args(["run", "--release", "-p", "sane-bench", "--bin", "graph_audit", "--"]);
-    if quick {
-        cmd.arg("--quick");
-    }
-    cmd.arg("--out").arg(root.join("results"));
-    if run(cmd) != ExitCode::SUCCESS {
-        eprintln!(
-            "xtask graph-audit: static analysis or the preflight self-test failed; see \
-             results/GRAPH_AUDIT.json for per-phase findings"
         );
         return ExitCode::FAILURE;
     }
