@@ -65,7 +65,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod diff;
 mod level;
 mod metrics;
 pub mod profile;

@@ -110,9 +110,7 @@ impl Profile {
     /// The stack path a `(phase, kernel)` row renders under in collapsed
     /// output: the unambiguous phase-declaring span path plus a
     /// `kernel:<name>` leaf, or a synthetic `phase:<tag>` root when the
-    /// phase was declared on several paths. The differ uses the same
-    /// convention so diffed kernel frames line up with single-run
-    /// flamegraphs.
+    /// phase was declared on several paths.
     pub fn kernel_stack(&self, k: &KernelStat) -> Vec<String> {
         let mut stack = match k.phase.as_deref() {
             Some(phase) => match self.graft_path(phase) {
@@ -168,25 +166,10 @@ impl Profile {
             }
         }
         for k in &self.kernels {
-            let Some(phase) = k.phase.as_deref() else { continue };
-            if k.total_ns == 0 || !graftable(&k.name) {
+            if k.phase.is_none() || k.total_ns == 0 || !graftable(&k.name) {
                 continue;
             }
-            match self.graft_path(phase) {
-                Some(path) => {
-                    out.push_str(&path.join(";"));
-                    out.push(';');
-                }
-                // Ambiguous phase: keep the frames under a synthetic root
-                // rather than double-booking under several span paths.
-                None => {
-                    out.push_str("phase:");
-                    out.push_str(phase);
-                    out.push(';');
-                }
-            }
-            out.push_str("kernel:");
-            out.push_str(&k.name);
+            out.push_str(&self.kernel_stack(k).join(";"));
             out.push(' ');
             out.push_str(&k.total_ns.to_string());
             out.push('\n');

@@ -1043,8 +1043,9 @@ mod tests {
         assert_eq!(lint_waiver_reason("lib.rs", empty).len(), 1);
     }
 
-    /// A kernel path that no longer exists is a lint entry that silently
-    /// checks nothing: every listed file and directory must be present.
+    /// A kernel or artifact-rendering path that no longer exists is a
+    /// lint entry that silently checks nothing: every listed file and
+    /// directory must be present.
     #[test]
     fn every_kernel_lint_path_exists() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -1054,6 +1055,10 @@ mod tests {
         }
         for dir in KERNEL_DIRS {
             assert!(root.join(dir).is_dir(), "KERNEL_DIRS lists missing `{dir}`");
+        }
+        for file in ARTIFACT_RENDER_PATHS {
+            assert!(root.join(file).is_file(), "ARTIFACT_RENDER_PATHS lists missing `{file}`");
+            assert!(renders_artifacts(file));
         }
     }
 

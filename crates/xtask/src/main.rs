@@ -24,15 +24,8 @@
 //!   `results/BENCH_baseline.json` at a tolerance derived from the
 //!   metric's measured noise and exits non-zero on a regression or a
 //!   missing metric. `--seed-baseline` recomputes the baseline (median and
-//!   MAD) from the history and retains each workload's trace as
-//!   `TRACE_bench_<workload>_baseline.jsonl`, and `--explain` diffs each
-//!   regressed workload's `TRACE_bench_<workload>.jsonl` against that
-//!   copy and attributes the regression to the hottest changed subtree
-//!   (`DIFF_<workload>.json`, `FLAMEDIFF_<workload>.txt`).
-//!   `perf trend` scans the history of the gated metrics for step
-//!   regressions that crept in under the per-run tolerance
-//!   (`results/TREND_report.json`); `perf compact` trims the history to
-//!   the last N entries per (bench, preset).
+//!   MAD) from the history. `--history <file>` and `--baseline <file>`
+//!   point the gate at other copies.
 //! * `determinism` — the cross-thread determinism gate: drives the
 //!   `determinism` bench binary, which runs one full SANE search step at
 //!   1/2/4/`hardware` worker threads and bitwise-compares every loss,
@@ -98,11 +91,7 @@ fn main() -> ExitCode {
         }
         Some("trace-report") => trace_report(&root, args.get(1).map(String::as_str)),
         Some("profile") => profile_cmd(&root, &args[1..]),
-        Some("perf") => match args.get(1).map(String::as_str) {
-            Some("trend") => perf_trend_cmd(&root, &args[2..]),
-            Some("compact") => perf_compact_cmd(&root, &args[2..]),
-            _ => perf_cmd(&root, &args[1..]),
-        },
+        Some("perf") => perf_cmd(&root, &args[1..]),
         Some("determinism") => determinism_cmd(&root, &args[1..]),
         _ => {
             eprintln!(
@@ -110,9 +99,8 @@ fn main() -> ExitCode {
                  [--allow-unreasoned-waivers]|fmt|clippy|ci|\
                  trace-report [file]|\
                  profile <file> [--min-attributed <frac>]|\
-                 perf [--quick] [--check] [--explain] [--seed-baseline]|\
-                 perf trend [--window <n>]|\
-                 perf compact [--keep <n>]|\
+                 perf [--quick] [--check] [--seed-baseline] [--history <file>] \
+                 [--baseline <file>]|\
                  determinism [--quick]>"
             );
             ExitCode::from(2)
@@ -201,7 +189,6 @@ fn perf_cmd(root: &Path, args: &[String]) -> ExitCode {
     let mut quick = false;
     let mut check = false;
     let mut seed = false;
-    let mut explain = false;
     let mut history_path = root.join("results").join("BENCH_history.jsonl");
     let mut baseline_path = root.join("results").join("BENCH_baseline.json");
     let resolve = |v: &str| {
@@ -218,7 +205,6 @@ fn perf_cmd(root: &Path, args: &[String]) -> ExitCode {
             "--quick" => quick = true,
             "--check" => check = true,
             "--seed-baseline" => seed = true,
-            "--explain" => explain = true,
             "--history" => {
                 let Some(v) = it.next() else {
                     eprintln!("xtask perf: --history needs a path");
@@ -246,43 +232,16 @@ fn perf_cmd(root: &Path, args: &[String]) -> ExitCode {
         }
         let history = perf::parse_history(&read_text(&history_path)?)?;
         eprintln!("xtask perf: {} history record(s) in {}", history.len(), history_path.display());
-        for (bench, preset, n) in perf::history_overflow(&history, perf::DEFAULT_HISTORY_CAP) {
-            eprintln!(
-                "xtask perf: WARNING: {n} history entries for ({bench}, {preset}) exceed the \
-                 {} cap; trim with `cargo xtask perf compact`",
-                perf::DEFAULT_HISTORY_CAP
-            );
-        }
-        let results_dir = root.join("results");
         if seed {
             let baseline = perf::seed_baseline(&history, &manifest)?;
             std::fs::write(&baseline_path, perf::baseline_to_json(&baseline))
                 .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
             println!("seeded {} metric(s) -> {}", baseline.len(), baseline_path.display());
-            // Retain each workload's freshest trace as the reference side
-            // of future `--explain` diffs, alongside the numeric baseline.
-            for w in &manifest.workloads {
-                let kept = perf::baseline_trace_path(&results_dir, w);
-                std::fs::copy(perf::candidate_trace_path(&results_dir, w), &kept)
-                    .map_err(|e| format!("cannot retain {}: {e}", kept.display()))?;
-                println!("retained baseline trace -> {}", kept.display());
-            }
             return Ok(true);
         }
         let baseline = perf::parse_baseline(&read_text(&baseline_path)?)?;
         let report = perf::gate(&history, &baseline, &manifest);
         println!("{report}");
-        if explain && report.regressions() > 0 {
-            // Close the detect->explain loop: diff the candidate traces
-            // against the retained baselines and name the hottest suspects.
-            for w in perf::explain(&results_dir, &baseline, &manifest, &report)? {
-                println!("\n{}", w.diff);
-                for a in &w.attributions {
-                    println!("{a}");
-                }
-                println!("[saved {}]\n[saved {}]", w.diff_path.display(), w.flame_path.display());
-            }
-        }
         Ok(report.passed())
     };
     match run() {
@@ -358,127 +317,6 @@ fn run_bench_rounds(
         }
     }
     Ok(())
-}
-
-/// `xtask perf trend`: scan the accumulated history for step regressions
-/// that crept in under the per-run tolerance. Reports and writes
-/// `results/TREND_report.json`; informational by default (exit 0 even
-/// with changepoints) so CI can run it non-blocking — `--check` flips
-/// detected steps into a failure for local bisection workflows.
-fn perf_trend_cmd(root: &Path, args: &[String]) -> ExitCode {
-    let mut history_path = root.join("results").join("BENCH_history.jsonl");
-    let mut window = perf::DEFAULT_TREND_WINDOW;
-    let mut check = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--window" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("xtask perf trend: --window needs a count");
-                    return ExitCode::from(2);
-                };
-                window = n;
-            }
-            "--history" => {
-                let Some(v) = it.next() else {
-                    eprintln!("xtask perf trend: --history needs a path");
-                    return ExitCode::from(2);
-                };
-                let p = Path::new(v);
-                history_path = if p.is_absolute() { p.to_path_buf() } else { root.join(p) };
-            }
-            other => {
-                eprintln!("xtask perf trend: unknown argument `{other}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let inputs = read_text(&history_path)
-        .and_then(|text| perf::parse_history(&text))
-        .and_then(|history| Ok((history, load_manifest(root)?)));
-    let (history, manifest) = match inputs {
-        Ok(inputs) => inputs,
-        Err(e) => {
-            eprintln!("xtask perf trend: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = perf::trend(
-        &history,
-        &manifest,
-        window,
-        perf::DEFAULT_TREND_MIN_SHIFT,
-        perf::DEFAULT_TREND_MAD_MULT,
-    );
-    println!("{report}");
-    let out_path = history_path.parent().unwrap_or(root).join("TREND_report.json");
-    if let Err(e) = std::fs::write(&out_path, report.to_json().to_json()) {
-        eprintln!("xtask perf trend: cannot write {}: {e}", out_path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("[saved {}]", out_path.display());
-    if check && !report.changepoints.is_empty() {
-        eprintln!("xtask perf trend: {} changepoint(s) detected", report.changepoints.len());
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// `xtask perf compact`: trim the unboundedly-growing history to the last
-/// `--keep` entries per (bench, preset), in place.
-fn perf_compact_cmd(root: &Path, args: &[String]) -> ExitCode {
-    let mut history_path = root.join("results").join("BENCH_history.jsonl");
-    let mut keep = perf::DEFAULT_HISTORY_CAP;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--keep" => {
-                let Some(n) = it.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("xtask perf compact: --keep needs a count");
-                    return ExitCode::from(2);
-                };
-                keep = n;
-            }
-            "--history" => {
-                let Some(v) = it.next() else {
-                    eprintln!("xtask perf compact: --history needs a path");
-                    return ExitCode::from(2);
-                };
-                let p = Path::new(v);
-                history_path = if p.is_absolute() { p.to_path_buf() } else { root.join(p) };
-            }
-            other => {
-                eprintln!("xtask perf compact: unknown argument `{other}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let text = match std::fs::read_to_string(&history_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask perf compact: cannot read {}: {e}", history_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    match perf::compact_history(&text, keep) {
-        Ok((_, 0)) => {
-            println!("history already within {keep} entries per (bench, preset); nothing to drop");
-            ExitCode::SUCCESS
-        }
-        Ok((compacted, dropped)) => {
-            if let Err(e) = std::fs::write(&history_path, compacted) {
-                eprintln!("xtask perf compact: cannot write {}: {e}", history_path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("dropped {dropped} old entr(ies) from {}", history_path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask perf compact: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// The cross-thread determinism gate: runs the `determinism` bench binary

@@ -12,7 +12,7 @@
 //!   ([`parse_result`]).
 //! * `results/BENCH_baseline.json` — the committed reference (schema
 //!   [`BASELINE_SCHEMA`]): per `<workload>/<metric>` key, the median
-//!   `base` and the MAD `mad` of the window it was seeded from.
+//!   `base` and the MAD `mad` ([`mad`]) of the window it was seeded from.
 //!
 //! Gated metrics are the manifest's `end_to_end` list plus every
 //! `per_layer` metric whose unit is `ms`; counts, fractions and memory
@@ -23,22 +23,19 @@
 //! seeded window, never less than the manifest's bound × base (and
 //! [`HOST_DRIFT`] × base for times), and for `ms` metrics never less than
 //! [`ABS_FLOOR_MS`]. A baselined metric with no samples fails the gate
-//! too.
+//! too. The gate walks the baseline's keys; that they are exactly the
+//! manifest's gated keys, and that the committed history holds a full
+//! window per workload, is checked by `tests/committed_artifacts.rs`.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
 
-use sane_telemetry::diff::{self, Attribution, NoiseModel, TraceDiff};
-use sane_telemetry::profile::Profile;
 use sane_telemetry::Value;
 
 /// History schema accepted by [`parse_history`].
 pub const HISTORY_SCHEMA: &str = "sane.bench.v1";
 /// Baseline schema emitted and accepted by this module.
 pub const BASELINE_SCHEMA: &str = "sane.bench.baseline.v2";
-/// Trend-report schema emitted by [`TrendReport::to_json`].
-pub const TREND_SCHEMA: &str = "sane.trend.v1";
 
 /// Samples per gate window: `perf --quick` runs this many rounds, so the
 /// gated median is always one invocation's own samples.
@@ -53,21 +50,6 @@ pub const ABS_FLOOR_MS: f64 = 0.05;
 /// 2-vCPU host the baseline is seeded on, whole invocations minutes apart
 /// ran up to ~1.5× faster or slower across all of a workload's timings.
 pub const HOST_DRIFT: f64 = 0.5;
-
-/// Changepoint detector half-window: medians are compared across `w`
-/// samples on each side of a boundary. Wider than the gate window on
-/// purpose — trend analysis looks for *persistent* steps, not fresh ones.
-pub const DEFAULT_TREND_WINDOW: usize = 8;
-/// Minimum relative median shift a changepoint must show. Tuned against
-/// the committed history: CI kernel timings routinely drift ±30%, so
-/// anything below a 50% step is indistinguishable from environment noise.
-pub const DEFAULT_TREND_MIN_SHIFT: f64 = 0.5;
-/// Minimum shift in units of the trailing-context MAD (robust sigma of
-/// the 3·w samples before the boundary).
-pub const DEFAULT_TREND_MAD_MULT: f64 = 6.0;
-/// Soft cap on history entries per `(bench, preset)`: the gate warns past
-/// this and `xtask perf compact` trims back down to it.
-pub const DEFAULT_HISTORY_CAP: usize = 40;
 
 // ---------------------------------------------------------------------------
 // The benchmark manifest and the benchmark's result line.
@@ -96,12 +78,6 @@ impl MetricSpec {
         }
     }
 
-    /// The metric's noise model under `m`: the seeded window's MAD and the
-    /// unit's floor.
-    pub fn noise(&self, m: &BaselineMetric) -> NoiseModel {
-        NoiseModel { sigma_ms: m.mad, floor_ms: self.floor() }
-    }
-
     /// How far a window median may move from `base` in the worse
     /// direction before the gate fails: three MADs, the unit's floor, or
     /// the bound (at least [`HOST_DRIFT`] for a time) × base, whichever
@@ -109,7 +85,7 @@ impl MetricSpec {
     pub fn tolerance(&self, m: &BaselineMetric) -> f64 {
         let drift = if matches!(self.unit.as_str(), "ms" | "s") { HOST_DRIFT } else { 0.0 };
         let bound = self.bound.unwrap_or(0.0).max(drift);
-        self.noise(m).threshold_ms().max(bound * m.base.abs())
+        (3.0 * m.mad).max(self.floor()).max(bound * m.base.abs())
     }
 }
 
@@ -373,6 +349,14 @@ fn median(mut xs: Vec<f64>) -> Option<f64> {
     Some(if n % 2 == 1 { xs[n / 2] } else { (xs[n / 2 - 1] + xs[n / 2]) / 2.0 })
 }
 
+/// Median absolute deviation: the robust per-sample scatter of a window
+/// (insensitive to the spikes the gate's median already absorbs). Zero
+/// for empty or constant windows.
+pub fn mad(samples: &[f64]) -> f64 {
+    let Some(m) = median(samples.to_vec()) else { return 0.0 };
+    median(samples.iter().map(|x| (x - m).abs()).collect()).unwrap_or(0.0)
+}
+
 /// Builds a baseline from each workload's window of every gated metric.
 /// A gated metric with no samples is an error: the runs and the manifest
 /// disagree, and a baseline without it could never notice it vanish.
@@ -384,7 +368,7 @@ pub fn seed_baseline(history: &[HistoryEntry], manifest: &Manifest) -> Result<Ba
             let key = format!("{w}/{}", spec.name);
             let samples = window_samples(history, w, &spec.name);
             if let Some(base) = median(samples.clone()) {
-                out.insert(key, BaselineMetric { base, mad: diff::mad(&samples) });
+                out.insert(key, BaselineMetric { base, mad: mad(&samples) });
             } else {
                 missing.push(format!("`{key}`"));
             }
@@ -524,392 +508,6 @@ pub fn gate(history: &[HistoryEntry], baseline: &Baseline, manifest: &Manifest) 
     report
 }
 
-// ---------------------------------------------------------------------------
-// Cross-run trend analysis: changepoint detection over the history file.
-// ---------------------------------------------------------------------------
-
-/// One detected step in a metric's history series.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Changepoint {
-    pub bench: String,
-    pub preset: String,
-    pub metric: String,
-    /// The metric's unit in `BENCHMARK.json`.
-    pub unit: String,
-    /// Index of the first sample of the shifted regime within the
-    /// metric's per-preset series (append order).
-    pub index: usize,
-    pub series_len: usize,
-    /// Median of the `window` samples before / after the boundary.
-    pub before: f64,
-    pub after: f64,
-    /// `(after - before) / before`.
-    pub shift_frac: f64,
-    /// Shift in units of the trailing-context MAD (capped at 999 so a
-    /// perfectly quiet context stays renderable).
-    pub mad_score: f64,
-}
-
-/// Output of [`trend`]: every gated metric series scanned, the steps that
-/// survived the noise criteria.
-#[derive(Clone, Debug, Default)]
-pub struct TrendReport {
-    pub window: usize,
-    /// Number of `(bench, preset, metric)` series scanned.
-    pub series: usize,
-    pub changepoints: Vec<Changepoint>,
-}
-
-impl TrendReport {
-    pub fn to_json(&self) -> Value {
-        let cps = self
-            .changepoints
-            .iter()
-            .map(|c| {
-                Value::Obj(vec![
-                    ("bench".into(), Value::Str(c.bench.clone())),
-                    ("preset".into(), Value::Str(c.preset.clone())),
-                    ("metric".into(), Value::Str(c.metric.clone())),
-                    ("unit".into(), Value::Str(c.unit.clone())),
-                    ("index".into(), Value::UInt(c.index as u64)),
-                    ("series_len".into(), Value::UInt(c.series_len as u64)),
-                    ("before".into(), Value::Num(c.before)),
-                    ("after".into(), Value::Num(c.after)),
-                    ("shift_frac".into(), Value::Num(c.shift_frac)),
-                    ("mad_score".into(), Value::Num(c.mad_score)),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("schema".into(), Value::Str(TREND_SCHEMA.into())),
-            ("window".into(), Value::UInt(self.window as u64)),
-            ("series".into(), Value::UInt(self.series as u64)),
-            ("changepoints".into(), Value::Arr(cps)),
-        ])
-    }
-}
-
-impl fmt::Display for TrendReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "trend: {} series scanned (window {}), {} changepoint(s)",
-            self.series,
-            self.window,
-            self.changepoints.len()
-        )?;
-        for c in &self.changepoints {
-            writeln!(
-                f,
-                "  {}/{} `{}`: step at sample {}/{}: {:.4} -> {:.4} {} \
-                 ({:+.0}%, {:.1}x MAD)",
-                c.bench,
-                c.preset,
-                c.metric,
-                c.index,
-                c.series_len,
-                c.before,
-                c.after,
-                c.unit,
-                c.shift_frac * 100.0,
-                c.mad_score
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// One flagged boundary inside a single series (see [`detect_steps`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Step {
-    pub index: usize,
-    pub before: f64,
-    pub after: f64,
-    pub shift_frac: f64,
-    pub mad_score: f64,
-}
-
-/// Median-shift changepoint detection over one series.
-///
-/// At every boundary `i`, the medians of the `window` samples before and
-/// after are compared. A boundary is flagged when the upward shift
-/// clears **all three** criteria:
-///
-/// 1. more than `abs_floor` absolute, in the series' unit (sub-floor
-///    kernels are scheduler noise at any ratio),
-/// 2. more than `min_shift_frac` of the before-median (CI timings drift
-///    tens of percent run-to-run),
-/// 3. more than `mad_mult` times the MAD of the 3·`window` samples
-///    *trailing* the boundary — the context scatter. The trailing (not
-///    whole-series) context matters: the step itself must not inflate
-///    the noise estimate it is judged against.
-///
-/// Runs of adjacent flagged boundaries (one real step flags several
-/// overlapping windows) are merged, keeping the largest-shift boundary.
-/// Parameters were tuned on the committed history: zero flags on real
-/// noise, reliable detection of 2× injected steps.
-pub fn detect_steps(
-    vals: &[f64],
-    window: usize,
-    min_shift_frac: f64,
-    mad_mult: f64,
-    abs_floor: f64,
-) -> Vec<Step> {
-    let mut flagged: Vec<Step> = Vec::new();
-    if window == 0 || vals.len() < 2 * window {
-        return flagged;
-    }
-    for i in window..=vals.len() - window {
-        let Some(before) = median(vals[i - window..i].to_vec()) else { continue };
-        let Some(after) = median(vals[i..i + window].to_vec()) else { continue };
-        let shift = after - before;
-        if shift <= abs_floor || before <= 0.0 {
-            continue;
-        }
-        let shift_frac = shift / before;
-        if shift_frac <= min_shift_frac {
-            continue;
-        }
-        let ctx = &vals[i.saturating_sub(3 * window)..i];
-        let noise = diff::mad(ctx);
-        if noise > 0.0 && shift <= mad_mult * noise {
-            continue;
-        }
-        let mad_score = if noise > 0.0 { (shift / noise).min(999.0) } else { 999.0 };
-        flagged.push(Step { index: i, before, after, shift_frac, mad_score });
-    }
-    // One real step flags a run of boundaries as the windows slide over
-    // it; merge everything within one window into the strongest
-    // representative (steps closer together than the window cannot be
-    // resolved anyway).
-    let mut merged: Vec<Step> = Vec::new();
-    for s in flagged {
-        match merged.last_mut() {
-            Some(last) if s.index <= last.index + window => {
-                if s.after - s.before > last.after - last.before {
-                    *last = s;
-                }
-            }
-            _ => merged.push(s),
-        }
-    }
-    merged
-}
-
-/// Scans the history series of every metric the gate gates for step
-/// regressions that crept in under the per-run tolerance. The absolute
-/// floor applies to `ms` metrics only.
-pub fn trend(
-    history: &[HistoryEntry],
-    manifest: &Manifest,
-    window: usize,
-    min_shift_frac: f64,
-    mad_mult: f64,
-) -> TrendReport {
-    let mut series: BTreeMap<(&str, &str, &str), (&MetricSpec, Vec<f64>)> = BTreeMap::new();
-    for e in history {
-        for (k, v) in &e.metrics {
-            if let Some(spec) = manifest.metric(k) {
-                let key = (e.bench.as_str(), e.preset.as_str(), k.as_str());
-                series.entry(key).or_insert_with(|| (spec, Vec::new())).1.push(*v);
-            }
-        }
-    }
-    let mut report = TrendReport { window, series: series.len(), changepoints: Vec::new() };
-    for ((bench, preset, metric), (spec, vals)) in series {
-        for s in detect_steps(&vals, window, min_shift_frac, mad_mult, spec.floor()) {
-            report.changepoints.push(Changepoint {
-                bench: bench.to_string(),
-                preset: preset.to_string(),
-                metric: metric.to_string(),
-                unit: spec.unit.clone(),
-                index: s.index,
-                series_len: vals.len(),
-                before: s.before,
-                after: s.after,
-                shift_frac: s.shift_frac,
-                mad_score: s.mad_score,
-            });
-        }
-    }
-    report
-}
-
-// ---------------------------------------------------------------------------
-// History compaction.
-// ---------------------------------------------------------------------------
-
-/// `(bench, preset)` pairs whose entry count exceeds `cap`, with their
-/// counts — what the gate warns about.
-pub fn history_overflow(history: &[HistoryEntry], cap: usize) -> Vec<(String, String, usize)> {
-    let mut counts: BTreeMap<(&str, &str), usize> = BTreeMap::new();
-    for e in history {
-        *counts.entry((&e.bench, &e.preset)).or_insert(0) += 1;
-    }
-    counts
-        .into_iter()
-        .filter(|(_, n)| *n > cap)
-        .map(|((b, p), n)| (b.to_string(), p.to_string(), n))
-        .collect()
-}
-
-/// Rewrites history text keeping only the last `keep` entries per
-/// `(bench, preset)`, preserving each surviving line byte-for-byte and
-/// the overall append order. `keep` is clamped to at least the gate
-/// window so compaction can never eat the gate median's samples.
-/// Returns the new text and the number of dropped lines.
-pub fn compact_history(text: &str, keep: usize) -> Result<(String, usize), String> {
-    let keep = keep.max(WINDOW);
-    let entries = parse_history(text)?;
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    // parse_history yields one entry per non-empty line, in order.
-    let mut total: BTreeMap<(&str, &str), usize> = BTreeMap::new();
-    for e in &entries {
-        *total.entry((&e.bench, &e.preset)).or_insert(0) += 1;
-    }
-    let mut seen: BTreeMap<(&str, &str), usize> = BTreeMap::new();
-    let mut out = String::new();
-    let mut dropped = 0usize;
-    for (line, e) in lines.iter().zip(&entries) {
-        let key = (e.bench.as_str(), e.preset.as_str());
-        let idx = seen.entry(key).or_insert(0);
-        *idx += 1;
-        if *idx + keep > total[&key] {
-            out.push_str(line);
-            out.push('\n');
-        } else {
-            dropped += 1;
-        }
-    }
-    Ok((out, dropped))
-}
-
-// ---------------------------------------------------------------------------
-// Gate-failure forensics: diff the workload's traced run against the
-// retained baseline trace and attribute each regressed metric.
-// ---------------------------------------------------------------------------
-
-/// Retained baseline trace of a workload's traced run (committed next to
-/// the baseline JSON; refreshed by `xtask perf --seed-baseline`).
-pub fn baseline_trace_path(results_dir: &Path, workload: &str) -> PathBuf {
-    results_dir.join(format!("TRACE_bench_{workload}_baseline.jsonl"))
-}
-
-/// The trace the benchmark's latest `--trace 1` run of a workload wrote.
-pub fn candidate_trace_path(results_dir: &Path, workload: &str) -> PathBuf {
-    results_dir.join(format!("TRACE_bench_{workload}.jsonl"))
-}
-
-/// The frame of a benchmark trace that times `metric`, as the scenario
-/// [`diff::attribute`] scopes its suspects to: the probe span of a
-/// per-layer probe (`bench.probe.ops`, `.step`, `.eval`), the kernel of a
-/// kernel total (`kernel:<k>`), the search for the search rungs. `None`
-/// ranks the whole tree.
-pub fn trace_scope(metric: &str) -> Option<&str> {
-    const SCOPES: [(&str, &str); 10] = [
-        ("gnn.agg.", "ops"),
-        ("gnn.layer_agg.", "ops"),
-        ("core.model.forward_ms", "step"),
-        ("autodiff.tape.backward_ms", "step"),
-        ("autodiff.optim.step_ms", "step"),
-        ("core.model.eval_forward_ms", "eval"),
-        ("core.search.", "search"),
-        ("search_s", "search"),
-        ("data.generate_ms", "generate"),
-        ("gnn.context_ms", "context"),
-    ];
-    metric
-        .strip_prefix("autodiff.kernel.")
-        .and_then(|k| k.strip_suffix(".ms"))
-        .or_else(|| SCOPES.iter().find(|(prefix, _)| metric.starts_with(prefix)).map(|(_, s)| *s))
-}
-
-/// Forensics for one workload with at least one regressed metric.
-#[derive(Clone, Debug)]
-pub struct WorkloadForensics {
-    pub workload: String,
-    pub diff: TraceDiff,
-    pub attributions: Vec<Attribution>,
-    /// Written artifacts: `DIFF_<workload>.json`, `FLAMEDIFF_<workload>.txt`.
-    pub diff_path: PathBuf,
-    pub flame_path: PathBuf,
-}
-
-/// Explains a failed gate: groups the regressed rows by workload, diffs
-/// each workload's candidate trace against its retained baseline trace,
-/// attributes every regressed metric to the hottest changed subtree (noise
-/// model from the metric's baseline MAD), and writes the
-/// `DIFF_<workload>.json` / `FLAMEDIFF_<workload>.txt` artifacts into
-/// `results_dir`.
-pub fn explain(
-    results_dir: &Path,
-    baseline: &Baseline,
-    manifest: &Manifest,
-    report: &GateReport,
-) -> Result<Vec<WorkloadForensics>, String> {
-    let mut by_workload: BTreeMap<&str, Vec<&GateRow>> = BTreeMap::new();
-    for row in report.rows.iter().filter(|r| r.verdict == Verdict::Regression) {
-        let (workload, _) = row.key.split_once('/').unwrap_or((&row.key, ""));
-        by_workload.entry(workload).or_default().push(row);
-    }
-
-    let mut out = Vec::new();
-    for (workload, rows) in by_workload {
-        let base_path = baseline_trace_path(results_dir, workload);
-        let cand_path = candidate_trace_path(results_dir, workload);
-        let profile_of = |path: &Path| {
-            sane_telemetry::trace::read_file(path).map(|records| Profile::from_records(&records))
-        };
-        let base_prof = profile_of(&base_path).map_err(|e| {
-            format!(
-                "no usable baseline trace for workload `{workload}` ({}: {e}); \
-                 retain one with `cargo xtask perf --quick --seed-baseline`",
-                base_path.display()
-            )
-        })?;
-        let cand_prof = profile_of(&cand_path).map_err(|e| {
-            format!(
-                "no usable candidate trace for workload `{workload}` ({}: {e}); \
-                 record one with `cargo xtask perf --quick`",
-                cand_path.display()
-            )
-        })?;
-        let d = diff::diff(&base_prof, &cand_prof);
-        let attributions: Vec<Attribution> = rows
-            .iter()
-            .filter_map(|row| {
-                let (_, metric) = row.key.split_once('/')?;
-                let noise = manifest.metric(metric)?.noise(baseline.get(&row.key)?);
-                let gate_ms = (row.median?, row.base);
-                // `attribute` scopes to the first dotted component.
-                let scoped =
-                    trace_scope(metric).map_or(metric.to_string(), |s| format!("{s}.{metric}"));
-                let mut a = diff::attribute(&d, &scoped, gate_ms, noise, 8);
-                a.metric = metric.to_string();
-                Some(a)
-            })
-            .collect();
-
-        let diff_path = results_dir.join(format!("DIFF_{workload}.json"));
-        std::fs::write(&diff_path, d.to_json(&attributions).to_json())
-            .map_err(|e| format!("cannot write {}: {e}", diff_path.display()))?;
-        let flame = d.to_collapsed();
-        sane_telemetry::profile::parse_collapsed(&flame)
-            .map_err(|e| format!("emitted differential flame does not re-parse: {e}"))?;
-        let flame_path = results_dir.join(format!("FLAMEDIFF_{workload}.txt"));
-        std::fs::write(&flame_path, flame)
-            .map_err(|e| format!("cannot write {}: {e}", flame_path.display()))?;
-        out.push(WorkloadForensics {
-            workload: workload.to_string(),
-            diff: d,
-            attributions,
-            diff_path,
-            flame_path,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -990,17 +588,6 @@ mod tests {
             let err = parse_manifest(bad).expect_err(bad);
             assert_eq!(err, format!("BENCHMARK.json: {want}"));
         }
-    }
-
-    #[test]
-    fn metrics_scope_to_the_trace_frame_that_times_them() {
-        assert_eq!(trace_scope("gnn.agg.GAT-COS.fwd_ms"), Some("ops"));
-        assert_eq!(trace_scope("gnn.layer_agg.LSTM.bwd_ms"), Some("ops"));
-        assert_eq!(trace_scope("autodiff.kernel.gather_attention.ms"), Some("gather_attention"));
-        assert_eq!(trace_scope("autodiff.tape.backward_ms"), Some("step"));
-        assert_eq!(trace_scope("core.model.eval_forward_ms"), Some("eval"));
-        assert_eq!(trace_scope("core.search.iteration_ms"), Some("search"));
-        assert_eq!(trace_scope("peak_rss_mib"), None);
     }
 
     #[test]
@@ -1270,104 +857,12 @@ mod tests {
         }
     }
 
-    /// Deterministic ±10% ripple around `level` — CI-like noise without
-    /// touching an RNG.
-    fn noisy(level: f64, i: usize) -> f64 {
-        level * (1.0 + 0.1 * ((i * 7 + 3) % 5) as f64 / 2.0 - 0.1)
-    }
-
     #[test]
-    fn changepoint_flags_a_step_and_ignores_noise() {
-        let detect = |vals: &[f64]| {
-            detect_steps(
-                vals,
-                DEFAULT_TREND_WINDOW,
-                DEFAULT_TREND_MIN_SHIFT,
-                DEFAULT_TREND_MAD_MULT,
-                ABS_FLOOR_MS,
-            )
-        };
-        // 20 noisy samples at ~1 ms, then 20 at ~2 ms: one step.
-        let vals: Vec<f64> = (0..40).map(|i| noisy(if i < 20 { 1.0 } else { 2.0 }, i)).collect();
-        let steps = detect(&vals);
-        assert_eq!(steps.len(), 1, "{steps:?}");
-        let s = steps[0];
-        // The merged representative lands on/near the true boundary.
-        assert!((18..=22).contains(&s.index), "index {}", s.index);
-        assert!(s.shift_frac > 0.5, "{s:?}");
-
-        // Pure ripple without a step stays silent.
-        let flat: Vec<f64> = (0..40).map(|i| noisy(1.0, i)).collect();
-        assert!(detect(&flat).is_empty());
-
-        // Downward steps (improvements) never flag.
-        let down: Vec<f64> = (0..40).map(|i| noisy(if i < 20 { 2.0 } else { 1.0 }, i)).collect();
-        assert!(detect(&down).is_empty());
-
-        // Sub-floor steps are scheduler noise at any ratio.
-        let tiny: Vec<f64> = (0..40).map(|i| if i < 20 { 0.01 } else { 0.03 }).collect();
-        assert!(detect(&tiny).is_empty());
-        // Without a floor (a non-ms unit) the same step flags.
-        assert_eq!(detect_steps(&tiny, 8, 0.5, 6.0, 0.0).len(), 1);
-    }
-
-    #[test]
-    fn trend_scans_gated_series_only_and_renders() {
-        let mut history: Vec<HistoryEntry> = Vec::new();
-        for i in 0..32 {
-            let s = if i < 16 { 0.01 } else { 0.03 };
-            history.push(entry(
-                "cora",
-                &[("search_s", noisy(s, i)), ("gnn.agg.GAT.fwd_ms", 1.0), ("nodes", i as f64)],
-            ));
-        }
-        let report = trend(
-            &history,
-            &manifest(),
-            DEFAULT_TREND_WINDOW,
-            DEFAULT_TREND_MIN_SHIFT,
-            DEFAULT_TREND_MAD_MULT,
-        );
-        // `nodes` is not gated, so two series scan; the seconds step is
-        // far below 0.05 but the ms floor does not apply to it.
-        assert_eq!(report.series, 2);
-        assert_eq!(report.changepoints.len(), 1, "{report}");
-        let cp = &report.changepoints[0];
-        assert_eq!((cp.metric.as_str(), cp.unit.as_str()), ("search_s", "s"));
-        let json = report.to_json();
-        assert_eq!(json.get("schema").and_then(Value::as_str), Some(TREND_SCHEMA));
-        assert!(report.to_string().contains(" s (+"), "{report}");
-    }
-
-    #[test]
-    fn compact_keeps_the_trailing_window_per_pair() {
-        let mut text = String::new();
-        for i in 0..20 {
-            text.push_str(&format!(
-                "{{\"schema\":\"sane.bench.v1\",\"bench\":\"cora\",\"preset\":\"quick\",\
-                 \"unix_ms\":{i},\"metrics\":{{\"k_ms\":{i}.0}}}}\n"
-            ));
-        }
-        text.push_str(
-            "{\"schema\":\"sane.bench.v1\",\"bench\":\"memplan\",\"preset\":\"quick\",\
-             \"unix_ms\":99,\"metrics\":{\"m.peak_mb\":1.0}}\n",
-        );
-        let (out, dropped) = compact_history(&text, 6).expect("compacts");
-        assert_eq!(dropped, 14);
-        let entries = parse_history(&out).expect("compacted output still parses");
-        assert_eq!(entries.len(), 7);
-        // The survivors are the *latest* cora entries, order preserved.
-        assert_eq!(entries[0].metrics["k_ms"], 14.0);
-        assert_eq!(entries[5].metrics["k_ms"], 19.0);
-        // The single memplan entry is untouched.
-        assert_eq!(entries[6].bench, "memplan");
-        // keep below the gate window clamps up: nothing below 5 survives.
-        let (out, _) = compact_history(&text, 1).expect("compacts");
-        assert_eq!(parse_history(&out).expect("parses").len(), 6);
-        // And the overflow warning trips only past the cap.
-        let history = parse_history(&text).expect("parses");
-        assert_eq!(history_overflow(&history, 40), Vec::new());
-        let over = history_overflow(&history, 10);
-        assert_eq!(over, vec![("cora".to_string(), "quick".to_string(), 20)]);
+    fn mad_is_robust_to_single_spikes() {
+        assert_eq!(mad(&[]), 0.0);
+        assert_eq!(mad(&[1.0, 1.0, 1.0]), 0.0);
+        // One 10× spike barely moves the MAD.
+        let m = mad(&[1.0, 1.1, 0.9, 1.0, 10.0]);
+        assert!(m <= 0.2, "mad={m}");
     }
 }

@@ -1,9 +1,9 @@
 //! Truncated and garbled input for the perf gate's three parsers (the
 //! history reader, the baseline reader and the benchmark result reader)
-//! and for the run-trace reader that `trace-report`, `profile` and
-//! `perf --explain` share. Each must either parse every record it was
-//! given or return an error naming the line or key at fault — never
-//! panic, never drop a record silently.
+//! and for the run-trace reader that `trace-report` and `profile` share.
+//! Each must either parse every record it was given or return an error
+//! naming the line or key at fault — never panic, never drop a record
+//! silently.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
