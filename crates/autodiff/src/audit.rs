@@ -536,7 +536,7 @@ mod tests {
     }
 
     /// Every op's shape rule, checked on one tape that records each of the
-    /// 35 ops at least once, with non-square shapes so a rule that swaps
+    /// 37 ops at least once, with non-square shapes so a rule that swaps
     /// rows and columns cannot pass. The fixtures cover the boundary
     /// cases: a sparse operator with an empty row, a segment layout with
     /// an empty segment, train-mode dropout, and both losses.
@@ -563,6 +563,8 @@ mod tests {
         outs.push(tape.scale(a, -1.5));
         outs.push(tape.add_scalar(a, 2.5));
         outs.push(tape.mul_scalar_tensor(a, s));
+        let mix_w = tape.constant(mat(1, 3, 0.5));
+        outs.push(tape.mix(mix_w, &[a, b]));
         outs.push(tape.relu(a));
         outs.push(tape.leaky_relu(a, 0.2));
         outs.push(tape.elu(a));
@@ -597,7 +599,8 @@ mod tests {
         let edges = tape.gather_rows(a, &src);
         outs.push(tape.segment_sum(edges, &segs));
         outs.push(tape.segment_mean(edges, &segs));
-        outs.push(tape.segment_max(edges, &segs));
+        outs.push(tape.segment_max(edges, None, &segs));
+        outs.push(tape.segment_max(a, Some(&src), &segs));
         let scores = tape.constant(mat(10, 1, 5.0));
         outs.push(tape.segment_softmax(scores, &segs));
         outs.push(tape.segment_attention(scores, edges, &segs));
@@ -605,6 +608,7 @@ mod tests {
         let proj_dst = tape.constant(mat(3, 3, 6.0));
         let gen_out = tape.constant(mat(3, 1, 7.0));
         outs.push(tape.gen_linear_score(a, proj_dst, gen_out, &src, &dst));
+        outs.push(tape.gather_dot(a, &src, &dst));
         let col = tape.constant(mat(10, 1, 8.0));
         outs.push(tape.mul_col_broadcast(edges, col));
 
@@ -628,7 +632,7 @@ mod tests {
             .map(|i| tape.node(i).op.name())
             .filter(|&name| name != "input" && name != "param")
             .collect();
-        assert_eq!(ops.len(), 35, "every op recorded once: {ops:?}");
+        assert_eq!(ops.len(), 37, "every op recorded once: {ops:?}");
     }
 
     /// The segment ops check that their rows cover the segments; the tape

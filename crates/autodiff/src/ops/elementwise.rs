@@ -181,6 +181,61 @@ impl Op for MulScalarTensorOp {
     }
 }
 
+/// `Σ_i w[i] · outs[i]` for a `1 x n` weight row and `m <= n` same-shape
+/// tensors: one node for a softmax-weighted operation mixture. Wired
+/// `[weights, outs...]`.
+struct MixOp;
+impl Op for MixOp {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
+        let (w, outs) = (inputs[0].row(0), &inputs[1..]);
+        // Per term, `mul_scalar_tensor`'s backward: `g · w_i` for the
+        // tensor and the `Σ g·o_i` fold for its weight. With two or more
+        // terms the chain this replaces sliced each weight's gradient into
+        // a zeroed row and summed the rows, which turns a `-0` into `+0`;
+        // `+ 0.0` does the same. Columns without a term get `+0`.
+        let dw = wants[0].then(|| {
+            let mut dw = pool::zeros(1, w.len());
+            for (d, o) in dw.data_mut().iter_mut().zip(outs) {
+                let dot: f32 = grad.data().iter().zip(o.data()).map(|(g, a)| g * a).sum();
+                *d = if outs.len() >= 2 { dot + 0.0 } else { dot };
+            }
+            dw
+        });
+        let mut grads = vec![dw];
+        grads.extend(w.iter().zip(&wants[1..]).map(|(&wi, &want)| {
+            want.then(|| {
+                let mut g = pool::clone_of(grad);
+                g.scale_inplace(wi);
+                g
+            })
+        }));
+        grads
+    }
+    fn name(&self) -> &'static str {
+        "mix"
+    }
+    fn arity(&self) -> Arity {
+        Arity::AtLeast(2)
+    }
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        let (w, outs) = (inputs[0], &inputs[1..]);
+        require_eq("mix: the weights must be one row", w.0, 1)?;
+        if outs.len() > w.1 {
+            return Err(format!("mix: {} terms for {} weights", outs.len(), w.1));
+        }
+        for &o in &outs[1..] {
+            require_eq("mix: term shapes disagree", o, outs[0])?;
+        }
+        Ok(outs[0])
+    }
+}
+
 struct ReluOp;
 impl Op for ReluOp {
     fn backward(
@@ -352,9 +407,10 @@ impl Op for AbsOp {
 }
 
 /// Inverted dropout; the mask (with `1/(1-p)` scaling baked in) is saved at
-/// forward time.
+/// forward time. Dropout of a constant leaf saves none: nothing can take
+/// a gradient through it.
 struct DropoutOp {
-    mask: Arc<Vec<f32>>,
+    mask: Option<Arc<Vec<f32>>>,
 }
 impl Op for DropoutOp {
     fn backward(
@@ -364,8 +420,9 @@ impl Op for DropoutOp {
         _inputs: &[&Matrix],
         _wants: &[bool],
     ) -> Vec<Option<Matrix>> {
+        let Some(mask) = &self.mask else { return vec![None] };
         let mut g = pool::clone_of(grad);
-        for (g, &m) in g.data_mut().iter_mut().zip(self.mask.iter()) {
+        for (g, &m) in g.data_mut().iter_mut().zip(mask.iter()) {
             *g *= m;
         }
         vec![Some(g)]
@@ -378,7 +435,9 @@ impl Op for DropoutOp {
     }
     fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
         let (rows, cols) = inputs[0];
-        require_eq("dropout: saved mask entries", self.mask.len(), rows * cols)?;
+        if let Some(mask) = &self.mask {
+            require_eq("dropout: saved mask entries", mask.len(), rows * cols)?;
+        }
         Ok(inputs[0])
     }
 }
@@ -434,6 +493,42 @@ impl Tape {
         self.push_op(out, Box::new(MulScalarTensorOp), vec![a, s])
     }
 
+    /// The mixture `Σ_i weights[0,i] · outs[i]` of same-shape tensors under
+    /// a `1 x n` weight row, `outs.len() <= n`, as one node.
+    ///
+    /// Bitwise equal, in value and every gradient, to the chain
+    /// `acc = mul_scalar_tensor(outs[0], slice_cols(weights, 0, 1))`, then
+    /// `acc = add(acc, mul_scalar_tensor(outs[i], slice_cols(weights, i,
+    /// i + 1)))`: the value is that left fold of plain products (no FMA),
+    /// and the backward pass forms each gradient as the chain's ops did.
+    /// Weight columns past `outs.len()` (the ZERO skip op, which has no
+    /// term) take no part and get a `+0` gradient. None of the chain's
+    /// scaled terms or partial sums lands on the tape.
+    pub fn mix(&mut self, weights: Tensor, outs: &[Tensor]) -> Tensor {
+        let wv = self.value_arc(weights);
+        assert!(!outs.is_empty(), "mix needs at least one term");
+        assert!(
+            wv.rows() == 1 && outs.len() <= wv.cols(),
+            "mix: {} terms under {:?} weights",
+            outs.len(),
+            wv.shape()
+        );
+        for &o in &outs[1..] {
+            binary_shape_check(self, outs[0], o, "mix");
+        }
+        let w = wv.row(0);
+        let mut out = pool::clone_of(self.value(outs[0]));
+        out.scale_inplace(w[0]);
+        for (&o, &wi) in outs[1..].iter().zip(&w[1..]) {
+            for (acc, &v) in out.data_mut().iter_mut().zip(self.value(o).data()) {
+                *acc += v * wi;
+            }
+        }
+        let mut inputs = vec![weights];
+        inputs.extend_from_slice(outs);
+        self.push_op(out, Box::new(MixOp), inputs)
+    }
+
     pub fn relu(&mut self, a: Tensor) -> Tensor {
         let mut out = pool::clone_of(self.value(a));
         out.map_inplace(|x| x.max(0.0));
@@ -476,22 +571,32 @@ impl Tape {
     ///
     /// With `p == 0.0` this records nothing and returns `a` unchanged, so
     /// callers can pass their configured rate and use `0.0` for evaluation.
+    ///
+    /// Over a constant leaf (an input with no parameter behind it, such as
+    /// the node features) no gradient can flow, so no mask is kept. The
+    /// random stream is the same either way: one draw per element.
     pub fn dropout(&mut self, a: Tensor, p: f32) -> Tensor {
         assert!((0.0..1.0).contains(&p), "dropout rate must be in [0,1), got {p}");
         if p == 0.0 {
             return a;
         }
         let scale = 1.0 / (1.0 - p);
-        let n = self.value(a).len();
-        let mask: Vec<f32> = {
-            let rng = self.rng();
-            (0..n).map(|_| if rng.gen::<f32>() < p { 0.0 } else { scale }).collect()
-        };
+        let node = self.node(a.0);
+        let constant = node.inputs.is_empty() && node.param.is_none();
         let mut out = pool::clone_of(self.value(a));
+        let rng = self.rng();
+        if constant {
+            for o in out.data_mut() {
+                *o *= if rng.gen::<f32>() < p { 0.0 } else { scale };
+            }
+            return self.push_op(out, Box::new(DropoutOp { mask: None }), vec![a]);
+        }
+        let mask: Vec<f32> =
+            (0..out.len()).map(|_| if rng.gen::<f32>() < p { 0.0 } else { scale }).collect();
         for (o, &m) in out.data_mut().iter_mut().zip(&mask) {
             *o *= m;
         }
-        self.push_op(out, Box::new(DropoutOp { mask: Arc::new(mask) }), vec![a])
+        self.push_op(out, Box::new(DropoutOp { mask: Some(Arc::new(mask)) }), vec![a])
     }
 }
 
@@ -558,6 +663,84 @@ mod tests {
         assert_eq!(g.get(s).unwrap().as_scalar(), 3.0); // 1 + 2
     }
 
+    /// `mix` against the chain it replaces, bitwise in both flavours at
+    /// 1/2/4 threads, with `m` terms under `n` weights: the skip mixture's
+    /// one term under two weights, the layer and node mixtures' full rows,
+    /// and a row with spare columns. One term is all `-0` and one weight is
+    /// `-0`; with `probe`, both sides end in a product with a constant
+    /// whose `±0` entries send `-0` upstream gradients into the mixture.
+    #[test]
+    fn mix_is_bitwise_equal_to_the_sliced_chain() {
+        use crate::equivalence::{fused_vs_chain, Equivalence};
+        use crate::simd::with_scalar;
+
+        let wave = |rows: usize, cols: usize, salt: f32| {
+            Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * 0.37 + salt).sin() * 1.3)
+        };
+        let tail = |t: &mut Tape, y: Tensor, probe: bool| {
+            if !probe {
+                return y;
+            }
+            let (rows, cols) = t.value(y).shape();
+            let p = t.constant(Matrix::from_fn(rows, cols, |r, c| match (r * cols + c) % 4 {
+                0 => 0.0,
+                1 => -0.0,
+                k => k as f32 - 2.5,
+            }));
+            t.mul(y, p)
+        };
+        for (m, n) in [(1, 2), (3, 3), (11, 11), (2, 4)] {
+            let mut inputs = vec![wave(1, n, 0.2)];
+            inputs[0].data_mut()[n - 1] = -0.0;
+            inputs.extend((0..m).map(|i| wave(5, 3, i as f32)));
+            inputs[m] = Matrix::full(5, 3, -0.0);
+            let wanted = vec![true; m + 1];
+            for (scalar, probe) in [(false, false), (false, true), (true, false), (true, true)] {
+                let fused = |t: &mut Tape, i: &[Tensor]| {
+                    let y = t.mix(i[0], &i[1..]);
+                    tail(t, y, probe)
+                };
+                let chain = |t: &mut Tape, i: &[Tensor]| {
+                    let mut acc: Option<Tensor> = None;
+                    for (k, &o) in i[1..].iter().enumerate() {
+                        let w = t.slice_cols(i[0], k, k + 1);
+                        let scaled = t.mul_scalar_tensor(o, w);
+                        acc = Some(match acc {
+                            Some(a) => t.add(a, scaled),
+                            None => scaled,
+                        });
+                    }
+                    let y = acc.expect("at least one term");
+                    tail(t, y, probe)
+                };
+                let check =
+                    || fused_vs_chain(Equivalence::Bitwise, &inputs, &wanted, &fused, &chain);
+                let res = if scalar { with_scalar(check) } else { check() };
+                res.unwrap_or_else(|e| panic!("{m} of {n}, scalar {scalar}, probe {probe}: {e}"));
+            }
+        }
+    }
+
+    /// The one-term mixture keeps a `-0` weight gradient as the chain's
+    /// single slice does; with two terms both come back as `+0`.
+    #[test]
+    fn mix_weight_gradients_keep_the_chains_zero_signs() {
+        for (m, want) in [(1, (-0.0f32).to_bits()), (2, 0.0f32.to_bits())] {
+            let mut store = VarStore::new();
+            let w = store.add("w", Matrix::from_vec(1, 2, vec![0.5, 0.5]));
+            let outs: Vec<_> = (0..m).map(|_| store.add("o", Matrix::full(2, 2, -0.0))).collect();
+            let mut tape = Tape::new(0);
+            let tw = tape.param(&store, w);
+            let to: Vec<Tensor> = outs.iter().map(|&o| tape.param(&store, o)).collect();
+            let y = tape.mix(tw, &to);
+            let loss = tape.sum_all(y);
+            let grads = tape.backward(loss);
+            let dw = grads.get(w).expect("dw");
+            assert_eq!(dw.data()[0].to_bits(), want, "{m} terms");
+            assert_eq!(dw.data()[1].to_bits(), 0.0f32.to_bits(), "{m} terms");
+        }
+    }
+
     #[test]
     fn dropout_zero_rate_is_identity() {
         let mut tape = Tape::new(0);
@@ -592,5 +775,25 @@ mod tests {
                 assert!((g - 1.0 / 0.7).abs() < 1e-6);
             }
         }
+    }
+
+    /// Dropout over a constant leaf keeps no mask, forms no gradient, and
+    /// draws the same stream as dropout over a parameter.
+    #[test]
+    fn constant_dropout_keeps_no_mask() {
+        let x = Matrix::from_fn(12, 9, |r, c| if (r + c) % 3 == 0 { 0.0 } else { r as f32 - 4.5 });
+        let mut tape = Tape::new(9);
+        let leaf = tape.constant(x.clone());
+        let d = tape.dropout(leaf, 0.4);
+        let mut store = VarStore::new();
+        let p = store.add("x", x);
+        let mut reference = Tape::new(9);
+        let tp = reference.param(&store, p);
+        let rd = reference.dropout(tp, 0.4);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(tape.value(d)), bits(reference.value(rd)), "one draw per element");
+        let node = tape.node(d.0);
+        let grads = node.op.backward(&node.value, &node.value, &[tape.value(leaf)], &[true]);
+        assert!(grads[0].is_none(), "a constant's dropout forms no gradient");
     }
 }

@@ -259,6 +259,10 @@ impl Op for SegmentMeanOp {
 
 struct SegmentMaxOp {
     segs: Arc<Segments>,
+    /// Source row of each segmented element, when the elements are rows of
+    /// a node-level input read through an index list rather than the
+    /// input's own rows.
+    idx: Option<Arc<Vec<u32>>>,
     /// Winning element index per `(segment, column)`, `u32::MAX` for empty segments.
     winners: Arc<Vec<u32>>,
 }
@@ -274,6 +278,24 @@ impl Op for SegmentMaxOp {
         let segs = &self.segs;
         let winners = &self.winners;
         let mut g = pool::zeros(rows, cols);
+        if let Some(idx) = &self.idx {
+            // The chain this replaces scatters each winner's gradient into a
+            // zeroed `E x c` plane, then adds every plane row into its source
+            // row in edge order. Several edges may share a source row, so the
+            // scatter is serial; segments run in order, so each target sees
+            // its edges ascending. The plane's `0 + g` turns a `-0` into `+0`;
+            // its zero entries are exact no-ops on a sum that starts at `+0`.
+            for s in 0..segs.num_segments() {
+                for c in 0..cols {
+                    let w = winners[s * cols + c];
+                    if w != u32::MAX {
+                        let target = idx[w as usize] as usize; // lint:allow(lossy-cast) -- u32 indices widen losslessly
+                        g.data_mut()[target * cols + c] += 0.0 + grad.get(s, c);
+                    }
+                }
+            }
+            return vec![Some(g)];
+        }
         // A segment's winners all lie inside the segment's own row range,
         // so segment-boundary chunks scatter disjointly.
         let run = |srange: Range<usize>, chunk: &mut [f32]| {
@@ -306,7 +328,13 @@ impl Op for SegmentMaxOp {
     }
     fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
         let (rows, cols) = inputs[0];
-        require_segment_cover("segment_max", &self.segs, rows)?;
+        match &self.idx {
+            Some(idx) => {
+                require_segment_cover("segment_max indices", &self.segs, idx.len())?;
+                require_in_bounds("segment_max", idx, rows)?;
+            }
+            None => require_segment_cover("segment_max", &self.segs, rows)?,
+        }
         Ok((self.segs.num_segments(), cols))
     }
 }
@@ -558,6 +586,59 @@ impl Op for GatherAttentionOp {
     }
 }
 
+/// The per-edge inner product `Σ_c x[src[e],c] · x[dst[e],c]`, replacing
+/// `gather_rows` ×2 → `mul` → `row_sum`. Wired `[x, x]`: the first input
+/// is the destination side, the second the source side (see
+/// [`Tape::gather_dot`]).
+struct GatherDotOp {
+    src: Arc<Vec<u32>>,
+    dst: Arc<Vec<u32>>,
+}
+impl Op for GatherDotOp {
+    fn backward(
+        &self,
+        _out: &Matrix,
+        grad: &Matrix,
+        inputs: &[&Matrix],
+        wants: &[bool],
+    ) -> Vec<Option<Matrix>> {
+        let x = inputs[0];
+        let (rows, cols) = x.shape();
+        // Each side is `gather_rows`' serial scatter-add over edges in order,
+        // of `mul`'s `g · x[other side]` (a plain product, no FMA).
+        let side = |to: &[u32], other: &[u32]| {
+            let mut g = pool::zeros(rows, cols);
+            if cols > 0 {
+                for ((&ge, &t), &o) in grad.data().iter().zip(to).zip(other) {
+                    let target = g.row_mut(t as usize); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
+                    for (t, &v) in target.iter_mut().zip(x.row(o as usize)) {
+                        // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
+                        *t += ge * v;
+                    }
+                }
+            }
+            g
+        };
+        vec![
+            wants[0].then(|| side(&self.dst, &self.src)),
+            wants[1].then(|| side(&self.src, &self.dst)),
+        ]
+    }
+    fn name(&self) -> &'static str {
+        "gather_dot"
+    }
+    fn arity(&self) -> Arity {
+        Arity::Exact(2)
+    }
+    fn shape(&self, inputs: &[(usize, usize)]) -> Result<(usize, usize), String> {
+        require_eq("gather_dot: both sides read one tensor", inputs[0], inputs[1])?;
+        require_eq("gather_dot: source vs target indices", self.src.len(), self.dst.len())?;
+        require_in_bounds("gather_dot sources", &self.src, inputs[1].0)?;
+        require_in_bounds("gather_dot targets", &self.dst, inputs[0].0)?;
+        Ok((self.src.len(), 1))
+    }
+}
+
 /// Edges whose score chains [`Tape::gen_linear_score`] interleaves.
 const EDGE_BLOCK: usize = 8;
 
@@ -794,9 +875,37 @@ impl Tape {
     }
 
     /// Per-segment elementwise max (empty segments yield zero rows).
-    pub fn segment_max(&mut self, a: Tensor, segs: &Arc<Segments>) -> Tensor {
-        self.check_segments(a, segs, "segment_max");
+    ///
+    /// With `idx`, element `e` is row `idx[e]` of `a`, so
+    /// `segment_max(a, Some(idx), segs)` is bitwise equal, in value and
+    /// gradient, to `segment_max(gather_rows(a, idx), None, segs)` while
+    /// the `E x c` gathered plane never lands on the tape. Each
+    /// `(segment, column)` keeps a strict `>` scan from `-inf` in element
+    /// order either way, so the first maximum wins a tie and NaN never does.
+    pub fn segment_max(
+        &mut self,
+        a: Tensor,
+        idx: Option<&Arc<Vec<u32>>>,
+        segs: &Arc<Segments>,
+    ) -> Tensor {
         let av = self.value_arc(a);
+        match idx {
+            Some(idx) => {
+                assert_eq!(
+                    idx.len(),
+                    segs.total_len(),
+                    "segment_max: {} indices but segments cover {} elements",
+                    idx.len(),
+                    segs.total_len()
+                );
+                let rows = av.rows();
+                assert!(
+                    idx.iter().all(|&i| (i as usize) < rows), // lint:allow(lossy-cast) -- u32 index widens losslessly
+                    "segment_max index out of bounds (source has {rows} rows)"
+                );
+            }
+            None => self.check_segments(a, segs, "segment_max"),
+        }
         let cols = av.cols();
         let nseg = segs.num_segments();
         let mut out = pool::zeros(nseg, cols);
@@ -807,18 +916,20 @@ impl Tape {
                     if segs.len_of(s) == 0 {
                         continue;
                     }
-                    for c in 0..cols {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_e = u32::MAX;
-                        for e in segs.range(s) {
-                            let v = av.get(e, c);
-                            if v > best {
-                                best = v;
-                                best_e = e as u32; // lint:allow(lossy-cast) -- edge ids fit the u32 CSR domain
+                    // Row by row, each column keeping its own running max:
+                    // per column this is the same scan in the same order as
+                    // walking the column, without the strided reads.
+                    let best = &mut ochunk[si * cols..(si + 1) * cols];
+                    let best_e = &mut wchunk[si * cols..(si + 1) * cols];
+                    best.fill(f32::NEG_INFINITY);
+                    for e in segs.range(s) {
+                        let row = av.row(idx.map_or(e, |idx| idx[e] as usize)); // lint:allow(lossy-cast) -- u32 index widens losslessly
+                        for ((b, w), &v) in best.iter_mut().zip(best_e.iter_mut()).zip(row) {
+                            if v > *b {
+                                *b = v;
+                                *w = e as u32; // lint:allow(lossy-cast) -- edge ids fit the u32 CSR domain
                             }
                         }
-                        ochunk[si * cols + c] = best;
-                        wchunk[si * cols + c] = best_e;
                     }
                 }
             };
@@ -836,7 +947,11 @@ impl Tape {
         }
         self.push_op(
             out,
-            Box::new(SegmentMaxOp { segs: Arc::clone(segs), winners: Arc::new(winners) }),
+            Box::new(SegmentMaxOp {
+                segs: Arc::clone(segs),
+                idx: idx.map(Arc::clone),
+                winners: Arc::new(winners),
+            }),
             vec![a],
         )
     }
@@ -1075,6 +1190,45 @@ impl Tape {
         )
     }
 
+    /// The per-edge inner products `out[e] = Σ_c x[src[e],c] · x[dst[e],c]`
+    /// as one `E x 1` op (the GAT-COS score).
+    ///
+    /// Bitwise equal, in value and gradient, to
+    /// `row_sum(mul(gather_rows(x, src), gather_rows(x, dst)))` in each
+    /// [`crate::simd`] flavour: every edge sums its plain products with
+    /// `Iterator::sum`, as `row_sum` does. The node is wired `[x, x]`,
+    /// destination side first, so the reverse sweep adds the destination
+    /// side's scatter into `x`'s gradient before the source side's, the
+    /// order in which it visits the chain's two gathers. Neither `E x c`
+    /// gathered plane, their product, nor any of their gradients lands on
+    /// the tape.
+    pub fn gather_dot(&mut self, x: Tensor, src: &Arc<Vec<u32>>, dst: &Arc<Vec<u32>>) -> Tensor {
+        let xv = self.value_arc(x);
+        let rows = xv.rows();
+        assert_eq!(src.len(), dst.len(), "gather_dot: index lists differ in length");
+        assert!(
+            src.iter().chain(dst.iter()).all(|&i| (i as usize) < rows), // lint:allow(lossy-cast) -- u32 index widens losslessly
+            "gather_dot index out of bounds (source has {rows} rows)"
+        );
+        let edges = src.len();
+        // Scratch: every edge's slot is assigned below.
+        let mut out = pool::scratch(edges, 1);
+        let run = |erange: Range<usize>, chunk: &mut [f32]| {
+            for ((o, &u), &v) in chunk.iter_mut().zip(&src[erange.clone()]).zip(&dst[erange]) {
+                let (a, b) = (xv.row(u as usize), xv.row(v as usize)); // lint:allow(lossy-cast) -- u32 row indices widen losslessly into usize
+                *o = a.iter().zip(b).map(|(&a, &b)| a * b).sum();
+            }
+        };
+        crate::parallel::timed("gather_dot", || {
+            parallel_rows(edges, 1, edges * xv.cols() * 2, out.data_mut(), run)
+        });
+        self.push_op(
+            out,
+            Box::new(GatherDotOp { src: Arc::clone(src), dst: Arc::clone(dst) }),
+            vec![x, x],
+        )
+    }
+
     /// The GAT-GEN-LINEAR edge scores
     /// `score[e] = Σ_k gen_out[k] · tanh(proj_src[src[e],k] + proj_dst[dst[e],k])`
     /// as one `E x 1` op.
@@ -1263,7 +1417,7 @@ mod tests {
         let mut tape = Tape::new(0);
         let ta = tape.param(&store, a);
         let s = segs(&[2, 2]);
-        let m = tape.segment_max(ta, &s);
+        let m = tape.segment_max(ta, None, &s);
         assert_eq!(tape.value(m).data(), &[5.0, 9.0, 0.0, 3.0]);
         let loss = tape.sum_all(m);
         let g = tape.backward(loss);
@@ -1352,6 +1506,151 @@ mod tests {
             };
             fused_vs_chain(Equivalence::Bitwise, &inputs, &[true, true], &fused, &chain)
                 .unwrap_or_else(|e| panic!("segments {lengths:?}: {e}"));
+        }
+    }
+
+    /// Fused-vs-chain checks for the ops that read edge rows in place:
+    /// bitwise in both flavours, at 1/2/4 threads, on edge lists with self
+    /// loops, repeated edges and an empty segment, and with upstream
+    /// gradients that include `-0` (the chain and the op both end in a
+    /// product with a probe whose entries include `±0`).
+    mod edge_reads {
+        use super::*;
+        use crate::simd::with_scalar;
+
+        /// 11 edges into 6 nodes, grouped by destination: node 0 has a self
+        /// loop and a repeated edge from 3, node 1 has no in-edges, node 4
+        /// repeats its self loop, and node 0 is a source in three segments.
+        fn layout() -> (Arc<Vec<u32>>, Arc<Vec<u32>>, Arc<Segments>) {
+            let src = vec![0u32, 3, 3, 5, 0, 2, 2, 4, 4, 1, 0];
+            let dst = vec![0u32, 0, 0, 2, 2, 3, 3, 4, 4, 5, 5];
+            (Arc::new(src), Arc::new(dst), segs(&[3, 0, 2, 2, 2, 2]))
+        }
+
+        /// `y ⊙ probe`, where the probe's `±0` entries make `-0` upstream
+        /// gradients wherever the fixed upstream gradient is negative.
+        fn probed(t: &mut Tape, y: Tensor) -> Tensor {
+            let (rows, cols) = t.value(y).shape();
+            let probe = t.constant(Matrix::from_fn(rows, cols, |r, c| match (r * cols + c) % 4 {
+                0 => 0.0,
+                1 => -0.0,
+                k => k as f32 - 2.5,
+            }));
+            t.mul(y, probe)
+        }
+
+        fn both_flavours(
+            inputs: &[Matrix],
+            fused: &dyn Fn(&mut Tape, &[Tensor]) -> Tensor,
+            chain: &dyn Fn(&mut Tape, &[Tensor]) -> Tensor,
+        ) {
+            for scalar in [false, true] {
+                for probe in [false, true] {
+                    let f = |t: &mut Tape, i: &[Tensor]| {
+                        let y = fused(t, i);
+                        if probe {
+                            probed(t, y)
+                        } else {
+                            y
+                        }
+                    };
+                    let c = |t: &mut Tape, i: &[Tensor]| {
+                        let y = chain(t, i);
+                        if probe {
+                            probed(t, y)
+                        } else {
+                            y
+                        }
+                    };
+                    let check = || fused_vs_chain(Equivalence::Bitwise, inputs, &[true], &f, &c);
+                    let res = if scalar { with_scalar(check) } else { check() };
+                    res.unwrap_or_else(|e| panic!("scalar {scalar}, probe {probe}: {e}"));
+                }
+            }
+        }
+
+        #[test]
+        fn gather_dot_is_bitwise_equal_to_the_unfused_chain() {
+            let (src, dst, _) = layout();
+            // An odd width exercises any vector tail; a zero width sums
+            // nothing.
+            // With `later`, a read of `x` recorded after the scores (as GAT's
+            // `gather_attention` is) puts its gradient into `x` first, so
+            // the order of the two sides' scatters onto it shows.
+            for (cols, later) in [(7, false), (7, true), (1, true), (0, false)] {
+                let inputs = [wave(6, cols, 0.4, 2.0)];
+                let read_again = |t: &mut Tape, x: Tensor, score: Tensor| {
+                    if !later {
+                        return score;
+                    }
+                    let rows = t.gather_rows(x, &dst);
+                    let sums = t.row_sum(rows);
+                    t.add(score, sums)
+                };
+                let fused = |t: &mut Tape, i: &[Tensor]| {
+                    let score = t.gather_dot(i[0], &src, &dst);
+                    read_again(t, i[0], score)
+                };
+                let chain = |t: &mut Tape, i: &[Tensor]| {
+                    let hu = t.gather_rows(i[0], &src);
+                    let hv = t.gather_rows(i[0], &dst);
+                    let prod = t.mul(hu, hv);
+                    let score = t.row_sum(prod);
+                    read_again(t, i[0], score)
+                };
+                both_flavours(&inputs, &fused, &chain);
+            }
+        }
+
+        #[test]
+        fn indexed_segment_max_is_bitwise_equal_to_gather_then_max() {
+            let (src, _, s) = layout();
+            let plain = wave(6, 5, 0.9, 3.0);
+            // Row 0 wins every column of its three segments, so three
+            // gradients scatter onto each of its entries, in edge order.
+            let mut boosted = plain.clone();
+            boosted.row_mut(0).iter_mut().for_each(|v| *v += 10.0);
+            // Row 5 ties with row 0 in node 2's segment, the repeated edge
+            // from 3 ties with itself, and NaN and ±inf entries.
+            let mut special = plain.clone();
+            for c in 0..5 {
+                special.data_mut()[5 * 5 + c] = special.get(0, c);
+            }
+            special.data_mut()[2] = f32::NAN;
+            special.data_mut()[3 * 5 + 1] = f32::INFINITY;
+            special.data_mut()[4 * 5 + 2] = f32::NEG_INFINITY;
+            special.data_mut()[2 * 5 + 3] = f32::NAN;
+            for x in [plain, boosted, special, Matrix::full(6, 3, -0.0)] {
+                let fused = |t: &mut Tape, i: &[Tensor]| t.segment_max(i[0], Some(&src), &s);
+                let chain = |t: &mut Tape, i: &[Tensor]| {
+                    let messages = t.gather_rows(i[0], &src);
+                    t.segment_max(messages, None, &s)
+                };
+                both_flavours(&[x], &fused, &chain);
+            }
+        }
+
+        /// The first maximum wins a tie; an all-NaN column has no winner
+        /// and reads `-inf`; an empty segment reads zero.
+        #[test]
+        fn indexed_segment_max_keeps_the_first_maximum() {
+            let mut store = VarStore::new();
+            let x = Matrix::from_vec(3, 2, vec![1.0, f32::NAN, 4.0, f32::NAN, 4.0, f32::NAN]);
+            let p = store.add("x", x);
+            let mut tape = Tape::new(0);
+            let tx = tape.param(&store, p);
+            let idx = Arc::new(vec![0u32, 2, 1, 1]);
+            let m = tape.segment_max(tx, Some(&idx), &segs(&[3, 0, 1]));
+            let v = tape.value(m).data();
+            assert_eq!(&v[..1], &[4.0]);
+            assert_eq!(v[1], f32::NEG_INFINITY);
+            assert_eq!(&v[2..4], &[0.0, 0.0]);
+            assert_eq!(&v[4..], &[4.0, f32::NEG_INFINITY]);
+            let loss = tape.sum_all(m);
+            let grads = tape.backward(loss);
+            // Column 0: edge 1 (row 2) wins segment 0, edge 3 (row 1) wins
+            // segment 2.
+            assert_eq!(grads.get(p).expect("dx").data(), &[0.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
         }
     }
 

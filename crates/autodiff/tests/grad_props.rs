@@ -151,6 +151,46 @@ proptest! {
     }
 
     #[test]
+    fn gather_dot_grads(seed in 0u64..10_000, d in 1usize..5) {
+        // A self loop (0 -> 0), a repeated edge (1 -> 2 twice) and a node
+        // that is only a source (3): both sides scatter into every row.
+        let src = Arc::new(vec![0u32, 1, 1, 3, 2, 3]);
+        let dst = Arc::new(vec![0u32, 2, 2, 0, 1, 2]);
+        let err = check(seed, 4, d, move |t, _, x| {
+            let scores = t.gather_dot(x, &src, &dst);
+            let squashed = t.tanh(scores);
+            t.sum_all(squashed)
+        });
+        prop_assert!(err < TOL, "rel err {err}");
+    }
+
+    #[test]
+    fn mix_grads(seed in 0u64..10_000, m in 1usize..4) {
+        // Through the weights (a softmax row with one spare column, like the
+        // skip mixture's ZERO op), and through one term.
+        let terms: Vec<Matrix> = (0..m).map(|i| input(seed ^ (20 + i as u64), 3, 2)).collect();
+        let fixed = terms.clone();
+        let err = check(seed, 1, m + 1, move |t, _, x| {
+            let w = t.softmax_rows(x);
+            let outs: Vec<Tensor> = fixed.iter().map(|o| t.constant(o.clone())).collect();
+            let y = t.mix(w, &outs);
+            let sq = t.mul(y, y);
+            t.sum_all(sq)
+        });
+        prop_assert!(err < TOL, "weights: rel err {err}");
+        let weights = input(seed ^ 30, 1, m + 1);
+        let err = check(seed, 3, 2, move |t, _, x| {
+            let w = t.constant(weights.clone());
+            let mut outs: Vec<Tensor> = terms[1..].iter().map(|o| t.constant(o.clone())).collect();
+            outs.insert(0, x);
+            let y = t.mix(w, &outs);
+            let sq = t.mul(y, y);
+            t.sum_all(sq)
+        });
+        prop_assert!(err < TOL, "term: rel err {err}");
+    }
+
+    #[test]
     fn segment_softmax_attention_grads(seed in 0u64..10_000) {
         // Full attention pattern: scores -> segment softmax -> weighted sum.
         let idx = Arc::new(vec![0u32, 1, 1, 2, 0]);
@@ -495,8 +535,11 @@ proptest! {
             let idx = Arc::new(vec![0u32, 1, 2, 0]);
             let segs = Arc::new(Segments::from_lengths(&[2, 2]));
             let g = t.gather_rows(m, &idx);
-            let s = t.segment_max(g, &segs);
-            t.sum_all(s)
+            let s = t.segment_max(g, None, &segs);
+            // The indexed form reads the same rows without the gather.
+            let direct = t.segment_max(m, Some(&idx), &segs);
+            let both = t.add(s, direct);
+            t.sum_all(both)
         });
         prop_assert!(err < TOL, "rel err {err}");
     }

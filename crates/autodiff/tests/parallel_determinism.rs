@@ -80,7 +80,7 @@ fn segment_pipeline(threads: usize) -> (Vec<f32>, Vec<f32>) {
         let msgs = tape.gather_rows(x, &idx);
         let ssum = tape.segment_sum(msgs, &segs);
         let smean = tape.segment_mean(msgs, &segs);
-        let smax = tape.segment_max(msgs, &segs);
+        let smax = tape.segment_max(msgs, None, &segs);
         let scores = tape.gather_rows(sc, &idx);
         let alpha = tape.segment_softmax(scores, &segs);
         let weighted = tape.mul_col_broadcast(msgs, alpha);

@@ -259,17 +259,9 @@ pub fn graphcls_search(task: &GraphClsTask, cfg: &GraphClsSearchConfig) -> Graph
         let emb = net.forward_mixed(tape, store, &task.ctxs[gi], x, training);
         let ap = tape.param(store, alpha_pool);
         let wp = tape.softmax_rows(ap);
-        let mut mixed: Option<Tensor> = None;
-        for (j, pool) in poolings.iter().enumerate() {
-            let pooled = pool.forward(tape, store, emb);
-            let w_j = tape.slice_cols(wp, j, j + 1);
-            let scaled = tape.mul_scalar_tensor(pooled, w_j);
-            mixed = Some(match mixed {
-                Some(acc) => tape.add(acc, scaled),
-                None => scaled,
-            });
-        }
-        classifier.forward(tape, store, mixed.expect("O_p is non-empty")) // lint:allow(expect) -- O_p is non-empty
+        let pooled: Vec<Tensor> = poolings.iter().map(|p| p.forward(tape, store, emb)).collect();
+        let mixed = tape.mix(wp, &pooled);
+        classifier.forward(tape, store, mixed)
     };
 
     let batch_grads = |store: &VarStore, split: &[usize], seed: u64| {

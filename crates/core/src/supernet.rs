@@ -181,7 +181,8 @@ impl Supernet {
     }
 
     /// Fully-mixed forward pass (Eq. 3–5): every op contributes, weighted
-    /// by the softmax of its `α` vector.
+    /// by the softmax of its `α` vector. Each mixture is one
+    /// [`Tape::mix`] node over its candidates' outputs.
     pub fn forward_mixed(
         &self,
         tape: &mut Tape,
@@ -197,17 +198,10 @@ impl Supernet {
             let h_in = tape.dropout(h, dropout);
             let alpha = tape.param(store, self.alpha_node[l]);
             let weights = tape.softmax_rows(alpha);
-            let mut mixed: Option<Tensor> = None;
-            for (i, op) in self.node_ops[l].iter().enumerate() {
-                let out = op.forward(tape, store, ctx, h_in);
-                let w_i = tape.slice_cols(weights, i, i + 1);
-                let scaled = tape.mul_scalar_tensor(out, w_i);
-                mixed = Some(match mixed {
-                    Some(acc) => tape.add(acc, scaled),
-                    None => scaled,
-                });
-            }
-            h = self.cfg.activation.apply(tape, mixed.expect("O_n is non-empty")); // lint:allow(expect) -- O_n is non-empty
+            let outs: Vec<Tensor> =
+                self.node_ops[l].iter().map(|op| op.forward(tape, store, ctx, h_in)).collect();
+            let mixed = tape.mix(weights, &outs);
+            h = self.cfg.activation.apply(tape, mixed);
             layer_outputs.push(h);
         }
 
@@ -220,24 +214,21 @@ impl Supernet {
                 .map(|(l, &t)| {
                     let alpha = tape.param(store, self.alpha_skip[l]);
                     let w = tape.softmax_rows(alpha);
-                    let w_id = tape.slice_cols(w, 0, 1);
-                    tape.mul_scalar_tensor(t, w_id)
+                    tape.mix(w, &[t])
                 })
                 .collect();
             let alpha_l = tape.param(store, self.alpha_layer.expect("layer agg enabled")); // lint:allow(expect) -- layer agg enabled
             let wl = tape.softmax_rows(alpha_l);
-            let mut mixed: Option<Tensor> = None;
-            for (j, (agg, proj)) in self.layer_aggs.iter().zip(&self.layer_projs).enumerate() {
-                let z = agg.forward(tape, store, &contributions);
-                let z = proj.forward(tape, store, z);
-                let w_j = tape.slice_cols(wl, j, j + 1);
-                let scaled = tape.mul_scalar_tensor(z, w_j);
-                mixed = Some(match mixed {
-                    Some(acc) => tape.add(acc, scaled),
-                    None => scaled,
-                });
-            }
-            mixed.expect("O_l is non-empty") // lint:allow(expect) -- O_l is non-empty
+            let outs: Vec<Tensor> = self
+                .layer_aggs
+                .iter()
+                .zip(&self.layer_projs)
+                .map(|(agg, proj)| {
+                    let z = agg.forward(tape, store, &contributions);
+                    proj.forward(tape, store, z)
+                })
+                .collect();
+            tape.mix(wl, &outs)
         } else {
             *layer_outputs.last().expect("at least one layer") // lint:allow(expect) -- at least one layer
         };

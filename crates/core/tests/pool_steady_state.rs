@@ -7,7 +7,7 @@
 
 use sane_autodiff::pool;
 use sane_core::prelude::*;
-use sane_data::CitationConfig;
+use sane_data::{CitationConfig, PpiConfig};
 
 #[test]
 fn repeated_searches_leave_the_pool_flat() {
@@ -37,4 +37,27 @@ fn repeated_searches_leave_the_pool_flat() {
         "the pool grew from {second} to {third} floats between identical searches \
          (after each search: {floats:?})"
     );
+}
+
+/// ppi-syn at the preset's graph size (3 graphs of 2373 nodes, ~29 edges
+/// per node), searched with the benchmark's supernet: once a one-epoch
+/// search has filled the pool, the next search takes every buffer from it
+/// and gives every buffer back. A tape whose working set outgrows the
+/// pool's float cap shows here as misses and dropped buffers on every step.
+#[test]
+fn ppi_at_the_preset_size_fits_the_pool() {
+    let task = Task::multi(PpiConfig { num_graphs: 3, ..PpiConfig::ppi() }.with_seed(7).generate());
+    let cfg = SaneSearchConfig {
+        supernet: SupernetConfig { k: 3, hidden: 32, dropout: 0.5, ..SupernetConfig::default() },
+        epochs: 1,
+        seed: 7,
+        ..SaneSearchConfig::default()
+    };
+    pool::reset();
+    let _ = sane_search(&task, &cfg);
+    let warm = pool::stats();
+    let _ = sane_search(&task, &cfg);
+    let second = pool::stats().since(&warm);
+    pool::reset();
+    assert_eq!((second.misses, second.dropped), (0, 0), "second search: {second}");
 }

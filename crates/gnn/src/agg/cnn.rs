@@ -42,7 +42,7 @@ impl NodeAggregator for CnnAggregator {
     fn forward(&self, tape: &mut Tape, store: &VarStore, ctx: &GraphContext, h: Tensor) -> Tensor {
         let layout = &ctx.layout;
         let messages = tape.gather_rows(h, &layout.src);
-        let nbr_max = tape.segment_max(messages, &layout.segments);
+        let nbr_max = tape.segment_max(messages, None, &layout.segments);
         let nbr_mean = tape.segment_mean(messages, &layout.segments);
 
         let t_self = tape.param(store, self.tap_self);

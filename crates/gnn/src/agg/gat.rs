@@ -143,12 +143,9 @@ impl GatAggregator {
                     _ => unreachable!(),
                 }
             }
-            GatScore::Cos => {
-                let hu = tape.gather_rows(wh, &layout.src);
-                let hv = tape.gather_rows(wh, &layout.dst);
-                let prod = tape.mul(hu, hv);
-                tape.row_sum(prod)
-            }
+            // One fused op for gather ×2 → mul → row_sum: no `E x d` plane
+            // lands on the tape.
+            GatScore::Cos => tape.gather_dot(wh, &layout.src, &layout.dst),
             GatScore::GenLinear => {
                 let gen_src = tape.param(store, head.gen_src.expect("gen-linear has gen_src")); // lint:allow(expect) -- gen-linear has gen_src
                 let gen_dst = tape.param(store, head.gen_dst.expect("gen-linear has gen_dst")); // lint:allow(expect) -- gen-linear has gen_dst

@@ -72,7 +72,8 @@ impl NodeAggregator for SageMeanAggregator {
 /// Max-pooling GraphSAGE: `max_{u ∈ Ñ(v)} relu(W_pool h_u + b_pool)`.
 ///
 /// The pooling transform runs on node features once (not per edge), then the
-/// per-destination max is a segment reduction over the message layout.
+/// per-destination max is a segment reduction over the message layout that
+/// reads each edge's source row through the layout's index list.
 pub struct SageMaxAggregator {
     pool: Linear,
     out_dim: usize,
@@ -88,8 +89,9 @@ impl NodeAggregator for SageMaxAggregator {
     fn forward(&self, tape: &mut Tape, store: &VarStore, ctx: &GraphContext, h: Tensor) -> Tensor {
         let transformed = self.pool.forward(tape, store, h);
         let activated = tape.relu(transformed);
-        let messages = tape.gather_rows(activated, &ctx.layout.src);
-        tape.segment_max(messages, &ctx.layout.segments)
+        // Each edge's message is its source row, read in place: no
+        // `E x d` gathered plane lands on the tape.
+        tape.segment_max(activated, Some(&ctx.layout.src), &ctx.layout.segments)
     }
 
     fn params(&self) -> Vec<ParamId> {

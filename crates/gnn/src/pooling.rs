@@ -90,7 +90,7 @@ impl GraphPooling {
         match self.kind {
             PoolingKind::Sum => tape.segment_sum(h, &whole),
             PoolingKind::Mean => tape.segment_mean(h, &whole),
-            PoolingKind::Max => tape.segment_max(h, &whole),
+            PoolingKind::Max => tape.segment_max(h, None, &whole),
             PoolingKind::Attention => {
                 let a = tape.param(store, self.attn.expect("attention has a readout vector")); // lint:allow(expect) -- attention has a readout vector
                 let scores = tape.matmul(h, a);
