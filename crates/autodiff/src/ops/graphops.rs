@@ -18,6 +18,7 @@ use crate::audit::{require_eq, Arity};
 use crate::matrix::Matrix;
 use crate::parallel::{parallel_ranges, parallel_ranges_pair, parallel_rows, parallel_rows_pair};
 use crate::pool;
+use crate::simd::{edge_add_scaled, edge_mul, is_tiny, Exact};
 use crate::tape::{Op, Tape, Tensor};
 
 /// Segment-boundary invariant shared by every segment op's shape rule: the
@@ -109,6 +110,34 @@ fn debug_assert_partition(segs: &Segments, covered_rows: usize) {
         covered_rows,
         "segments must cover exactly the partitioned rows"
     );
+}
+
+/// Books one kernel call's count of tiny per-edge factors (`α`, or
+/// `gather_dot`'s upstream score gradient) as the counter `name`, when
+/// telemetry is active. Tiny factors are the ones whose products take the
+/// exact path ([`Exact`]); a saturated softmax shows up as a large count.
+fn book_tiny(name: &str, factors: &[f32]) {
+    if sane_telemetry::active() {
+        let n = factors.iter().filter(|&&a| is_tiny(a)).count() as u64; // lint:allow(lossy-cast) -- usize widens losslessly into u64
+        sane_telemetry::counter_add(name, n);
+    }
+}
+
+/// `*a *= inv` for one edge's unnormalised softmax weight. A tiny weight
+/// takes the exact product and returns its normalised value widened, so
+/// the edge's other products follow the same once-per-edge decision.
+#[inline]
+fn normalise(a: &mut f32, inv: f32) -> Option<Exact> {
+    match Exact::tiny(*a) {
+        Some(w) => {
+            *a = w.mul(inv);
+            Some(Exact::new(*a))
+        }
+        None => {
+            *a *= inv;
+            None
+        }
+    }
 }
 
 /// Gathers rows of the input according to a fixed index list.
@@ -455,12 +484,20 @@ impl Op for SegmentAttentionOp {
                     .zip(aseg_w)
                     .zip(sseg.iter_mut())
                 {
-                    let da = fl.dot_scale(mrow_src, grow, a, mrow_dst);
+                    // A saturated weight's `a · g` row goes through the
+                    // exact product; `dot_scale` is `dot` plus `scale`.
+                    let da = match Exact::tiny(a) {
+                        Some(w) => {
+                            w.scale(grow, mrow_dst);
+                            fl.dot(mrow_src, grow)
+                        }
+                        None => fl.dot_scale(mrow_src, grow, a, mrow_dst),
+                    };
                     *slot = da;
-                    dot_s += a * da;
+                    dot_s += edge_mul(a, da);
                 }
                 for (slot, &a) in sseg.iter_mut().zip(aseg_w) {
-                    *slot = a * (*slot - dot_s);
+                    *slot = edge_mul(a, *slot - dot_s);
                 }
             }
         };
@@ -474,6 +511,7 @@ impl Op for SegmentAttentionOp {
             gs.data_mut(),
             run,
         );
+        book_tiny("exact_edges.segment_attention.backward", alpha);
         vec![Some(gs), Some(gm)]
     }
     fn name(&self) -> &'static str {
@@ -542,7 +580,8 @@ impl Op for GatherAttentionOp {
             // edge in global edge order (segments partition the edges in
             // order, and the unfused scatter also walks edges in order).
             // The two gradients share no arithmetic, so either may be
-            // skipped.
+            // skipped. A saturated weight's products go through the exact
+            // product (`edge_mul`, `edge_add_scaled`), bit for bit the same.
             if let Some(gs) = gs.as_mut() {
                 let sseg = &mut gs.data_mut()[range];
                 if cols == 0 {
@@ -552,22 +591,21 @@ impl Op for GatherAttentionOp {
                     for ((slot, &a), &i) in sseg.iter_mut().zip(aseg).zip(iseg) {
                         let da = fl.dot(xv.row(i as usize), grow); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
                         *slot = da;
-                        dot_s += a * da;
+                        dot_s += edge_mul(a, da);
                     }
                     for (slot, &a) in sseg.iter_mut().zip(aseg) {
-                        *slot = a * (*slot - dot_s);
+                        *slot = edge_mul(a, *slot - dot_s);
                     }
                 }
             }
             if let Some(gx) = gx.as_mut() {
                 for (&a, &i) in aseg.iter().zip(iseg) {
                     let target = gx.row_mut(i as usize); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
-                    for (t, &g) in target.iter_mut().zip(grow) {
-                        *t += a * g;
-                    }
+                    edge_add_scaled(a, grow, target);
                 }
             }
         }
+        book_tiny("exact_edges.gather_attention.backward", alpha);
         vec![gs, gx]
     }
     fn name(&self) -> &'static str {
@@ -605,20 +643,20 @@ impl Op for GatherDotOp {
         let x = inputs[0];
         let (rows, cols) = x.shape();
         // Each side is `gather_rows`' serial scatter-add over edges in order,
-        // of `mul`'s `g · x[other side]` (a plain product, no FMA).
+        // of `mul`'s `g · x[other side]` (a plain product, no FMA). Under a
+        // saturated softmax many `g` are tiny; those edges take the exact
+        // product, bit for bit the same.
         let side = |to: &[u32], other: &[u32]| {
             let mut g = pool::zeros(rows, cols);
             if cols > 0 {
                 for ((&ge, &t), &o) in grad.data().iter().zip(to).zip(other) {
                     let target = g.row_mut(t as usize); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
-                    for (t, &v) in target.iter_mut().zip(x.row(o as usize)) {
-                        // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
-                        *t += ge * v;
-                    }
+                    edge_add_scaled(ge, x.row(o as usize), target); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
                 }
             }
             g
         };
+        book_tiny("exact_edges.gather_dot.backward", grad.data());
         vec![
             wants[0].then(|| side(&self.dst, &self.src)),
             wants[1].then(|| side(&self.src, &self.dst)),
@@ -1049,7 +1087,7 @@ impl Tape {
                 let inv = 1.0 / sum;
                 if cols == 0 {
                     for a in aseg.iter_mut() {
-                        *a *= inv;
+                        normalise(a, inv);
                     }
                     continue;
                 }
@@ -1062,11 +1100,13 @@ impl Tape {
                 let seg_msgs = &mv.data()[range.start * cols..range.end * cols];
                 let mut edges = aseg.iter_mut().zip(seg_msgs.chunks_exact(cols));
                 if let Some((a, mrow)) = edges.next() {
-                    *a *= inv;
-                    crate::simd::scale(*a, mrow, orow);
+                    match normalise(a, inv) {
+                        Some(w) => w.scale(mrow, orow),
+                        None => crate::simd::scale(*a, mrow, orow),
+                    }
                 }
                 for (a, mrow) in edges {
-                    *a *= inv;
+                    normalise(a, inv);
                     fl.axpy(*a, mrow, orow);
                 }
             }
@@ -1083,6 +1123,7 @@ impl Tape {
                 run,
             )
         });
+        book_tiny("exact_edges.segment_attention.forward", alpha.data());
         self.push_op(
             out,
             Box::new(SegmentAttentionOp { segs: Arc::clone(segs), alpha }),
@@ -1152,7 +1193,7 @@ impl Tape {
                 let inv = 1.0 / sum;
                 if cols == 0 {
                     for a in aseg.iter_mut() {
-                        *a *= inv;
+                        normalise(a, inv);
                     }
                     continue;
                 }
@@ -1162,11 +1203,14 @@ impl Tape {
                 // the output is bitwise identical to gather + attention.
                 let mut edges = aseg.iter_mut().zip(&idx[range]);
                 if let Some((a, &i)) = edges.next() {
-                    *a *= inv;
-                    crate::simd::scale(*a, xv.row(i as usize), orow); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
+                    let xrow = xv.row(i as usize); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
+                    match normalise(a, inv) {
+                        Some(w) => w.scale(xrow, orow),
+                        None => crate::simd::scale(*a, xrow, orow),
+                    }
                 }
                 for (a, &i) in edges {
-                    *a *= inv;
+                    normalise(a, inv);
                     fl.axpy(*a, xv.row(i as usize), orow); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
                 }
             }
@@ -1183,6 +1227,7 @@ impl Tape {
                 run,
             )
         });
+        book_tiny("exact_edges.gather_attention.forward", alpha.data());
         self.push_op(
             out,
             Box::new(GatherAttentionOp { idx: Arc::clone(idx), segs: Arc::clone(segs), alpha }),
@@ -1651,6 +1696,283 @@ mod tests {
             // Column 0: edge 1 (row 2) wins segment 0, edge 3 (row 1) wins
             // segment 2.
             assert_eq!(grads.get(p).expect("dx").data(), &[0.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
+        }
+    }
+
+    /// The edge-softmax kernels under a saturated softmax: scores spread by
+    /// more than 110 within a segment put weights in the tiny-normal and
+    /// subnormal ranges, where their products take the exact path
+    /// (`simd::Exact`). Values and every gradient must equal naive f32
+    /// loops with plain products, bit for bit, in both flavours at 1/2/4
+    /// threads.
+    mod saturated {
+        use super::*;
+        use crate::parallel::with_threads;
+        use crate::simd::{flavour, is_tiny, with_scalar, Flavour};
+        use crate::tape::ParamId;
+
+        const COLS: usize = 5; // odd: exercises the vector tails
+
+        /// 28 edges into 8 nodes, grouped by destination, with an empty and a
+        /// one-edge segment. Sources repeat and include self loops.
+        fn layout() -> (Arc<Vec<u32>>, Arc<Vec<u32>>, Arc<Segments>) {
+            let lengths = [6, 0, 7, 1, 5, 3, 2, 4];
+            let src = vec![
+                0u32, 1, 5, 7, 3, 1, // node 0
+                2, 4, 0, 6, 1, 5, 2, // node 2
+                7, // node 3
+                1, 0, 4, 7, 5, // node 4
+                5, 1, 3, // node 5
+                6, 0, // node 6
+                7, 0, 1, 5, // node 7
+            ];
+            let dst: Vec<u32> =
+                lengths.iter().enumerate().flat_map(|(v, &n)| vec![v as u32; n]).collect();
+            (Arc::new(src), Arc::new(dst), segs(&lengths))
+        }
+
+        /// Per segment: ties at the top (so the vectorized `exp`'s floor of
+        /// `e^-87` still normalises to a subnormal), deep scores on first
+        /// edges, and scores that underflow to a zero weight.
+        fn ladder_scores() -> Matrix {
+            let scores: [f32; 28] = [
+                2.0, -123.0, 2.0, -84.5, -59.0, 1.5, //
+                -108.0, 4.0, -91.0, 3.5, -98.0, -85.0, 4.0, //
+                7.0, //
+                -30.0, -117.5, -30.0, -56.0, -29.5, //
+                0.25, -86.75, 0.0, //
+                1.0, -112.0, //
+                -101.0, 0.0, -0.25, -95.5,
+            ];
+            Matrix::from_vec(28, 1, scores.to_vec())
+        }
+
+        /// Node rows `[s_v, small wave]`: the GAT-COS score of `u -> v` is
+        /// about `s_u · s_v`, which spreads each big node's segment by more
+        /// than 150.
+        fn cos_features() -> Matrix {
+            let s = [11.0f32, -10.0, 9.5, 3.0, -7.0, 10.5, 0.5, -9.0];
+            let small = wave(8, COLS, 2.3, 0.5);
+            Matrix::from_fn(8, COLS, |r, c| if c == 0 { s[r] } else { small.get(r, c) })
+        }
+
+        /// Upstream gradient with `±0` entries among the values.
+        fn upstream(rows: usize) -> Matrix {
+            let w = wave(rows, COLS, 0.7, 1.5);
+            Matrix::from_fn(rows, COLS, |r, c| match (r * COLS + c) % 4 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => w.get(r, c),
+            })
+        }
+
+        /// Softmax weights as the kernels form them: max-shifted, the
+        /// flavour's `exp`, an in-order sum, then `e · (1 / sum)`.
+        fn naive_alpha(fl: Flavour, scores: &[f32], segs: &Segments) -> Vec<f32> {
+            let mut alpha = Vec::with_capacity(scores.len());
+            for s in 0..segs.num_segments() {
+                let seg = &scores[segs.range(s)];
+                let max = seg.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+                let mut e: Vec<f32> = seg.iter().map(|&v| v - max).collect();
+                fl.exp(&mut e);
+                let mut sum = 0.0f32;
+                for &v in &e {
+                    sum += v;
+                }
+                let inv = 1.0 / sum;
+                alpha.extend(e.iter().map(|&v| v * inv));
+            }
+            alpha
+        }
+
+        /// `out[s] = Σ α_e · m_e`: the first edge's plain product, then the
+        /// flavour's multiply-add per edge.
+        fn naive_forward(fl: Flavour, alpha: &[f32], segs: &Segments, rows: &[&[f32]]) -> Vec<f32> {
+            let mut out = vec![0.0f32; segs.num_segments() * COLS];
+            for (s, orow) in out.chunks_exact_mut(COLS).enumerate() {
+                for (k, e) in segs.range(s).enumerate() {
+                    for (o, &m) in orow.iter_mut().zip(rows[e]) {
+                        *o = if k == 0 { alpha[e] * m } else { fl.madd(alpha[e], m, *o) };
+                    }
+                }
+            }
+            out
+        }
+
+        /// The score gradient and the per-edge message gradient rows.
+        fn naive_backward(
+            fl: Flavour,
+            alpha: &[f32],
+            segs: &Segments,
+            rows: &[&[f32]],
+            g: &Matrix,
+        ) -> (Vec<f32>, Vec<f32>) {
+            let mut gs = vec![0.0f32; alpha.len()];
+            let mut gm = vec![0.0f32; alpha.len() * COLS];
+            for s in 0..segs.num_segments() {
+                let grow = g.row(s);
+                let mut dot_s = 0.0f32;
+                for e in segs.range(s) {
+                    gs[e] = fl.dot(rows[e], grow);
+                    dot_s += alpha[e] * gs[e];
+                    for (o, &gv) in gm[e * COLS..(e + 1) * COLS].iter_mut().zip(grow) {
+                        *o = alpha[e] * gv;
+                    }
+                }
+                for e in segs.range(s) {
+                    gs[e] = alpha[e] * (gs[e] - dot_s);
+                }
+            }
+            (gs, gm)
+        }
+
+        /// `gather_rows`' serial scatter-add of per-edge rows, in edge order.
+        fn naive_scatter(to: &[u32], rows: &[f32], nrows: usize) -> Vec<f32> {
+            let mut out = vec![0.0f32; nrows * COLS];
+            for (&t, row) in to.iter().zip(rows.chunks_exact(COLS)) {
+                let t = t as usize;
+                for (o, &v) in out[t * COLS..(t + 1) * COLS].iter_mut().zip(row) {
+                    *o += v;
+                }
+            }
+            out
+        }
+
+        /// The weights really are saturated: some subnormal, some tiny normal.
+        fn assert_saturated(fl: Flavour, alpha: &[f32]) {
+            let sub = alpha.iter().any(|&a| a != 0.0 && a.abs() < f32::MIN_POSITIVE);
+            let tiny = alpha.iter().any(|&a| is_tiny(a) && a.abs() >= f32::MIN_POSITIVE);
+            assert!(sub && tiny, "{fl:?}: fixture weights not saturated: {alpha:?}");
+        }
+
+        fn bitwise(what: &str, got: &[f32], want: &[f32]) {
+            assert_eq!(got.len(), want.len(), "{what}: lengths");
+            for (k, (&x, &y)) in got.iter().zip(want).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}[{k}]: kernel {x:e} vs naive {y:e}");
+            }
+        }
+
+        /// Records `build` over `inputs` as parameters and sweeps back from
+        /// its output seeded with `upstream`: the output and each input's
+        /// gradient.
+        fn run(
+            inputs: &[&Matrix],
+            upstream: &Matrix,
+            build: &dyn Fn(&mut Tape, &[Tensor]) -> Tensor,
+        ) -> (Matrix, Vec<Matrix>) {
+            let mut store = VarStore::new();
+            let ids: Vec<ParamId> = inputs.iter().map(|&m| store.add("in", m.clone())).collect();
+            let mut tape = Tape::new(0);
+            let ts: Vec<Tensor> = ids.iter().map(|&p| tape.param(&store, p)).collect();
+            let out = build(&mut tape, &ts);
+            let grads = tape.backward_seeded(out, upstream.clone());
+            let grads = ids.iter().map(|&p| grads.get(p).expect("input gradient").clone());
+            (tape.value(out).clone(), grads.collect())
+        }
+
+        /// `check(flavour, threads)` in both flavours at 1, 2 and 4 threads.
+        fn each_mode(check: impl Fn(Flavour, usize)) {
+            for scalar in [false, true] {
+                for threads in [1, 2, 4] {
+                    let go = || with_threads(threads, || check(flavour(), threads));
+                    if scalar {
+                        with_scalar(go)
+                    } else {
+                        go()
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn segment_attention_matches_naive_loops() {
+            let (_, _, s) = layout();
+            let scores = ladder_scores();
+            let msgs = wave(28, COLS, 1.1, 2.0);
+            let g = upstream(8);
+            each_mode(|fl, threads| {
+                let at = |what: &str| format!("{fl:?} at {threads} threads: {what}");
+                let alpha = naive_alpha(fl, scores.data(), &s);
+                assert_saturated(fl, &alpha);
+                let rows: Vec<&[f32]> = (0..28).map(|e| msgs.row(e)).collect();
+                let (gs, gm) = naive_backward(fl, &alpha, &s, &rows, &g);
+                let (y, grads) =
+                    run(&[&scores, &msgs], &g, &|t, i| t.segment_attention(i[0], i[1], &s));
+                bitwise(&at("value"), y.data(), &naive_forward(fl, &alpha, &s, &rows));
+                bitwise(&at("d scores"), grads[0].data(), &gs);
+                bitwise(&at("d messages"), grads[1].data(), &gm);
+            });
+        }
+
+        #[test]
+        fn gather_attention_matches_naive_loops() {
+            let (src, _, s) = layout();
+            let scores = ladder_scores();
+            let x = wave(8, COLS, 1.9, 2.0);
+            let g = upstream(8);
+            each_mode(|fl, threads| {
+                let at = |what: &str| format!("{fl:?} at {threads} threads: {what}");
+                let alpha = naive_alpha(fl, scores.data(), &s);
+                assert_saturated(fl, &alpha);
+                let rows: Vec<&[f32]> = src.iter().map(|&u| x.row(u as usize)).collect();
+                let (gs, gm) = naive_backward(fl, &alpha, &s, &rows, &g);
+                let (y, grads) =
+                    run(&[&scores, &x], &g, &|t, i| t.gather_attention(i[0], i[1], &src, &s));
+                bitwise(&at("value"), y.data(), &naive_forward(fl, &alpha, &s, &rows));
+                bitwise(&at("d scores"), grads[0].data(), &gs);
+                bitwise(&at("d x"), grads[1].data(), &naive_scatter(&src, &gm, 8));
+            });
+        }
+
+        /// GAT-COS: `gather_dot` scores into `gather_attention`, so the
+        /// score gradient `gather_dot` scatters is the saturated softmax's.
+        #[test]
+        fn gather_dot_matches_naive_loops() {
+            let (src, dst, s) = layout();
+            let x = cos_features();
+            let h = wave(8, COLS, 0.2, 2.0);
+            let g = upstream(8);
+            each_mode(|fl, threads| {
+                let at = |what: &str| format!("{fl:?} at {threads} threads: {what}");
+                let scores: Vec<f32> = src
+                    .iter()
+                    .zip(dst.iter())
+                    .map(|(&u, &v)| {
+                        x.row(u as usize).iter().zip(x.row(v as usize)).map(|(&a, &b)| a * b).sum()
+                    })
+                    .collect();
+                let spread = |r: Range<usize>| {
+                    let seg = &scores[r];
+                    seg.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v))
+                        - seg.iter().fold(f32::INFINITY, |m, &v| m.min(v))
+                };
+                assert!((0..8).any(|v| spread(s.range(v)) > 110.0), "{scores:?}");
+                let alpha = naive_alpha(fl, &scores, &s);
+                let rows: Vec<&[f32]> = src.iter().map(|&u| h.row(u as usize)).collect();
+                let (ge, gm) = naive_backward(fl, &alpha, &s, &rows, &g);
+                assert!(ge.iter().any(|&v| is_tiny(v)), "{fl:?}: no tiny score gradient");
+                // `gather_dot`'s two sides, destination first, each a scatter
+                // of `ge · x[other side]`, summed as the reverse sweep does.
+                let side = |to: &[u32], other: &[u32]| {
+                    let rows: Vec<f32> = ge
+                        .iter()
+                        .zip(other)
+                        .flat_map(|(&d, &o)| x.row(o as usize).iter().map(move |&v| d * v))
+                        .collect();
+                    naive_scatter(to, &rows, 8)
+                };
+                let mut gx = side(&dst, &src);
+                for (a, b) in gx.iter_mut().zip(side(&src, &dst)) {
+                    *a += b;
+                }
+                let (y, grads) = run(&[&x, &h], &g, &|t, i| {
+                    let score = t.gather_dot(i[0], &src, &dst);
+                    t.gather_attention(score, i[1], &src, &s)
+                });
+                bitwise(&at("value"), y.data(), &naive_forward(fl, &alpha, &s, &rows));
+                bitwise(&at("d x"), grads[0].data(), &gx);
+                bitwise(&at("d h"), grads[1].data(), &naive_scatter(&src, &gm, 8));
+            });
         }
     }
 

@@ -296,6 +296,115 @@ pub fn scale(a: f32, x: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Magnitude below which a per-edge factor's products go through
+/// [`Exact`]: `2^-60`, a little above the middle of f32's normal exponent
+/// range. A product `a·x` with `|a| ≥ 2^-60` can fall below the normal
+/// range (`2^-126`) only if `|x| < 2^-66`, which no feature or gradient
+/// the edge kernels scale comes near; a product with a smaller `|a|` may
+/// be subnormal, and on Intel cores an f32 multiply with a subnormal
+/// operand or result takes a microcode assist costing tens of normal
+/// multiplies (DESIGN §13).
+const TINY: f32 = f32::from_bits((127 - 60) << 23);
+
+/// `2^-149`, the weight of the last mantissa bit of an f32 subnormal.
+const SUBNORMAL_ULP: f64 = f64::from_bits((1023 - 149) << 52);
+
+/// True when `0 < |a| < 2^-60` (see [`TINY`]); false for zeros and NaN.
+#[inline]
+pub(crate) fn is_tiny(a: f32) -> bool {
+    (1..TINY.to_bits()).contains(&(a.to_bits() & 0x7fff_ffff))
+}
+
+/// An f32 factor widened exactly to f64, whose products with other f32
+/// values run on the f64 unit and come back bit for bit as f32 products.
+///
+/// An f32 carries 24 significant bits, so the f64 product of two of them
+/// (48 bits, exponent between `2^-298` and `2^256`) is exact, and its one
+/// narrowing is the same single rounding the f32 multiply makes: the bits
+/// equal `a * b` for every pair, signed zeros, subnormal results, overflow
+/// to infinity and `0 · inf` included, NaN for NaN. Neither the f64
+/// multiply nor the narrowing takes the subnormal assist.
+#[derive(Clone, Copy)]
+pub(crate) struct Exact(f64);
+
+impl Exact {
+    /// `a`, widened exactly.
+    #[inline]
+    pub(crate) fn new(a: f32) -> Self {
+        // Opaque to the optimiser: LLVM folds `fptrunc(fmul(fpext a, fpext
+        // b))` back into the f32 multiply it equals, assist included.
+        Exact(std::hint::black_box(widen(a)))
+    }
+
+    /// `Some` exactly when [`is_tiny`]`(a)`: the per-edge test that routes
+    /// a saturated softmax weight's products here.
+    #[inline]
+    pub(crate) fn tiny(a: f32) -> Option<Self> {
+        is_tiny(a).then(|| Exact::new(a))
+    }
+
+    /// `a * b`, bitwise.
+    #[inline]
+    pub(crate) fn mul(self, b: f32) -> f32 {
+        (self.0 * f64::from(b)) as f32 // lint:allow(lossy-cast) -- the exact f64 product, rounded once, is the f32 product
+    }
+
+    /// `out[j] = a * x[j]`, bitwise [`scale`].
+    #[inline]
+    pub(crate) fn scale(self, x: &[f32], out: &mut [f32]) {
+        debug_assert_eq!(x.len(), out.len());
+        for (o, &v) in out.iter_mut().zip(x) {
+            *o = self.mul(v);
+        }
+    }
+}
+
+/// `a * b` for a per-edge factor `a`, through [`Exact`] when `a` is tiny.
+#[inline]
+pub(crate) fn edge_mul(a: f32, b: f32) -> f32 {
+    match Exact::tiny(a) {
+        Some(w) => w.mul(b),
+        None => a * b,
+    }
+}
+
+/// `out[j] += a * x[j]` for a per-edge factor `a`, the product rounded
+/// before the add (the plain two-rounding scatter, not [`axpy`]'s fused
+/// rounding), through [`Exact`] when `a` is tiny.
+#[inline]
+pub(crate) fn edge_add_scaled(a: f32, x: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(x.len(), out.len());
+    match Exact::tiny(a) {
+        Some(w) => {
+            for (o, &v) in out.iter_mut().zip(x) {
+                *o += w.mul(v);
+            }
+        }
+        None => {
+            for (o, &v) in out.iter_mut().zip(x) {
+                *o += a * v;
+            }
+        }
+    }
+}
+
+/// `a` as an f64, exactly. A subnormal is rebuilt from its bits as
+/// `mantissa · 2^-149`, so no floating-point instruction on the exact path
+/// ever reads a subnormal operand.
+#[inline]
+fn widen(a: f32) -> f64 {
+    let bits = a.to_bits();
+    if bits & 0x7f80_0000 != 0 {
+        return f64::from(a);
+    }
+    let magnitude = f64::from(bits & 0x007f_ffff) * SUBNORMAL_ULP;
+    if a.is_sign_negative() {
+        -magnitude
+    } else {
+        magnitude
+    }
+}
+
 /// Run `f` with the scalar reference paths forced on the current thread.
 ///
 /// The override is thread-local so concurrent callers (test threads) stay
@@ -696,6 +805,109 @@ mod tests {
                     "{fl:?} dot"
                 );
             }
+        }
+    }
+
+    /// Operand classes for the exact product, both signs: zeros, subnormals
+    /// (the smallest, odd mantissas whose halved products tie, the
+    /// largest), the normal boundary, tiny normals whose products
+    /// underflow, either side of [`TINY`], ordinary normals, values whose
+    /// products overflow, infinities and NaN.
+    fn product_operands() -> Vec<f32> {
+        let below_tiny = f32::from_bits(TINY.to_bits() - 1);
+        let magnitudes = [
+            0.0,
+            f32::from_bits(1),
+            f32::from_bits(3),
+            f32::from_bits(0x0012_3457),
+            f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            2.0 * f32::MIN_POSITIVE,
+            1e-30,
+            3.3e-25,
+            below_tiny,
+            TINY,
+            1e-12,
+            0.5,
+            0.75,
+            1.0,
+            1.5,
+            3.0,
+            1e10,
+            3.0e30,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        magnitudes.iter().flat_map(|&m| [m, -m]).collect()
+    }
+
+    fn same_bits(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    #[test]
+    fn exact_product_is_bitwise_the_f32_product() {
+        let ops = product_operands();
+        // Plus pseudo-random pairs, half of them with `a` drawn from
+        // below `TINY`, where the kernels call it.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 32) as u32
+        };
+        let mut pairs: Vec<(f32, f32)> =
+            ops.iter().flat_map(|&a| ops.iter().map(move |&b| (a, b))).collect();
+        for k in 0..20_000 {
+            let a = next();
+            let a = if k % 2 == 0 { (a % TINY.to_bits()) | (a & 0x8000_0000) } else { a };
+            pairs.push((f32::from_bits(a), f32::from_bits(next())));
+        }
+        for scalar in [false, true] {
+            with_mode(scalar, || {
+                for &(a, b) in &pairs {
+                    let want = std::hint::black_box(a) * std::hint::black_box(b);
+                    let got = Exact::new(a).mul(b);
+                    assert!(same_bits(got, want), "{a:e} * {b:e}: exact {got:e}, f32 {want:e}");
+                    assert!(same_bits(edge_mul(a, b), want), "edge_mul({a:e}, {b:e})");
+                    if let Some(w) = Exact::tiny(a) {
+                        assert!(same_bits(w.mul(b), want), "tiny {a:e} * {b:e}");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn tiny_is_the_open_band_below_2_pow_minus_60() {
+        let below = f32::from_bits(TINY.to_bits() - 1);
+        assert_eq!(TINY, 2.0f32.powi(-60));
+        for a in [f32::from_bits(1), f32::MIN_POSITIVE, 1e-30, below] {
+            assert!(is_tiny(a) && is_tiny(-a), "{a:e}");
+        }
+        for a in [0.0, TINY, 1e-12, 1.0, f32::INFINITY, f32::NAN] {
+            assert!(!is_tiny(a) && !is_tiny(-a) && Exact::tiny(a).is_none(), "{a:e}");
+        }
+    }
+
+    #[test]
+    fn edge_row_products_match_scale_and_the_plain_loop() {
+        let x: Vec<f32> = seq(37, 0.6).iter().map(|v| v * 3.0).collect();
+        for a in [f32::from_bits(5), -f32::from_bits(0x0040_0001), 3.7e-39, -2.2e-25] {
+            let w = Exact::tiny(a).expect("tiny");
+            let (mut got, mut want) = (vec![0.0f32; 37], vec![0.0f32; 37]);
+            w.scale(&x, &mut got);
+            scale(a, &x, &mut want);
+            assert!(got.iter().zip(&want).all(|(&p, &q)| same_bits(p, q)), "scale by {a:e}");
+            let base = seq(37, 2.5);
+            let (mut got, mut want) = (base.clone(), base);
+            edge_add_scaled(a, &x, &mut got);
+            for (o, &v) in want.iter_mut().zip(&x) {
+                *o += std::hint::black_box(a) * v;
+            }
+            assert!(got.iter().zip(&want).all(|(&p, &q)| same_bits(p, q)), "add by {a:e}");
         }
     }
 

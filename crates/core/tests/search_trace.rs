@@ -4,7 +4,7 @@
 //! must not perturb the search itself.
 
 use sane_core::prelude::*;
-use sane_data::CitationConfig;
+use sane_data::{CitationConfig, PpiConfig};
 use sane_telemetry as tel;
 use sane_telemetry::{profile, report, trace};
 
@@ -143,4 +143,34 @@ fn tracing_does_not_disturb_the_search() {
     let bare = sane_search(&tiny_task(), &tiny_cfg()).arch.describe();
     let (_, traced) = traced_search();
     assert_eq!(bare, traced);
+}
+
+/// On ppi-syn (degree ~29) the GAT-COS score saturates the edge softmax
+/// within a few epochs: weights and score gradients fall to tiny and
+/// subnormal values, and the edge kernels route those edges' products
+/// through the exact f64 product. The trace counts those edges per kernel
+/// call, so a collapsed softmax is visible without re-running the search.
+#[test]
+fn saturated_attention_is_counted_in_the_trace() {
+    let ds = PpiConfig { num_graphs: 3, nodes_per_graph: 120, ..PpiConfig::ppi() }.with_seed(7);
+    let task = Task::multi(ds.generate());
+    let cfg = SaneSearchConfig {
+        supernet: SupernetConfig { k: 3, hidden: 32, dropout: 0.5, ..SupernetConfig::default() },
+        epochs: 4,
+        seed: 7,
+        ..SaneSearchConfig::default()
+    };
+    let buf = tel::MemoryBuffer::default();
+    {
+        let _guard = tel::Recorder::new("saturation_test").with_memory(buf.clone()).install();
+        sane_search(&task, &cfg);
+    }
+    let summary = trace::summarize(&buf.borrow()).expect("trace must validate");
+    let exact = |pass: &str| summary.counters.get(&format!("exact_edges.{pass}")).copied();
+    // Each edge kernel the search runs books its count, zero or not, per call.
+    for pass in ["gather_attention.forward", "gather_attention.backward", "gather_dot.backward"] {
+        assert!(exact(pass).is_some(), "no exact_edges.{pass} counter");
+    }
+    let saturated = exact("gather_dot.backward").unwrap_or(0);
+    assert!(saturated > 0, "GAT-COS score gradients never saturated");
 }
