@@ -57,7 +57,6 @@ mod matrix;
 mod sparse;
 mod tape;
 
-pub mod analysis;
 pub mod audit;
 pub mod equivalence;
 pub mod gradcheck;
@@ -77,7 +76,6 @@ pub mod ops {
     pub use graphops::Segments;
 }
 
-pub use analysis::{PartitionPlan, PlanError, ShadowFinding, ShadowLog, WriteRange};
 pub use audit::{Arity, FanStats, Finding, FindingKind, Severity, TapeReport};
 pub use matrix::Matrix;
 pub use ops::Segments;

@@ -22,17 +22,17 @@
 //! each worker writes only its own chunk, so the thread-local buffer pool
 //! ([`crate::pool`]) stays a calling-thread concern.
 //!
-//! Since PR 5 the invariants are *checked*, not just stated: every spawn
-//! goes through [`run_plan`]/[`run_plan_pair`], which in check mode (debug
-//! builds, or `SANE_CHECK_PLANS` in release) prove an explicit
-//! [`PartitionPlan`] sound before running and audit per-worker shadow
-//! write sets after the join — see [`crate::analysis`] for the contract.
+//! Every spawn goes through [`run_plan`]/[`run_plan_pair`], which hand
+//! each worker its chunk with `split_at_mut`: the compiler (and
+//! `#![forbid(unsafe_code)]`) already guarantees the chunks are disjoint.
+//! What it cannot see is a cut array that skips, repeats or reorders
+//! items; debug builds assert that before the spawn (`debug_assert_cuts`),
+//! and the bitwise 1/2/4-thread tests in `tests/parallel_determinism.rs`
+//! catch a chunk that starts off its item boundary.
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::OnceLock;
-
-use crate::analysis::{self, PartitionPlan, ShadowLog};
 
 /// Minimum number of scalar operations (multiply-adds, exps, copies)
 /// before a kernel bothers spawning threads. Spawning scoped threads costs
@@ -115,14 +115,13 @@ fn forced() -> bool {
 
 thread_local! {
     /// Name of the kernel currently executing on this thread, maintained
-    /// by [`timed`]. Safety reports from [`crate::analysis`] use it to
-    /// attribute a bad plan or a shadow race to the kernel that produced
-    /// it (nested kernels report the innermost name).
+    /// by [`timed`]. The spawn helpers book their workers' slice times
+    /// under it (nested kernels report the innermost name).
     static CURRENT_KERNEL: Cell<&'static str> = const { Cell::new("") };
 }
 
-/// The kernel name the safety analysis should attribute findings to.
-pub(crate) fn current_kernel() -> &'static str {
+/// The kernel name worker slices are booked under.
+fn current_kernel() -> &'static str {
     let k = CURRENT_KERNEL.with(|c| c.get());
     if k.is_empty() {
         "unattributed"
@@ -133,7 +132,7 @@ pub(crate) fn current_kernel() -> &'static str {
 
 /// Times one kernel invocation into the installed telemetry recorder's
 /// `kernel.<name>.ns` summary, and labels the thread with the kernel name
-/// for the duration so safety findings are attributable.
+/// for the duration so worker slices are booked under it.
 ///
 /// This is the workspace's single kernel-timing hook: every hot kernel —
 /// spmm, the segment reductions, GEMM, the tape's backward sweep — runs
@@ -158,42 +157,33 @@ pub(crate) fn timed<R>(kernel: &'static str, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// Verifies `cuts` against the output mapping and, in check mode, returns
-/// the proven [`PartitionPlan`] plus a [`ShadowLog`] sized for it.
-///
-/// Returns `None` outside check mode (see [`analysis::checks_enabled`]) so
-/// the release fast path pays one cached boolean read and nothing else.
-///
-/// # Panics
-/// Panics (via [`analysis::deny_plan`]) if the plan fails verification —
-/// an unsound split is a kernel logic bug and must never reach the spawn.
-fn prove_plan(
-    label: String,
+/// Debug-build check of a cut array before any worker is spawned: the
+/// cuts start at 0, never decrease and end at `items`, and the last item
+/// ends exactly at the end of the output buffer. With `split_at_mut`
+/// handing out disjoint chunks, that makes every item computed once, by
+/// one worker, into its own slice.
+fn debug_assert_cuts(
     items: usize,
     cuts: &[usize],
     out_offset: &(dyn Fn(usize) -> usize + Sync),
     out_len: usize,
-) -> Option<(PartitionPlan, ShadowLog)> {
-    if !analysis::checks_enabled() {
-        return None;
-    }
-    let plan = PartitionPlan::from_cuts(label, items, cuts.to_vec(), out_offset, out_len);
-    if let Err(err) = analysis::check_plan(&plan, out_offset) {
-        analysis::deny_plan(&plan, &err);
-    }
-    let shadow = ShadowLog::new(plan.kernel.clone(), cuts.len().saturating_sub(1));
-    Some((plan, shadow))
+) {
+    debug_assert!(
+        cuts.first() == Some(&0)
+            && cuts.last() == Some(&items)
+            && cuts.windows(2).all(|w| w[0] <= w[1])
+            && out_offset(items) == out_len,
+        "unsound partition of {items} item(s) into {out_len} output element(s): cuts {cuts:?}, \
+         out_offset({items}) = {}",
+        out_offset(items)
+    );
 }
 
 /// Spawns one scoped worker per non-empty cut window, handing worker `w`
 /// the output slice `out_offset(cuts[w])..out_offset(cuts[w + 1])`.
 ///
 /// This is the single execution path behind [`parallel_rows`] and
-/// [`parallel_ranges`]: the same `cuts` array that the (check-mode) plan
-/// proof validated drives the actual `split_at_mut` partitioning, so the
-/// proof and the execution cannot drift apart silently — and in check mode
-/// each worker also records the interval it really received into the
-/// shadow log, which is audited against the plan after the join.
+/// [`parallel_ranges`].
 fn run_plan<T: Send>(
     items: usize,
     cuts: &[usize],
@@ -201,9 +191,8 @@ fn run_plan<T: Send>(
     out: &mut [T],
     run: impl Fn(Range<usize>, &mut [T]) + Sync,
 ) {
+    debug_assert_cuts(items, cuts, out_offset, out.len());
     let kernel = current_kernel();
-    let checked = prove_plan(kernel.to_string(), items, cuts, out_offset, out.len());
-    let shadow = checked.as_ref().map(|(_, s)| s);
     // Workers must compute exactly what the calling thread would have: the
     // scalar/SIMD mode is part of that contract, so it rides along.
     let scalar = crate::simd::scalar_forced();
@@ -212,7 +201,7 @@ fn run_plan<T: Send>(
         let mut rest = out;
         let mut consumed = 0usize;
         let mut ns_rest = slice_ns.as_mut_slice();
-        for (worker, w) in cuts.windows(2).enumerate() {
+        for w in cuts.windows(2) {
             let slot = match std::mem::take(&mut ns_rest).split_first_mut() {
                 Some((slot, tail)) => {
                     ns_rest = tail;
@@ -226,29 +215,20 @@ fn run_plan<T: Send>(
             }
             let stop = out_offset(end);
             let (chunk, tail) = rest.split_at_mut(stop - consumed);
-            let chunk_start = consumed;
             rest = tail;
             consumed = stop;
             let run = &run;
-            s.spawn(move || {
-                if let Some(log) = shadow {
-                    log.record(worker, chunk_start, chunk_start + chunk.len());
+            s.spawn(move || match slot {
+                Some(slot) => {
+                    let t0 = std::time::Instant::now();
+                    crate::simd::with_mode(scalar, || run(start..end, chunk));
+                    *slot = t0.elapsed().as_nanos() as u64; // lint:allow(lossy-cast) -- u64 nanoseconds overflow after 584 years
                 }
-                match slot {
-                    Some(slot) => {
-                        let t0 = std::time::Instant::now();
-                        crate::simd::with_mode(scalar, || run(start..end, chunk));
-                        *slot = t0.elapsed().as_nanos() as u64; // lint:allow(lossy-cast) -- u64 nanoseconds overflow after 584 years
-                    }
-                    None => crate::simd::with_mode(scalar, || run(start..end, chunk)),
-                }
+                None => crate::simd::with_mode(scalar, || run(start..end, chunk)),
             });
         }
     });
     book_worker_slices(kernel, &slice_ns);
-    if let Some((plan, log)) = &checked {
-        analysis::deny_shadow(&log.audit_against(plan));
-    }
 }
 
 /// One duration slot per partition window when the caller's recorder is
@@ -286,7 +266,8 @@ fn book_worker_slices(kernel: &'static str, slice_ns: &[u64]) {
 }
 
 /// Two-buffer variant of [`run_plan`]: one cut array drives both outputs,
-/// each with its own offset mapping, plan proof and shadow log.
+/// each with its own offset mapping, both checked as [`run_plan`] checks
+/// its one.
 fn run_plan_pair<A: Send, B: Send>(
     items: usize,
     cuts: &[usize],
@@ -296,18 +277,16 @@ fn run_plan_pair<A: Send, B: Send>(
     b: &mut [B],
     run: impl Fn(Range<usize>, &mut [A], &mut [B]) + Sync,
 ) {
+    debug_assert_cuts(items, cuts, out_offset_a, a.len());
+    debug_assert_cuts(items, cuts, out_offset_b, b.len());
     let kernel = current_kernel();
-    let checked_a = prove_plan(format!("{kernel}.a"), items, cuts, out_offset_a, a.len());
-    let checked_b = prove_plan(format!("{kernel}.b"), items, cuts, out_offset_b, b.len());
-    let shadow_a = checked_a.as_ref().map(|(_, s)| s);
-    let shadow_b = checked_b.as_ref().map(|(_, s)| s);
     let scalar = crate::simd::scalar_forced();
     let mut slice_ns = worker_slice_slots(cuts);
     std::thread::scope(|s| {
         let (mut rest_a, mut rest_b) = (a, b);
         let (mut done_a, mut done_b) = (0usize, 0usize);
         let mut ns_rest = slice_ns.as_mut_slice();
-        for (worker, w) in cuts.windows(2).enumerate() {
+        for w in cuts.windows(2) {
             let slot = match std::mem::take(&mut ns_rest).split_first_mut() {
                 Some((slot, tail)) => {
                     ns_rest = tail;
@@ -322,43 +301,31 @@ fn run_plan_pair<A: Send, B: Send>(
             let (stop_a, stop_b) = (out_offset_a(end), out_offset_b(end));
             let (ca, ta) = rest_a.split_at_mut(stop_a - done_a);
             let (cb, tb) = rest_b.split_at_mut(stop_b - done_b);
-            let (ca_start, cb_start) = (done_a, done_b);
             rest_a = ta;
             rest_b = tb;
             done_a = stop_a;
             done_b = stop_b;
             let run = &run;
-            s.spawn(move || {
-                if let Some(log) = shadow_a {
-                    log.record(worker, ca_start, ca_start + ca.len());
+            s.spawn(move || match slot {
+                Some(slot) => {
+                    let t0 = std::time::Instant::now();
+                    crate::simd::with_mode(scalar, || run(start..end, ca, cb));
+                    *slot = t0.elapsed().as_nanos() as u64; // lint:allow(lossy-cast) -- u64 nanoseconds overflow after 584 years
                 }
-                if let Some(log) = shadow_b {
-                    log.record(worker, cb_start, cb_start + cb.len());
-                }
-                match slot {
-                    Some(slot) => {
-                        let t0 = std::time::Instant::now();
-                        crate::simd::with_mode(scalar, || run(start..end, ca, cb));
-                        *slot = t0.elapsed().as_nanos() as u64; // lint:allow(lossy-cast) -- u64 nanoseconds overflow after 584 years
-                    }
-                    None => crate::simd::with_mode(scalar, || run(start..end, ca, cb)),
-                }
+                None => crate::simd::with_mode(scalar, || run(start..end, ca, cb)),
             });
         }
     });
     book_worker_slices(kernel, &slice_ns);
-    for (plan, log) in [&checked_a, &checked_b].into_iter().flatten() {
-        analysis::deny_shadow(&log.audit_against(plan));
-    }
 }
 
 /// Runs `f(worker_index)` on `workers` scoped threads and joins them all.
 ///
 /// This is the workspace's only general-purpose thread fan-out: higher
-/// layers (the `trials` bench's concurrent search trials, the
-/// multi-thread telemetry tests) go through it so `std::thread` stays
-/// confined to this module, as the `xtask` audit demands. Unlike the
-/// kernel helpers there is no output partitioning or plan proof — `f`
+/// layers (concurrent search trials, the multi-thread telemetry tests)
+/// go through it so `std::thread` stays confined to this module, as the
+/// `xtask` audit demands. Unlike the kernel helpers there is no output
+/// partitioning — `f`
 /// owns its synchronisation (typically an atomic work queue plus a
 /// mutexed result vector). Telemetry is not attached automatically:
 /// callers that want worker records in a trace capture a
@@ -584,17 +551,6 @@ mod tests {
         }
     }
 
-    /// Any cut array `balanced_cuts` produces must pass the plan checker
-    /// for a 1-column output (out_offset == offsets themselves).
-    fn assert_plan_sound(offsets: &[usize], cuts: Vec<usize>) {
-        let items = offsets.len().saturating_sub(1);
-        let base = offsets.first().copied().unwrap_or(0);
-        let off = move |i: usize| offsets.get(i).copied().unwrap_or(base) - base;
-        let out_len = off(items);
-        let plan = crate::analysis::PartitionPlan::from_cuts("test", items, cuts, &off, out_len);
-        assert_eq!(crate::analysis::check_plan(&plan, &off), Ok(()), "{plan:?}");
-    }
-
     #[test]
     fn balanced_cuts_degenerate_empty_offsets() {
         assert_eq!(balanced_cuts(&[], 4), vec![0, 0]);
@@ -607,7 +563,7 @@ mod tests {
         let cuts = balanced_cuts(&offsets, 4);
         assert_eq!(cuts[0], 0);
         assert_eq!(*cuts.last().expect("non-empty"), 1);
-        assert_plan_sound(&offsets, cuts);
+        assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "{cuts:?}");
     }
 
     #[test]
@@ -615,9 +571,9 @@ mod tests {
         let offsets = [0usize, 2, 3, 9];
         let cuts = balanced_cuts(&offsets, 8);
         assert_eq!(cuts.len(), 9);
+        assert_eq!(cuts[0], 0);
         assert_eq!(*cuts.last().expect("non-empty"), 3);
         assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "{cuts:?}");
-        assert_plan_sound(&offsets, cuts);
     }
 
     #[test]
@@ -629,7 +585,6 @@ mod tests {
         assert_eq!(cuts[0], 0);
         assert_eq!(*cuts.last().expect("non-empty"), 3);
         assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "{cuts:?}");
-        assert_plan_sound(&offsets, cuts);
     }
 
     #[test]
@@ -647,9 +602,8 @@ mod tests {
 
     #[test]
     fn forced_partitioning_passes_safety_checks() {
-        // Debug builds run the plan proof + shadow audit on every spawn;
-        // a clean pass here means the real split arithmetic conforms.
-        assert!(crate::analysis::checks_enabled() || !cfg!(debug_assertions));
+        // Debug builds assert the cut array on every spawn; a clean pass
+        // with every element written once means the split arithmetic holds.
         let offsets = vec![0usize, 3, 3, 4, 10, 11];
         let mut out = vec![0.0f32; 22];
         with_threads(4, || {
@@ -663,6 +617,38 @@ mod tests {
             });
         });
         assert!(out.iter().all(|&v| v == 1.0));
+    }
+
+    /// Runs `run_plan` on a 5-item, one-element-per-item output with the
+    /// given cuts; the kernel itself writes nothing.
+    fn run_cuts(cuts: &[usize]) {
+        let mut out = vec![0.0f32; 5];
+        run_plan(5, cuts, &|i| i, &mut out, |_, _| {});
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unsound partition")]
+    fn cut_endpoints_are_checked() {
+        // Items 3 and 4 would never be computed.
+        run_cuts(&[0, 2, 3]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unsound partition")]
+    fn non_monotone_cuts_are_rejected() {
+        run_cuts(&[0, 3, 2, 5]);
+    }
+
+    /// The cuts cover all 5 items, but the items cover only 5 of the 6
+    /// output elements.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unsound partition")]
+    fn short_coverage_is_rejected() {
+        let mut out = vec![0.0f32; 6];
+        run_plan(5, &[0, 2, 5], &|i| i, &mut out, |_, _| {});
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! The two flavours are *not* bitwise equal to each other: `mul_add` rounds
 //! once where `a * b + c` rounds twice, and the 8-lane tree sums partial
 //! products in a different order than a left fold. That drift is deliberate
-//! and observable (see the `simd-lane-drift` case in the determinism bench);
-//! the determinism contract only requires that each flavour is bitwise
+//! and bounded (`simd_kernels_stay_within_tolerance_of_scalar_reference` in
+//! `tests/grad_props.rs`); the determinism contract only requires that each flavour is bitwise
 //! reproducible across thread counts, which both are because the dispatch
 //! never depends on partition geometry.
 //!

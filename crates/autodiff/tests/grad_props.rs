@@ -546,8 +546,7 @@ proptest! {
 }
 
 /// Pins the vectorized kernels against the scalar reference paths: the
-/// 8-lane `mul_add` tree is allowed to round differently (that drift is
-/// what the `simd-lane-drift` determinism case observes), but it must stay
+/// 8-lane `mul_add` tree is allowed to round differently, but it must stay
 /// within a tight relative bound of the scalar left-fold on every kernel
 /// the `simd` module backs — forward and backward.
 #[test]

@@ -138,8 +138,8 @@ fn segment_kernels_are_bitwise_equal_across_thread_counts() {
 /// backward, at every thread count — in both the vectorized and the
 /// scalar-reference mode. Each mode must be bitwise self-consistent across
 /// thread counts; the two modes are *not* compared to each other (their
-/// reduction orders legitimately differ — see the `simd-lane-drift`
-/// determinism case).
+/// reduction orders legitimately differ — see
+/// `simd_kernels_stay_within_tolerance_of_scalar_reference` in `grad_props.rs`).
 #[test]
 fn fused_attention_and_simd_kernels_are_bitwise_equal_across_thread_counts() {
     let pipeline = |threads: usize| {

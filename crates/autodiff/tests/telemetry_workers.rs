@@ -19,7 +19,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 use sane_autodiff::parallel::run_workers;
-use sane_telemetry::{trace, MemoryBuffer, Recorder, Value};
+use sane_telemetry::trace::{self, Kind, TraceSummary};
+use sane_telemetry::{MemoryBuffer, Recorder, Value};
 
 #[test]
 fn four_attached_workers_interleave_into_one_valid_trace() {
@@ -46,7 +47,8 @@ fn four_attached_workers_interleave_into_one_valid_trace() {
     drop(root);
     drop(guard);
     let text = buf.borrow().clone();
-    let summary = trace::summarize(&text).expect("interleaved trace must validate strictly");
+    let records = trace::read(&text).expect("interleaved trace must validate strictly");
+    let summary = TraceSummary::from_records(&records);
 
     let mut threads = summary.threads.clone();
     threads.sort();
@@ -61,29 +63,28 @@ fn four_attached_workers_interleave_into_one_valid_trace() {
     assert_eq!(hist.dropped, 0);
     assert!(hist.max >= 400.0, "largest worker sample survives the merge");
 
-    // Concurrency proof from the file order itself: every worker span
+    // Concurrency proof from the trace order itself: every worker span
     // opens before any of them closes (the barrier guarantees it), and
     // each one parents to the owner's root span.
     let mut open_before_first_close = 0usize;
     let mut root_id = None;
-    for line in text.lines() {
-        if line.contains("\"kind\":\"span_open\"") && line.contains("\"name\":\"test.root\"") {
-            let rest = line.split("\"id\":").nth(1).expect("span_open has an id");
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            root_id = Some(digits);
-        }
-        if line.contains("\"name\":\"test.worker\"") {
-            if line.contains("\"kind\":\"span_close\"") {
+    for rec in &records {
+        match &rec.kind {
+            Kind::SpanOpen { id, parent, path, .. } => match path.last().map(String::as_str) {
+                Some("test.root") => root_id = Some(*id),
+                Some("test.worker") => {
+                    open_before_first_close += 1;
+                    assert!(root_id.is_some(), "root opens before workers");
+                    assert_eq!(*parent, root_id, "worker span must parent to the owner's span");
+                }
+                _ => {}
+            },
+            Kind::SpanClose { path, .. }
+                if path.last().map(String::as_str) == Some("test.worker") =>
+            {
                 break;
             }
-            if line.contains("\"kind\":\"span_open\"") {
-                open_before_first_close += 1;
-                let root_id = root_id.as_deref().expect("root opens before workers");
-                assert!(
-                    line.contains(&format!("\"parent\":{root_id}")),
-                    "worker span must parent to the owner's span: {line}"
-                );
-            }
+            _ => {}
         }
     }
     assert_eq!(open_before_first_close, 4, "all worker spans open before the first closes");

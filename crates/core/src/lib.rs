@@ -52,8 +52,8 @@ pub mod prelude {
     pub use crate::hyper::{fine_tune, FineTuneConfig};
     pub use crate::search::{
         evolution_search, random_search, reinforce_search, sane_search, tpe_search,
-        EvolutionConfig, GenomeOracle, PreflightError, RandomSearchConfig, ReinforceConfig,
-        SanePreflight, SaneSearchConfig, SearchTrace, TpeConfig, WsEvaluator,
+        EvolutionConfig, GenomeOracle, RandomSearchConfig, ReinforceConfig, SaneSearchConfig,
+        SearchTrace, TpeConfig, WsEvaluator,
     };
     pub use crate::space::{CategoricalSpace, GraphNasSpace, MlpSpace, SaneSpace};
     pub use crate::supernet::{SampledPath, Supernet, SupernetConfig};

@@ -1,14 +1,14 @@
 //! Bitwise fingerprint of one SANE search step — the probe behind the
-//! cross-thread determinism gate (`xtask determinism`).
+//! cross-thread determinism test at the bottom of this module.
 //!
 //! The whole reproduction stack rests on one claim: the parallel kernels
 //! in `sane-autodiff` are *bitwise* deterministic at any worker count,
 //! because work is only ever cut at item boundaries and each item runs the
-//! identical serial inner loop (see `sane_autodiff::analysis` for the
-//! machine-checked partition contract). A DARTS-style search amplifies any
-//! violation — a single last-bit difference in one gradient changes the
-//! Adam trajectory and, eventually, which architecture wins — so the gate
-//! does not compare a kernel in isolation. It runs a **full search step**
+//! identical serial inner loop (see `sane_autodiff::parallel` for the
+//! partition contract). A DARTS-style search amplifies any violation — a
+//! single last-bit difference in one gradient changes the Adam trajectory
+//! and, eventually, which architecture wins — so the test does not compare
+//! a kernel in isolation. It runs a **full search step**
 //! (fully-mixed supernet forward, backward, α Adam update on the
 //! validation loss, then w Adam update on the training loss — exactly
 //! Algorithm 1's epoch body in first-order mode, through the same α-step
@@ -16,14 +16,13 @@
 //! observable: the loss scalar, every gradient matrix, every parameter
 //! after the updates, and the softmaxed α rows.
 //!
-//! Fingerprints store `f32` *bit patterns* (`u32`), not floats: the gate
+//! Fingerprints store `f32` *bit patterns* (`u32`), not floats: the test
 //! must distinguish `0.0` from `-0.0` and compare NaNs by representation,
 //! which `==` on floats cannot do.
 //!
-//! The `determinism` bench binary runs this probe under
-//! `sane_autodiff::parallel::with_threads` at 1/2/4/`hardware_threads()`
-//! and fails CI on the first mismatching label — attributing divergence to
-//! a kernel via the telemetry kernel samples recorded during each run.
+//! `fingerprint_is_bitwise_identical_across_thread_counts` runs this probe
+//! under `sane_autodiff::parallel::with_threads` at 1, 2 and 4 workers and
+//! names every section that diverges from the serial run.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,13 +80,7 @@ impl StepFingerprint {
         out
     }
 
-    /// Total number of diffable sections: the loss plus one per gradient,
-    /// parameter, and α tensor — the denominator for drift reports.
-    pub fn num_sections(&self) -> usize {
-        1 + self.grads.len() + self.params.len() + self.alphas.len()
-    }
-
-    /// Total number of fingerprinted scalars (gate report sizing).
+    /// Total number of fingerprinted scalars.
     pub fn num_scalars(&self) -> usize {
         1 + [&self.grads, &self.params, &self.alphas]
             .iter()
@@ -104,8 +97,8 @@ fn bits(values: &[f32]) -> Vec<u32> {
 /// no ε-explore) from a fresh seeded supernet and fingerprints it.
 ///
 /// Identical `task` + `cfg` must yield identical fingerprints regardless
-/// of the active worker count — that is the property the determinism gate
-/// asserts by calling this under `with_threads(1 | 2 | 4 | n)`.
+/// of the active worker count — that is the property the determinism test
+/// asserts by calling this under `with_threads(1 | 2 | 4)`.
 pub fn search_step_fingerprint(task: &Task, cfg: &SaneSearchConfig) -> StepFingerprint {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut store = VarStore::new();
@@ -168,11 +161,13 @@ mod tests {
         Task::node(CitationConfig::cora().scaled(0.025).generate())
     }
 
-    fn tiny_cfg() -> SaneSearchConfig {
+    /// A two-layer supernet of the given width, with all three layer
+    /// aggregators (CONCAT, MAX, LSTM) mixed in.
+    fn cfg_of_width(hidden: usize) -> SaneSearchConfig {
         SaneSearchConfig {
             supernet: SupernetConfig {
                 k: 2,
-                hidden: 8,
+                hidden,
                 dropout: 0.2,
                 activation: Activation::Relu,
                 use_layer_agg: true,
@@ -180,6 +175,10 @@ mod tests {
             epochs: 1,
             ..Default::default()
         }
+    }
+
+    fn tiny_cfg() -> SaneSearchConfig {
+        cfg_of_width(8)
     }
 
     #[test]
@@ -196,12 +195,20 @@ mod tests {
     #[test]
     fn fingerprint_is_bitwise_identical_across_thread_counts() {
         let task = tiny_task();
-        let cfg = tiny_cfg();
-        let reference = with_threads(1, || search_step_fingerprint(&task, &cfg));
-        for threads in [2usize, 4] {
-            let probe = with_threads(threads, || search_step_fingerprint(&task, &cfg));
-            let diff = reference.diff(&probe);
-            assert!(diff.is_empty(), "{threads} threads diverged from serial: {diff:?}");
+        // Width 20 = 16 + 4 runs the GEMM's 16-wide tile and a 4-wide tail
+        // into the padding, and k = 20 for the lane-split dA: two full
+        // lane chunks plus a 4-term tail.
+        for hidden in [8usize, 20] {
+            let cfg = cfg_of_width(hidden);
+            let reference = with_threads(1, || search_step_fingerprint(&task, &cfg));
+            for threads in [2usize, 4] {
+                let probe = with_threads(threads, || search_step_fingerprint(&task, &cfg));
+                let diff = reference.diff(&probe);
+                assert!(
+                    diff.is_empty(),
+                    "hidden {hidden}: {threads} threads diverged from serial: {diff:?}"
+                );
+            }
         }
     }
 

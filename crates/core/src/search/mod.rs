@@ -6,7 +6,6 @@ pub mod determinism;
 pub mod evolution;
 pub mod graphnas;
 pub mod oracle;
-pub mod preflight;
 pub mod random;
 pub mod reinforce;
 pub mod tpe;
@@ -18,7 +17,6 @@ pub use determinism::{search_step_fingerprint, StepFingerprint};
 pub use evolution::{evolution_search, EvolutionConfig};
 pub use graphnas::{train_graphnas_spec, GraphNasModel, GraphNasSharedPool};
 pub use oracle::GenomeOracle;
-pub use preflight::{check_genome, preflight_tape, PreflightError, SanePreflight};
 pub use random::{random_search, RandomSearchConfig};
 pub use reinforce::{reinforce_search, Controller, ReinforceConfig};
 pub use tpe::{tpe_search, TpeConfig};

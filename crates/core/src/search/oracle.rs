@@ -9,27 +9,19 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use sane_telemetry as tel;
-
-use crate::search::preflight::PreflightError;
 use crate::search::trace::{SearchTrace, TracePoint};
 use crate::train::TrainOutcome;
 
 /// The boxed evaluation closure held by a [`GenomeOracle`].
 type EvalFn<'a> = Box<dyn FnMut(&[usize]) -> TrainOutcome + 'a>;
 
-/// The boxed static pre-flight validator, if one is installed.
-type PreflightFn<'a> = Box<dyn FnMut(&[usize]) -> Result<(), PreflightError> + 'a>;
-
 /// A genome evaluator with bookkeeping.
 pub struct GenomeOracle<'a> {
     eval: EvalFn<'a>,
-    preflight: Option<PreflightFn<'a>>,
     cache: HashMap<Vec<usize>, TrainOutcome>,
     trace: SearchTrace,
     start: Instant,
     evaluations: usize,
-    rejected: usize,
     best: Option<(Vec<usize>, TrainOutcome)>,
 }
 
@@ -39,56 +31,18 @@ impl<'a> GenomeOracle<'a> {
     pub fn new(eval: impl FnMut(&[usize]) -> TrainOutcome + 'a) -> Self {
         Self {
             eval: Box::new(eval),
-            preflight: None,
             cache: HashMap::new(),
             trace: SearchTrace::default(),
             start: Instant::now(),
             evaluations: 0,
-            rejected: 0,
             best: None,
         }
-    }
-
-    /// Installs a static pre-flight validator (e.g.
-    /// [`SanePreflight::check`](crate::search::preflight::SanePreflight)).
-    /// A genome the validator rejects never reaches the training closure:
-    /// it scores `-inf` (so every searcher ranks it below any trained
-    /// candidate), does not touch the best/trace bookkeeping, and is
-    /// counted under `search.preflight.rejected`.
-    pub fn with_preflight(
-        mut self,
-        preflight: impl FnMut(&[usize]) -> Result<(), PreflightError> + 'a,
-    ) -> Self {
-        self.preflight = Some(Box::new(preflight));
-        self
     }
 
     /// Evaluates a genome (cached) and returns its validation metric.
     pub fn evaluate(&mut self, genome: &[usize]) -> f64 {
         if let Some(hit) = self.cache.get(genome) {
             return hit.val_metric;
-        }
-        if let Some(pf) = &mut self.preflight {
-            tel::counter_add("search.preflight.checked", 1);
-            if let Err(err) = pf(genome) {
-                tel::counter_add("search.preflight.rejected", 1);
-                tel::warn(
-                    "search.preflight.rejected",
-                    &[("genome", format!("{genome:?}").into()), ("error", err.to_string().into())],
-                );
-                self.rejected += 1;
-                // Cache the sentinel so a stubborn proposer does not re-pay
-                // the (cheap but nonzero) static analysis.
-                self.cache.insert(
-                    genome.to_vec(),
-                    TrainOutcome {
-                        val_metric: f64::NEG_INFINITY,
-                        test_metric: f64::NEG_INFINITY,
-                        epochs_run: 0,
-                    },
-                );
-                return f64::NEG_INFINITY;
-            }
         }
         let outcome = (self.eval)(genome);
         self.evaluations += 1;
@@ -112,11 +66,6 @@ impl<'a> GenomeOracle<'a> {
     /// Number of (uncached) evaluations performed.
     pub fn evaluations(&self) -> usize {
         self.evaluations
-    }
-
-    /// Number of genomes the pre-flight validator rejected before training.
-    pub fn rejected(&self) -> usize {
-        self.rejected
     }
 
     /// The best genome and its outcome, if any evaluation happened.
@@ -175,39 +124,6 @@ mod tests {
         }
         let best_vals: Vec<f64> = oracle.trace().points.iter().map(|p| p.best_val).collect();
         assert_eq!(best_vals, vec![5.0, 5.0, 9.0, 9.0]);
-    }
-
-    #[test]
-    fn preflight_rejection_skips_training_and_bookkeeping() {
-        let mut trained: Vec<Vec<usize>> = Vec::new();
-        let mut oracle = GenomeOracle::new(|g: &[usize]| {
-            trained.push(g.to_vec());
-            outcome(g[0] as f64 / 10.0)
-        })
-        .with_preflight(|g: &[usize]| {
-            if g[0] >= 5 {
-                Err(PreflightError::GenomeValue { index: 0, value: g[0], cardinality: 5 })
-            } else {
-                Ok(())
-            }
-        });
-
-        // Rejected: sentinel score, no training call, no trace point.
-        assert_eq!(oracle.evaluate(&[7]), f64::NEG_INFINITY);
-        assert_eq!(oracle.evaluations(), 0);
-        assert_eq!(oracle.rejected(), 1);
-        assert!(oracle.best().is_none());
-        assert!(oracle.trace().points.is_empty());
-
-        // The rejection is cached: re-proposing does not re-validate.
-        assert_eq!(oracle.evaluate(&[7]), f64::NEG_INFINITY);
-        assert_eq!(oracle.rejected(), 1);
-
-        // A valid genome trains normally and outranks the sentinel.
-        assert_eq!(oracle.evaluate(&[3]), 0.3);
-        assert_eq!(oracle.best().unwrap().0, &[3]);
-        drop(oracle);
-        assert_eq!(trained, vec![vec![3]]);
     }
 
     #[test]
