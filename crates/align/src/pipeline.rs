@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sane_autodiff::optim::Adam;
-use sane_autodiff::{glorot_init, ParamId, Tape, Tensor, VarStore};
+use sane_autodiff::{glorot_init, EdgeIndex, ParamId, Tape, Tensor, VarStore};
 use sane_core::supernet::{Supernet, SupernetConfig};
 use sane_data::AlignmentDataset;
 use sane_gnn::{Architecture, GnnModel, GraphContext, ModelHyper};
@@ -112,10 +112,10 @@ fn margin_loss(
             neg2.push(rng.gen_range(0..n2) as u32);
         }
     }
-    let src_idx = Arc::new(src_idx);
-    let dst_idx = Arc::new(dst_idx);
-    let neg1 = Arc::new(neg1);
-    let neg2 = Arc::new(neg2);
+    let src_idx = Arc::new(EdgeIndex::new(src_idx));
+    let dst_idx = Arc::new(EdgeIndex::new(dst_idx));
+    let neg1 = Arc::new(EdgeIndex::new(neg1));
+    let neg2 = Arc::new(EdgeIndex::new(neg2));
 
     let ea = tape.gather_rows(emb1, &src_idx);
     let eb = tape.gather_rows(emb2, &dst_idx);
@@ -315,8 +315,8 @@ pub fn train_jape_like(task: &AlignTask, cfg: &AlignTrainConfig) -> AlignOutcome
                 us.push(u);
                 vs.push(v);
             }
-            let us = Arc::new(us);
-            let vs = Arc::new(vs);
+            let us = Arc::new(EdgeIndex::new(us));
+            let vs = Arc::new(EdgeIndex::new(vs));
             let eu = tape.gather_rows(emb, &us);
             let ev = tape.gather_rows(emb, &vs);
             let diff = tape.sub(eu, ev);

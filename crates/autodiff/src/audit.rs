@@ -542,7 +542,7 @@ mod tests {
     /// an empty segment, train-mode dropout, and both losses.
     #[test]
     fn every_op_passes_the_shape_pass() {
-        use crate::ops::Segments;
+        use crate::ops::{EdgeIndex, Segments};
         use crate::Csr;
         use std::collections::BTreeSet;
         use std::sync::Arc;
@@ -594,8 +594,8 @@ mod tests {
 
         // Graph ops over 10 edges into 5 segments, one of them empty.
         let segs = Arc::new(Segments::from_lengths(&[3, 0, 4, 2, 1]));
-        let src: Arc<Vec<u32>> = Arc::new(vec![0, 3, 3, 1, 2, 0, 3, 2, 1, 0]);
-        let dst: Arc<Vec<u32>> = Arc::new(vec![1, 0, 2, 2, 0, 1, 1, 2, 0, 0]);
+        let src: Arc<EdgeIndex> = Arc::new(EdgeIndex::new(vec![0, 3, 3, 1, 2, 0, 3, 2, 1, 0]));
+        let dst: Arc<EdgeIndex> = Arc::new(EdgeIndex::new(vec![1, 0, 2, 2, 0, 1, 1, 2, 0, 0]));
         let edges = tape.gather_rows(a, &src);
         outs.push(tape.segment_sum(edges, &segs));
         outs.push(tape.segment_mean(edges, &segs));

@@ -53,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)]
 
+mod fold;
 mod matrix;
 mod sparse;
 mod tape;
@@ -73,12 +74,12 @@ pub mod ops {
     pub(crate) mod linalg;
     pub(crate) mod loss;
 
-    pub use graphops::Segments;
+    pub use graphops::{EdgeIndex, Segments};
 }
 
 pub use audit::{Arity, FanStats, Finding, FindingKind, Severity, TapeReport};
 pub use matrix::Matrix;
-pub use ops::Segments;
+pub use ops::{EdgeIndex, Segments};
 pub use pool::PoolStats;
 pub use sparse::Csr;
 pub use tape::{glorot_init, uniform_init, Gradients, ParamId, Tape, Tensor, VarStore};

@@ -398,11 +398,31 @@ impl Matrix {
         out
     }
 
-    /// Copies rows listed in `idx` into a new `idx.len() x cols` matrix.
+    /// Copies rows listed in `idx` into a pooled `idx.len() x cols` matrix:
+    /// one element read per row when rows are one wide (the per-edge
+    /// attention scores), one row copy otherwise. The output rows are split
+    /// across workers.
+    ///
+    /// # Panics
+    /// Panics if an index is out of bounds.
     pub fn gather_rows(&self, idx: &[u32]) -> Matrix {
-        let mut out = Matrix::zeros(idx.len(), self.cols);
-        for (o, &i) in idx.iter().enumerate() {
-            out.row_mut(o).copy_from_slice(self.row(i as usize)); // lint:allow(lossy-cast) -- u32 index widens losslessly
+        let cols = self.cols;
+        // Scratch: every output row is copied from the source.
+        let mut out = crate::pool::scratch(idx.len(), cols);
+        let run = |orange: std::ops::Range<usize>, chunk: &mut [f32]| {
+            let idx = &idx[orange];
+            if cols == 1 {
+                for (o, &i) in chunk.iter_mut().zip(idx) {
+                    *o = self.data[i as usize]; // lint:allow(lossy-cast) -- u32 index widens losslessly
+                }
+            } else {
+                for (dst, &i) in chunk.chunks_exact_mut(cols).zip(idx) {
+                    dst.copy_from_slice(self.row(i as usize)); // lint:allow(lossy-cast) -- u32 index widens losslessly
+                }
+            }
+        };
+        if cols > 0 {
+            parallel_rows(idx.len(), cols, idx.len() * cols, &mut out.data, run);
         }
         out
     }

@@ -6,15 +6,18 @@
 //! [`Segments`]. The graph crate produces edge lists in exactly this order.
 //!
 //! Forward and backward kernels here are partitioned across the shared
-//! worker scheme in [`crate::parallel`] — always at *segment* boundaries,
-//! so each segment is reduced (or scattered into) whole by one worker
-//! running the identical serial inner loop. Outputs are therefore bitwise
+//! worker scheme in [`crate::parallel`] — at *segment* boundaries, or at
+//! node rows for the backward folds over an [`EdgeIndex`]'s by-target
+//! order — so each segment or node row is reduced whole by one worker
+//! running the identical serial inner loop. The few scatters into
+//! arbitrary rows that remain run serially. Outputs are therefore bitwise
 //! identical at any thread count, which the determinism tests assert.
 
-use std::ops::Range;
-use std::sync::Arc;
+use std::ops::{Deref, Range};
+use std::sync::{Arc, OnceLock};
 
 use crate::audit::{require_eq, Arity};
+use crate::fold::{by_blocks, madd_into, with_madd, Madd};
 use crate::matrix::Matrix;
 use crate::parallel::{parallel_ranges, parallel_ranges_pair, parallel_rows, parallel_rows_pair};
 use crate::pool;
@@ -44,6 +47,9 @@ pub(crate) fn require_in_bounds(what: &str, idx: &[u32], rows: usize) -> Result<
 #[derive(Clone, Debug)]
 pub struct Segments {
     offsets: Vec<usize>,
+    /// The segment of each element, built on first [`Segments::owners`]
+    /// call: the by-source folds look up each edge's upstream row by it.
+    owners: OnceLock<Vec<u32>>,
 }
 
 impl Segments {
@@ -52,7 +58,7 @@ impl Segments {
     pub fn new(offsets: Vec<usize>) -> Self {
         assert!(!offsets.is_empty(), "segments need at least one offset");
         assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "segment offsets must be sorted");
-        Self { offsets }
+        Self { offsets, owners: OnceLock::new() }
     }
 
     /// Builds segments from per-segment lengths.
@@ -64,7 +70,19 @@ impl Segments {
             acc += l;
             offsets.push(acc);
         }
-        Self { offsets }
+        Self { offsets, owners: OnceLock::new() }
+    }
+
+    /// The segment that owns each element (`total_len` entries), built on
+    /// first call and kept for every later one.
+    pub fn owners(&self) -> &[u32] {
+        self.owners.get_or_init(|| {
+            let mut owners = vec![u32::MAX; self.total_len()];
+            for s in 0..self.num_segments() {
+                owners[self.range(s)].fill(s as u32); // lint:allow(lossy-cast) -- segment ids fit the u32 index domain
+            }
+            owners
+        })
     }
 
     pub fn num_segments(&self) -> usize {
@@ -91,6 +109,129 @@ impl Segments {
     pub fn len_of(&self, s: usize) -> usize {
         self.offsets[s + 1] - self.offsets[s]
     }
+}
+
+/// One row index per edge (say, each message's source node), with its
+/// by-target order: for each row, the edges that address it, ascending.
+///
+/// The gather kernels read rows through the list. Their backward passes
+/// fold each row's gradient over the edges that address it, walking the
+/// by-target order, where a scatter would add edge by edge into random
+/// rows. The order is one counting sort, built on first use and kept for
+/// every later call. The list also records its largest index, so a
+/// kernel's bounds check is one comparison. A list that is already
+/// grouped, such as the destinations of a message layout, sorts to the
+/// identity order with its segments as offsets.
+#[derive(Clone, Debug)]
+pub struct EdgeIndex {
+    idx: Vec<u32>,
+    /// One past the largest index; 0 for an empty list.
+    bound: usize,
+    by_target: OnceLock<ByTarget>,
+}
+
+/// Row `t`'s edges are `edges[offsets[t]..offsets[t + 1]]`, ascending.
+#[derive(Clone, Debug)]
+struct ByTarget {
+    offsets: Vec<usize>,
+    edges: Vec<u32>,
+}
+
+impl EdgeIndex {
+    /// Wraps `idx`; the by-target order is built on first use.
+    pub fn new(idx: Vec<u32>) -> Self {
+        let bound = idx.iter().max().map_or(0, |&m| m as usize + 1); // lint:allow(lossy-cast) -- u32 index widens losslessly
+        Self { idx, bound, by_target: OnceLock::new() }
+    }
+
+    /// [`EdgeIndex::new`] with the by-target order built now, for lists
+    /// that are built once per graph and read by every training step.
+    pub fn with_order(idx: Vec<u32>) -> Self {
+        let index = Self::new(idx);
+        index.by_target();
+        index
+    }
+
+    /// One past the largest index (0 for an empty list): the list
+    /// addresses only rows below it.
+    #[inline]
+    pub fn bound(&self) -> usize {
+        self.bound
+    }
+
+    /// The edges that address row `t`, in ascending edge order; empty for
+    /// rows at or past [`EdgeIndex::bound`].
+    #[inline]
+    pub fn edges_into(&self, t: usize) -> &[u32] {
+        let order = self.by_target();
+        match order.offsets.get(t..t + 2) {
+            Some(&[start, end]) => &order.edges[start..end],
+            _ => &[],
+        }
+    }
+
+    fn by_target(&self) -> &ByTarget {
+        self.by_target.get_or_init(|| {
+            let mut offsets = vec![0usize; self.bound + 1];
+            for &t in &self.idx {
+                offsets[t as usize + 1] += 1; // lint:allow(lossy-cast) -- u32 index widens losslessly
+            }
+            for t in 1..offsets.len() {
+                offsets[t] += offsets[t - 1];
+            }
+            let mut cursor = offsets.clone();
+            let mut edges = vec![0u32; self.idx.len()];
+            for (e, &t) in self.idx.iter().enumerate() {
+                let at = &mut cursor[t as usize]; // lint:allow(lossy-cast) -- u32 index widens losslessly
+                edges[*at] = e as u32; // lint:allow(lossy-cast) -- edge ids fit the u32 index domain
+                *at += 1;
+            }
+            ByTarget { offsets, edges }
+        })
+    }
+
+    /// Panics with `"{what} index out of bounds (source has {rows} rows)"`
+    /// unless every index addresses one of `rows` rows.
+    fn assert_within(&self, what: &str, rows: usize) {
+        assert!(self.bound <= rows, "{what} index out of bounds (source has {rows} rows)");
+    }
+}
+
+impl Deref for EdgeIndex {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.idx
+    }
+}
+
+/// A `rows x cols` matrix whose row `t` is folded over the edges that
+/// address it (`idx.edges_into(t)`, ascending): `fold(t, edges, j, acc)`
+/// fills one column block of row `t` from `+0`, as [`by_blocks`] does.
+/// Rows are owned by one worker each, so the result is bitwise the same
+/// at any thread count.
+fn fold_by_target(
+    idx: &EdgeIndex,
+    rows: usize,
+    cols: usize,
+    fold: impl Fn(usize, &[u32], usize, &mut [f32]) + Sync,
+) -> Matrix {
+    // Scratch: every row is folded from +0 and stored whole, rows that no
+    // edge addresses included.
+    let mut g = pool::scratch(rows, cols);
+    if cols == 0 {
+        return g;
+    }
+    let run = |trange: Range<usize>, chunk: &mut [f32]| {
+        for (grow, t) in chunk.chunks_exact_mut(cols).zip(trange) {
+            let edges = idx.edges_into(t);
+            by_blocks(grow, |j, acc| fold(t, edges, j, acc));
+        }
+    };
+    // Built here, on the calling thread, not raced for by the workers.
+    idx.by_target();
+    parallel_rows(rows, cols, idx.len() * cols, g.data_mut(), run);
+    g
 }
 
 /// `balanced_cuts` invariants, asserted at the partition call sites: the
@@ -142,7 +283,7 @@ fn normalise(a: &mut f32, inv: f32) -> Option<Exact> {
 
 /// Gathers rows of the input according to a fixed index list.
 struct GatherRowsOp {
-    idx: Arc<Vec<u32>>,
+    idx: Arc<EdgeIndex>,
 }
 impl Op for GatherRowsOp {
     fn backward(
@@ -153,20 +294,20 @@ impl Op for GatherRowsOp {
         _wants: &[bool],
     ) -> Vec<Option<Matrix>> {
         let (rows, cols) = inputs[0].shape();
-        // Scatter-add to arbitrary destination rows: different gather
-        // indices may collide on one target row, so this stays serial.
-        let mut g = pool::zeros(rows, cols);
-        if cols > 0 {
-            // The upstream gradient rows stream in order; only the
-            // destination rows jump, so walk `grad` as contiguous chunks.
-            for (grow, &i) in grad.data().chunks_exact(cols).zip(self.idx.iter()) {
-                let target = g.row_mut(i as usize); // lint:allow(lossy-cast) -- u32 index widens losslessly
-                for (t, &v) in target.iter_mut().zip(grow) {
-                    *t += v;
+        let g = grad.data();
+        // Each source row sums the gradient rows of the edges that read
+        // it, from +0 in ascending edge order: the serial scatter-add's
+        // order for every element.
+        let gx = fold_by_target(&self.idx, rows, cols, |_, edges, j, acc| {
+            let width = acc.len();
+            for &e in edges {
+                let at = e as usize * cols + j; // lint:allow(lossy-cast) -- u32 edge id widens losslessly
+                for (o, &v) in acc.iter_mut().zip(&g[at..at + width]) {
+                    *o += v;
                 }
             }
-        }
-        vec![Some(g)]
+        });
+        vec![Some(gx)]
     }
     fn name(&self) -> &'static str {
         "gather_rows"
@@ -291,7 +432,7 @@ struct SegmentMaxOp {
     /// Source row of each segmented element, when the elements are rows of
     /// a node-level input read through an index list rather than the
     /// input's own rows.
-    idx: Option<Arc<Vec<u32>>>,
+    idx: Option<Arc<EdgeIndex>>,
     /// Winning element index per `(segment, column)`, `u32::MAX` for empty segments.
     winners: Arc<Vec<u32>>,
 }
@@ -314,6 +455,8 @@ impl Op for SegmentMaxOp {
             // scatter is serial; segments run in order, so each target sees
             // its edges ascending. The plane's `0 + g` turns a `-0` into `+0`;
             // its zero entries are exact no-ops on a sum that starts at `+0`.
+            // A by-source fold would test every edge's winner per column,
+            // where this touches only the winners: it stays a scatter.
             for s in 0..segs.num_segments() {
                 for c in 0..cols {
                     let w = winners[s * cols + c];
@@ -532,10 +675,10 @@ impl Op for SegmentAttentionOp {
 /// [`SegmentAttentionOp`] with the message gather folded in: messages are
 /// rows of a node-level `N x d` tensor addressed through a fixed index
 /// list, so the `E x d` gathered plane never materialises — neither
-/// forward (rows are read straight from the source) nor backward (weighted
-/// gradient rows scatter straight into the `N x d` input gradient).
+/// forward (rows are read straight from the source) nor backward (each
+/// node's gradient row sums its edges' weighted upstream rows).
 struct GatherAttentionOp {
-    idx: Arc<Vec<u32>>,
+    idx: Arc<EdgeIndex>,
     segs: Arc<Segments>,
     /// Normalised attention weight per edge (`E x 1`), saved by the
     /// forward pass; pooled op-private state like [`SegmentAttentionOp`].
@@ -558,53 +701,56 @@ impl Op for GatherAttentionOp {
         let (nrows, cols) = xv.shape();
         let segs = &self.segs;
         let alpha = self.alpha.data();
-        // Scores are written exactly once per edge (scratch); the node
-        // gradient is a scatter-add over arbitrary destination rows, so it
-        // must start from zeros and, like `gather_rows`, stay serial —
-        // different edges may collide on one target row.
-        let mut gs = wants[0].then(|| pool::scratch(segs.total_len(), 1));
-        let mut gx = wants[1].then(|| pool::zeros(nrows, cols));
-        let fl = crate::simd::flavour();
-        for s in 0..segs.num_segments() {
-            let range = segs.range(s);
-            if range.is_empty() {
-                continue;
-            }
-            let grow = grad.row(s);
-            let aseg = &alpha[range.clone()];
-            let iseg = &self.idx[range.clone()];
-            // Same two sweeps as the materialised backward, with the same
-            // arithmetic order, so results are bitwise identical to
-            // `gather_rows` + `segment_attention`: the dot accumulation
-            // matches `dot_scale`, and the scatter adds `alpha * grad` per
-            // edge in global edge order (segments partition the edges in
-            // order, and the unfused scatter also walks edges in order).
-            // The two gradients share no arithmetic, so either may be
-            // skipped. A saturated weight's products go through the exact
-            // product (`edge_mul`, `edge_add_scaled`), bit for bit the same.
-            if let Some(gs) = gs.as_mut() {
-                let sseg = &mut gs.data_mut()[range];
-                if cols == 0 {
-                    sseg.fill(0.0);
-                } else {
+        // The same arithmetic, in the same order, as `gather_rows` +
+        // `segment_attention`, so both gradients are bitwise theirs. They
+        // share no arithmetic, so either may be skipped. A saturated
+        // weight's products go through the exact product (`edge_mul`,
+        // `edge_add_scaled`), bit for bit the same.
+        let gs = wants[0].then(|| {
+            // Scratch: every edge's slot is written once, in its segment's
+            // sweep. The dot accumulation matches `dot_scale`'s.
+            let mut gs = pool::scratch(segs.total_len(), 1);
+            let fl = crate::simd::flavour();
+            let run = |srange: Range<usize>, chunk: &mut [f32]| {
+                let base = segs.offsets()[srange.start];
+                for s in srange {
+                    let range = segs.range(s);
+                    let sseg = &mut chunk[range.start - base..range.end - base];
+                    if cols == 0 {
+                        sseg.fill(0.0);
+                        continue;
+                    }
+                    let (aseg, iseg) = (&alpha[range.clone()], &self.idx[range]);
+                    // Every edge of the segment dots against one upstream row.
+                    let rows = |k: usize| xv.row(iseg[k] as usize); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
+                    fl.dots(rows, grad.row(s), sseg);
                     let mut dot_s = 0.0f32;
-                    for ((slot, &a), &i) in sseg.iter_mut().zip(aseg).zip(iseg) {
-                        let da = fl.dot(xv.row(i as usize), grow); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
-                        *slot = da;
+                    for (&da, &a) in sseg.iter().zip(aseg) {
                         dot_s += edge_mul(a, da);
                     }
                     for (slot, &a) in sseg.iter_mut().zip(aseg) {
                         *slot = edge_mul(a, *slot - dot_s);
                     }
                 }
-            }
-            if let Some(gx) = gx.as_mut() {
-                for (&a, &i) in aseg.iter().zip(iseg) {
-                    let target = gx.row_mut(i as usize); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
-                    edge_add_scaled(a, grow, target);
+            };
+            debug_assert_partition(segs, segs.total_len());
+            let work = segs.total_len() * (cols + 2);
+            parallel_ranges(segs.offsets(), &|s| segs.offsets()[s], work, gs.data_mut(), run);
+            gs
+        });
+        // Each node row sums `α_e · grad[s_e,:]` over the edges that read
+        // it, from +0 in ascending edge order: the unfused scatter's order,
+        // since it walks the edges in order too.
+        let gx = wants[1].then(|| {
+            let (owners, g) = (segs.owners(), grad.data());
+            fold_by_target(&self.idx, nrows, cols, |_, edges, j, acc| {
+                for &e in edges {
+                    let e = e as usize; // lint:allow(lossy-cast) -- u32 edge id widens losslessly
+                    let at = owners[e] as usize * cols + j; // lint:allow(lossy-cast) -- u32 segment id widens losslessly
+                    edge_add_scaled(alpha[e], &g[at..at + acc.len()], acc);
                 }
-            }
-        }
+            })
+        });
         book_tiny("exact_edges.gather_attention.backward", alpha);
         vec![gs, gx]
     }
@@ -629,8 +775,8 @@ impl Op for GatherAttentionOp {
 /// is the destination side, the second the source side (see
 /// [`Tape::gather_dot`]).
 struct GatherDotOp {
-    src: Arc<Vec<u32>>,
-    dst: Arc<Vec<u32>>,
+    src: Arc<EdgeIndex>,
+    dst: Arc<EdgeIndex>,
 }
 impl Op for GatherDotOp {
     fn backward(
@@ -642,19 +788,20 @@ impl Op for GatherDotOp {
     ) -> Vec<Option<Matrix>> {
         let x = inputs[0];
         let (rows, cols) = x.shape();
-        // Each side is `gather_rows`' serial scatter-add over edges in order,
-        // of `mul`'s `g · x[other side]` (a plain product, no FMA). Under a
+        let (ge, xd) = (grad.data(), x.data());
+        // Each side is `gather_rows`' scatter-add, over edges in order, of
+        // `mul`'s `g · x[other side]` (a plain product, no FMA), folded per
+        // target row over the edges that address it, ascending. Under a
         // saturated softmax many `g` are tiny; those edges take the exact
         // product, bit for bit the same.
-        let side = |to: &[u32], other: &[u32]| {
-            let mut g = pool::zeros(rows, cols);
-            if cols > 0 {
-                for ((&ge, &t), &o) in grad.data().iter().zip(to).zip(other) {
-                    let target = g.row_mut(t as usize); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
-                    edge_add_scaled(ge, x.row(o as usize), target); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
+        let side = |to: &EdgeIndex, other: &EdgeIndex| {
+            fold_by_target(to, rows, cols, |_, edges, j, acc| {
+                for &e in edges {
+                    let e = e as usize; // lint:allow(lossy-cast) -- u32 edge id widens losslessly
+                    let at = other[e] as usize * cols + j; // lint:allow(lossy-cast) -- u32 row index widens losslessly
+                    edge_add_scaled(ge[e], &xd[at..at + acc.len()], acc);
                 }
-            }
-            g
+            })
         };
         book_tiny("exact_edges.gather_dot.backward", grad.data());
         vec![
@@ -683,8 +830,8 @@ const EDGE_BLOCK: usize = 8;
 /// The GAT-GEN-LINEAR edge score `w · tanh(ps[src[e],:] + pd[dst[e],:])`
 /// in one op, replacing `gather_rows` ×2 → `add` → `tanh` → `matmul`.
 struct GenLinearScoreOp {
-    src: Arc<Vec<u32>>,
-    dst: Arc<Vec<u32>>,
+    src: Arc<EdgeIndex>,
+    dst: Arc<EdgeIndex>,
     /// The `E x d` tanh plane, saved by the forward pass; pooled op-private
     /// state like the attention ops' `alpha`.
     tanh: Matrix,
@@ -806,30 +953,107 @@ impl Op for MulColBroadcastOp {
     }
 }
 
+/// The forward kernel of both attention ops. Per segment: the softmax of
+/// its scores into `alpha`, then the output row `Σ_e α_e · rows(e)` over
+/// the segment's edges. Empty segments get a zero row. Both planes are
+/// written through the pair partition at segment boundaries.
+fn attention_forward<'a>(
+    segs: &Segments,
+    scores: &[f32],
+    cols: usize,
+    rows: impl Fn(usize) -> &'a [f32] + Sync,
+    out: &mut [f32],
+    alpha: &mut [f32],
+) {
+    let fl = crate::simd::flavour();
+    with_madd!(fl, M => {
+        let run = |srange: Range<usize>, ochunk: &mut [f32], achunk: &mut [f32]| {
+            let obase = srange.start;
+            let abase = segs.offsets()[srange.start];
+            for s in srange {
+                let range = segs.range(s);
+                let orow = &mut ochunk[(s - obase) * cols..(s - obase + 1) * cols];
+                if range.is_empty() {
+                    orow.fill(0.0);
+                    continue;
+                }
+                let aseg = &mut achunk[range.start - abase..range.end - abase];
+                let seg_scores = &scores[range.clone()];
+                let max = seg_scores.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+                for (a, &v) in aseg.iter_mut().zip(seg_scores) {
+                    *a = v - max;
+                }
+                fl.exp(aseg);
+                let mut sum = 0.0;
+                for &a in aseg.iter() {
+                    sum += a;
+                }
+                let inv = 1.0 / sum;
+                let (first, rest) = aseg.split_first_mut().expect("non-empty segment"); // lint:allow(expect) -- empty segments return above
+                let exact = normalise(first, inv);
+                for a in rest.iter_mut() {
+                    normalise(a, inv);
+                }
+                attend::<M>(first, exact, rest, |k| rows(range.start + k), orow);
+            }
+        };
+        debug_assert_partition(segs, scores.len());
+        parallel_ranges_pair(
+            segs.offsets(),
+            &|s| s * cols,
+            &|s| segs.offsets()[s],
+            segs.total_len() * (cols + 3),
+            out,
+            alpha,
+            run,
+        )
+    })
+}
+
+/// One segment's weighted sum `out = Σ_k α_k · rows(k)`, each column block
+/// folded in registers: the first edge's plain product (the exact product
+/// when its weight was tiny), then one `madd` per further edge in edge
+/// order. That is each element's order in the row-streaming `scale` +
+/// `axpy` loop, so the bits are the same.
+#[inline(always)]
+fn attend<'a, M: Madd>(
+    first: &f32,
+    exact: Option<Exact>,
+    rest: &[f32],
+    rows: impl Fn(usize) -> &'a [f32],
+    out: &mut [f32],
+) {
+    by_blocks(out, |j, acc| {
+        let x0 = &rows(0)[j..j + acc.len()];
+        match exact {
+            Some(w) => {
+                for (o, &v) in acc.iter_mut().zip(x0) {
+                    *o = w.mul(v);
+                }
+            }
+            None => {
+                for (o, &v) in acc.iter_mut().zip(x0) {
+                    *o = *first * v;
+                }
+            }
+        }
+        for (k, &a) in rest.iter().enumerate() {
+            madd_into::<M>(a, &rows(k + 1)[j..j + acc.len()], acc);
+        }
+    });
+}
+
 impl Tape {
     /// Gathers rows of `a` by index (e.g. source-node features per edge).
-    pub fn gather_rows(&mut self, a: Tensor, idx: &Arc<Vec<u32>>) -> Tensor {
+    /// The backward pass sums each row's gradient over the edges that read
+    /// it, in ascending edge order, which is the serial scatter-add's order.
+    ///
+    /// # Panics
+    /// Panics if an index addresses no row of `a`.
+    pub fn gather_rows(&mut self, a: Tensor, idx: &Arc<EdgeIndex>) -> Tensor {
         let av = self.value_arc(a);
-        let rows = av.rows();
-        assert!(
-            idx.iter().all(|&i| (i as usize) < rows), // lint:allow(lossy-cast) -- u32 index widens losslessly
-            "gather_rows index out of bounds (source has {rows} rows)"
-        );
-        let cols = av.cols();
-        // Scratch: every output row is copied from the source (for
-        // `cols == 0` the buffer is zero-length, so the guard below is moot).
-        let mut out = pool::scratch(idx.len(), cols);
-        if cols > 0 {
-            let run = |orange: Range<usize>, chunk: &mut [f32]| {
-                for (dst, &i) in chunk.chunks_exact_mut(cols).zip(&idx[orange]) {
-                    dst.copy_from_slice(av.row(i as usize));
-                    // lint:allow(lossy-cast) -- u32 index widens losslessly
-                }
-            };
-            crate::parallel::timed("gather_rows", || {
-                parallel_rows(idx.len(), cols, idx.len() * cols, out.data_mut(), run)
-            });
-        }
+        idx.assert_within("gather_rows", av.rows());
+        let out = crate::parallel::timed("gather_rows", || av.gather_rows(idx));
         self.push_op(out, Box::new(GatherRowsOp { idx: Arc::clone(idx) }), vec![a])
     }
 
@@ -923,7 +1147,7 @@ impl Tape {
     pub fn segment_max(
         &mut self,
         a: Tensor,
-        idx: Option<&Arc<Vec<u32>>>,
+        idx: Option<&Arc<EdgeIndex>>,
         segs: &Arc<Segments>,
     ) -> Tensor {
         let av = self.value_arc(a);
@@ -936,11 +1160,7 @@ impl Tape {
                     idx.len(),
                     segs.total_len()
                 );
-                let rows = av.rows();
-                assert!(
-                    idx.iter().all(|&i| (i as usize) < rows), // lint:allow(lossy-cast) -- u32 index widens losslessly
-                    "segment_max index out of bounds (source has {rows} rows)"
-                );
+                idx.assert_within("segment_max", av.rows());
             }
             None => self.check_segments(a, segs, "segment_max"),
         }
@@ -1063,65 +1283,11 @@ impl Tape {
         // alpha slot is assigned by the softmax sweep.
         let mut out = pool::scratch(segs.num_segments(), cols);
         let mut alpha = pool::scratch(segs.total_len(), 1);
-        let fl = crate::simd::flavour();
-        let run = |srange: Range<usize>, ochunk: &mut [f32], achunk: &mut [f32]| {
-            let obase = srange.start;
-            let abase = segs.offsets()[srange.start];
-            for s in srange {
-                let range = segs.range(s);
-                if range.is_empty() {
-                    ochunk[(s - obase) * cols..(s - obase + 1) * cols].fill(0.0);
-                    continue;
-                }
-                let aseg = &mut achunk[range.start - abase..range.end - abase];
-                let seg_scores = &sv.data()[range.clone()];
-                let max = seg_scores.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-                for (a, &v) in aseg.iter_mut().zip(seg_scores) {
-                    *a = v - max;
-                }
-                fl.exp(aseg);
-                let mut sum = 0.0;
-                for &a in aseg.iter() {
-                    sum += a;
-                }
-                let inv = 1.0 / sum;
-                if cols == 0 {
-                    for a in aseg.iter_mut() {
-                        normalise(a, inv);
-                    }
-                    continue;
-                }
-                let orow = &mut ochunk[(s - obase) * cols..(s - obase + 1) * cols];
-                // The segment's message rows are contiguous, so iterate the
-                // slab with `chunks_exact` instead of per-edge `row()` calls
-                // — same order, same arithmetic, no per-row index math. The
-                // first edge *writes* its weighted row (`out` is scratch, so
-                // there is no zero to accumulate onto); the rest accumulate.
-                let seg_msgs = &mv.data()[range.start * cols..range.end * cols];
-                let mut edges = aseg.iter_mut().zip(seg_msgs.chunks_exact(cols));
-                if let Some((a, mrow)) = edges.next() {
-                    match normalise(a, inv) {
-                        Some(w) => w.scale(mrow, orow),
-                        None => crate::simd::scale(*a, mrow, orow),
-                    }
-                }
-                for (a, mrow) in edges {
-                    normalise(a, inv);
-                    fl.axpy(*a, mrow, orow);
-                }
-            }
-        };
-        debug_assert_partition(segs, sv.rows());
+        // The segment's message rows are contiguous.
+        let m = mv.data();
+        let rows = |e: usize| &m[e * cols..(e + 1) * cols];
         crate::parallel::timed("segment_attention", || {
-            parallel_ranges_pair(
-                segs.offsets(),
-                &|s| s * cols,
-                &|s| segs.offsets()[s],
-                segs.total_len() * (cols + 3),
-                out.data_mut(),
-                alpha.data_mut(),
-                run,
-            )
+            attention_forward(segs, sv.data(), cols, rows, out.data_mut(), alpha.data_mut())
         });
         book_tiny("exact_edges.segment_attention.forward", alpha.data());
         self.push_op(
@@ -1137,15 +1303,17 @@ impl Tape {
     /// `segment_attention(scores, gather_rows(x, idx), segs)` — bitwise, in
     /// both values and gradients — but the `E x d` gathered plane never
     /// exists: the forward pass reads source rows in place, and the
-    /// backward pass scatters `α[e] · grad[s,:]` straight into the node
-    /// gradient. For edge counts well above the node count this removes
+    /// backward pass sums `α[e] · grad[s,:]` straight into the node
+    /// gradient, each node row over the edges that read it
+    /// ([`EdgeIndex::edges_into`]). For edge counts well above the node
+    /// count this removes
     /// the dominant memory streams of the attention step (the gather write,
     /// its re-read, and the mirrored pair in the backward pass).
     pub fn gather_attention(
         &mut self,
         scores: Tensor,
         x: Tensor,
-        idx: &Arc<Vec<u32>>,
+        idx: &Arc<EdgeIndex>,
         segs: &Arc<Segments>,
     ) -> Tensor {
         self.check_segments(scores, segs, "gather_attention");
@@ -1159,73 +1327,16 @@ impl Tape {
         );
         let sv = self.value_arc(scores);
         let xv = self.value_arc(x);
-        let nrows = xv.rows();
-        assert!(
-            idx.iter().all(|&i| (i as usize) < nrows), // lint:allow(lossy-cast) -- u32 index widens losslessly
-            "gather_attention index out of bounds (source has {nrows} rows)"
-        );
+        idx.assert_within("gather_attention", xv.rows());
         let cols = xv.cols();
-        // Same scratch discipline and pair partition as `segment_attention`:
-        // every output row and every alpha slot is written below.
+        // Same scratch discipline and kernel as `segment_attention`, with
+        // the message rows read in place through the index list: the same
+        // order and arithmetic, so the output is bitwise gather + attention.
         let mut out = pool::scratch(segs.num_segments(), cols);
         let mut alpha = pool::scratch(segs.total_len(), 1);
-        let fl = crate::simd::flavour();
-        let run = |srange: Range<usize>, ochunk: &mut [f32], achunk: &mut [f32]| {
-            let obase = srange.start;
-            let abase = segs.offsets()[srange.start];
-            for s in srange {
-                let range = segs.range(s);
-                if range.is_empty() {
-                    ochunk[(s - obase) * cols..(s - obase + 1) * cols].fill(0.0);
-                    continue;
-                }
-                let aseg = &mut achunk[range.start - abase..range.end - abase];
-                let seg_scores = &sv.data()[range.clone()];
-                let max = seg_scores.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-                for (a, &v) in aseg.iter_mut().zip(seg_scores) {
-                    *a = v - max;
-                }
-                fl.exp(aseg);
-                let mut sum = 0.0;
-                for &a in aseg.iter() {
-                    sum += a;
-                }
-                let inv = 1.0 / sum;
-                if cols == 0 {
-                    for a in aseg.iter_mut() {
-                        normalise(a, inv);
-                    }
-                    continue;
-                }
-                let orow = &mut ochunk[(s - obase) * cols..(s - obase + 1) * cols];
-                // Message rows are read in place through the index list —
-                // same order and arithmetic as the materialised kernel, so
-                // the output is bitwise identical to gather + attention.
-                let mut edges = aseg.iter_mut().zip(&idx[range]);
-                if let Some((a, &i)) = edges.next() {
-                    let xrow = xv.row(i as usize); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
-                    match normalise(a, inv) {
-                        Some(w) => w.scale(xrow, orow),
-                        None => crate::simd::scale(*a, xrow, orow),
-                    }
-                }
-                for (a, &i) in edges {
-                    normalise(a, inv);
-                    fl.axpy(*a, xv.row(i as usize), orow); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
-                }
-            }
-        };
-        debug_assert_partition(segs, sv.rows());
+        let rows = |e: usize| xv.row(idx[e] as usize); // lint:allow(lossy-cast) -- u32 row index widens losslessly into usize
         crate::parallel::timed("gather_attention", || {
-            parallel_ranges_pair(
-                segs.offsets(),
-                &|s| s * cols,
-                &|s| segs.offsets()[s],
-                segs.total_len() * (cols + 3),
-                out.data_mut(),
-                alpha.data_mut(),
-                run,
-            )
+            attention_forward(segs, sv.data(), cols, rows, out.data_mut(), alpha.data_mut())
         });
         book_tiny("exact_edges.gather_attention.forward", alpha.data());
         self.push_op(
@@ -1247,14 +1358,12 @@ impl Tape {
     /// order in which it visits the chain's two gathers. Neither `E x c`
     /// gathered plane, their product, nor any of their gradients lands on
     /// the tape.
-    pub fn gather_dot(&mut self, x: Tensor, src: &Arc<Vec<u32>>, dst: &Arc<Vec<u32>>) -> Tensor {
+    pub fn gather_dot(&mut self, x: Tensor, src: &Arc<EdgeIndex>, dst: &Arc<EdgeIndex>) -> Tensor {
         let xv = self.value_arc(x);
-        let rows = xv.rows();
         assert_eq!(src.len(), dst.len(), "gather_dot: index lists differ in length");
-        assert!(
-            src.iter().chain(dst.iter()).all(|&i| (i as usize) < rows), // lint:allow(lossy-cast) -- u32 index widens losslessly
-            "gather_dot index out of bounds (source has {rows} rows)"
-        );
+        for idx in [src, dst] {
+            idx.assert_within("gather_dot", xv.rows());
+        }
         let edges = src.len();
         // Scratch: every edge's slot is assigned below.
         let mut out = pool::scratch(edges, 1);
@@ -1293,8 +1402,8 @@ impl Tape {
         proj_src: Tensor,
         proj_dst: Tensor,
         gen_out: Tensor,
-        src: &Arc<Vec<u32>>,
-        dst: &Arc<Vec<u32>>,
+        src: &Arc<EdgeIndex>,
+        dst: &Arc<EdgeIndex>,
     ) -> Tensor {
         let ps = self.value_arc(proj_src);
         let pd = self.value_arc(proj_dst);
@@ -1304,10 +1413,7 @@ impl Tape {
         assert_eq!(wv.shape(), (d, 1), "gen_linear_score: gen_out must be {d} x 1");
         assert_eq!(src.len(), dst.len(), "gen_linear_score: index lists differ in length");
         for (idx, rows) in [(src, ps.rows()), (dst, pd.rows())] {
-            assert!(
-                idx.iter().all(|&i| (i as usize) < rows), // lint:allow(lossy-cast) -- u32 index widens losslessly
-                "gen_linear_score index out of bounds (source has {rows} rows)"
-            );
+            idx.assert_within("gen_linear_score", rows);
         }
         let edges = src.len();
         // Both planes are scratch: every edge's tanh row and score slot is
@@ -1421,7 +1527,7 @@ mod tests {
         let a = store.add("a", Matrix::from_vec(2, 1, vec![1.0, 2.0]));
         let mut tape = Tape::new(0);
         let ta = tape.param(&store, a);
-        let idx = Arc::new(vec![0u32, 0, 1]);
+        let idx = Arc::new(EdgeIndex::new(vec![0u32, 0, 1]));
         let g = tape.gather_rows(ta, &idx);
         assert_eq!(tape.value(g).data(), &[1.0, 1.0, 2.0]);
         let loss = tape.sum_all(g);
@@ -1542,7 +1648,7 @@ mod tests {
             (&[0, 1, 2, 1, 0, 2, 2, 0, 1, 3, 3, 2, 4, 4, 3, 5], &[3, 3, 4, 3, 2, 1], 7),
         ];
         for (idx, lengths, cols) in cases {
-            let (idx, s) = (Arc::new(idx.to_vec()), segs(lengths));
+            let (idx, s) = (Arc::new(EdgeIndex::new(idx.to_vec())), segs(lengths));
             let inputs = [wave(idx.len(), 1, 0.3, 4.0), wave(6, cols, 1.1, 2.0)];
             let fused = |t: &mut Tape, i: &[Tensor]| t.gather_attention(i[0], i[1], &idx, &s);
             let chain = |t: &mut Tape, i: &[Tensor]| {
@@ -1566,10 +1672,14 @@ mod tests {
         /// 11 edges into 6 nodes, grouped by destination: node 0 has a self
         /// loop and a repeated edge from 3, node 1 has no in-edges, node 4
         /// repeats its self loop, and node 0 is a source in three segments.
-        fn layout() -> (Arc<Vec<u32>>, Arc<Vec<u32>>, Arc<Segments>) {
+        fn layout() -> (Arc<EdgeIndex>, Arc<EdgeIndex>, Arc<Segments>) {
             let src = vec![0u32, 3, 3, 5, 0, 2, 2, 4, 4, 1, 0];
             let dst = vec![0u32, 0, 0, 2, 2, 3, 3, 4, 4, 5, 5];
-            (Arc::new(src), Arc::new(dst), segs(&[3, 0, 2, 2, 2, 2]))
+            (
+                Arc::new(EdgeIndex::new(src)),
+                Arc::new(EdgeIndex::new(dst)),
+                segs(&[3, 0, 2, 2, 2, 2]),
+            )
         }
 
         /// `y ⊙ probe`, where the probe's `±0` entries make `-0` upstream
@@ -1684,7 +1794,7 @@ mod tests {
             let p = store.add("x", x);
             let mut tape = Tape::new(0);
             let tx = tape.param(&store, p);
-            let idx = Arc::new(vec![0u32, 2, 1, 1]);
+            let idx = Arc::new(EdgeIndex::new(vec![0u32, 2, 1, 1]));
             let m = tape.segment_max(tx, Some(&idx), &segs(&[3, 0, 1]));
             let v = tape.value(m).data();
             assert_eq!(&v[..1], &[4.0]);
@@ -1715,7 +1825,7 @@ mod tests {
 
         /// 28 edges into 8 nodes, grouped by destination, with an empty and a
         /// one-edge segment. Sources repeat and include self loops.
-        fn layout() -> (Arc<Vec<u32>>, Arc<Vec<u32>>, Arc<Segments>) {
+        fn layout() -> (Arc<EdgeIndex>, Arc<EdgeIndex>, Arc<Segments>) {
             let lengths = [6, 0, 7, 1, 5, 3, 2, 4];
             let src = vec![
                 0u32, 1, 5, 7, 3, 1, // node 0
@@ -1728,7 +1838,7 @@ mod tests {
             ];
             let dst: Vec<u32> =
                 lengths.iter().enumerate().flat_map(|(v, &n)| vec![v as u32; n]).collect();
-            (Arc::new(src), Arc::new(dst), segs(&lengths))
+            (Arc::new(EdgeIndex::new(src)), Arc::new(EdgeIndex::new(dst)), segs(&lengths))
         }
 
         /// Per segment: ties at the top (so the vectorized `exp`'s floor of
@@ -1986,8 +2096,8 @@ mod tests {
         struct Fixture {
             store: VarStore,
             params: [ParamId; 3],
-            src: Arc<Vec<u32>>,
-            dst: Arc<Vec<u32>>,
+            src: Arc<EdgeIndex>,
+            dst: Arc<EdgeIndex>,
             /// Per-edge weights on the score, so every edge sees its own dS.
             probe: Matrix,
         }
@@ -2001,8 +2111,8 @@ mod tests {
             let ps = store.add("ps", Matrix::from_fn(6, D, |r, c| 2.5 * wave(r, c, 0.1)));
             let pd = store.add("pd", Matrix::from_fn(5, D, |r, c| 2.5 * wave(r, c, 1.3)));
             let w = store.add("w", Matrix::from_fn(D, 1, |r, _| wave(r, 0, 2.9)));
-            let src = Arc::new(vec![0u32, 5, 2, 2, 4, 0, 1, 3, 5, 5, 0, 2, 2, 1]);
-            let dst = Arc::new(vec![1u32, 1, 0, 4, 4, 2, 3, 3, 0, 1, 4, 2, 0, 0]);
+            let src = Arc::new(EdgeIndex::new(vec![0u32, 5, 2, 2, 4, 0, 1, 3, 5, 5, 0, 2, 2, 1]));
+            let dst = Arc::new(EdgeIndex::new(vec![1u32, 1, 0, 4, 4, 2, 3, 3, 0, 1, 4, 2, 0, 0]));
             let probe = Matrix::from_fn(src.len(), 1, |r, _| wave(r, 3, 0.7) * 1.7);
             Fixture { store, params: [ps, pd, w], src, dst, probe }
         }
@@ -2057,11 +2167,330 @@ mod tests {
             let a = tape.constant(Matrix::zeros(3, 0));
             let b = tape.constant(Matrix::zeros(2, 0));
             let c = tape.constant(Matrix::zeros(0, 1));
-            let idx = Arc::new(vec![0u32, 2, 1]);
-            let to = Arc::new(vec![1u32, 0, 0]);
+            let idx = Arc::new(EdgeIndex::new(vec![0u32, 2, 1]));
+            let to = Arc::new(EdgeIndex::new(vec![1u32, 0, 0]));
             let s = tape.gen_linear_score(a, b, c, &idx, &to);
             assert_eq!(tape.value(s).shape(), (3, 1));
             assert!(tape.value(s).data().iter().all(|&v| v.to_bits() == 0));
+        }
+    }
+
+    /// The register folds and by-target folds against naive serial loops
+    /// with the semantics they replace: row-streaming `madd` loops forward,
+    /// and serial scatter-adds in edge order backward. Bitwise (any NaN
+    /// matches any NaN), in both flavours at 1/2/4 threads, at widths that
+    /// hit every column block and tail.
+    mod folds {
+        use super::*;
+        use crate::parallel::with_threads;
+        use crate::simd::{flavour, is_tiny, with_scalar, Flavour};
+        use crate::tape::ParamId;
+
+        const WIDTHS: [usize; 7] = [0, 1, 7, 8, 32, 33, 40];
+        const NODES: usize = 7;
+
+        /// 24 edges into 7 nodes, grouped by destination. Node 1 has no
+        /// in-edges (an empty segment), node 6 sends no message (an empty
+        /// by-source list), `3 -> 0`, `0 -> 4` and `1 -> 6` repeat, nodes
+        /// 0, 2, 3 and 4 have self loops, and node 6's 11 edges fill one
+        /// eight-edge block of the score-gradient dots and leave three.
+        fn layout() -> (Arc<EdgeIndex>, Arc<EdgeIndex>, Arc<Segments>) {
+            let lengths = [4, 0, 3, 2, 3, 1, 11];
+            let src =
+                vec![0u32, 3, 3, 2, 2, 0, 5, 3, 4, 4, 0, 0, 2, 1, 5, 1, 0, 2, 3, 4, 5, 0, 1, 2];
+            let dst: Vec<u32> =
+                lengths.iter().enumerate().flat_map(|(v, &n)| vec![v as u32; n]).collect();
+            (Arc::new(EdgeIndex::new(src)), Arc::new(EdgeIndex::new(dst)), segs(&lengths))
+        }
+
+        /// Scores spread by more than 86 within most segments, so both
+        /// flavours' weights include subnormal and tiny normal values.
+        fn saturated_scores() -> Matrix {
+            let scores = [
+                2.0, -123.0, 2.0, -86.5, //
+                -108.0, 4.0, -91.0, //
+                7.0, -45.0, //
+                -30.0, -117.5, -30.0, //
+                0.25,  //
+                1.0, -112.0, -87.25, 0.5, -3.0, 1.0, -60.0, 0.75, -99.0, 2.5, -1.5,
+            ];
+            Matrix::from_vec(24, 1, scores.to_vec())
+        }
+
+        /// Finite values with `±0` entries.
+        fn features(rows: usize, cols: usize, salt: f32) -> Matrix {
+            let w = wave(rows, cols, salt, 2.0);
+            Matrix::from_fn(rows, cols, |r, c| match (r * cols + c) % 9 {
+                0 => 0.0,
+                4 => -0.0,
+                _ => w.get(r, c),
+            })
+        }
+
+        /// Upstream gradient with `±0`, NaN and `±inf` among the values.
+        fn upstream(rows: usize, cols: usize) -> Matrix {
+            let w = wave(rows, cols, 0.7, 1.5);
+            Matrix::from_fn(rows, cols, |r, c| match (r * cols + c) % 23 {
+                0 => 0.0,
+                3 | 11 => -0.0,
+                7 => f32::NAN,
+                15 => f32::INFINITY,
+                19 => f32::NEG_INFINITY,
+                _ => w.get(r, c),
+            })
+        }
+
+        /// Bit for bit, except that any NaN matches any NaN: IEEE leaves
+        /// NaN payloads open, and the kernels' operand order is not
+        /// pinned for them.
+        fn same(what: &str, got: &[f32], want: &[f32]) {
+            assert_eq!(got.len(), want.len(), "{what}: lengths");
+            for (k, (&x, &y)) in got.iter().zip(want).enumerate() {
+                let ok = x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+                assert!(ok, "{what}[{k}]: kernel {x:e} vs naive {y:e}");
+            }
+        }
+
+        /// `check(flavour, threads)` in both flavours at 1, 2 and 4 threads.
+        fn each_mode(check: impl Fn(Flavour, usize)) {
+            for scalar in [false, true] {
+                for threads in [1, 2, 4] {
+                    let go = || with_threads(threads, || check(flavour(), threads));
+                    if scalar {
+                        with_scalar(go)
+                    } else {
+                        go()
+                    }
+                }
+            }
+        }
+
+        /// Records `build` over `inputs` as parameters and sweeps back from
+        /// its output seeded with `upstream`: the output and each input's
+        /// gradient.
+        fn run(
+            inputs: &[&Matrix],
+            upstream: &Matrix,
+            build: &dyn Fn(&mut Tape, &[Tensor]) -> Tensor,
+        ) -> (Matrix, Vec<Matrix>) {
+            let mut store = VarStore::new();
+            let ids: Vec<ParamId> = inputs.iter().map(|&m| store.add("in", m.clone())).collect();
+            let mut tape = Tape::new(0);
+            let ts: Vec<Tensor> = ids.iter().map(|&p| tape.param(&store, p)).collect();
+            let out = build(&mut tape, &ts);
+            let grads = tape.backward_seeded(out, upstream.clone());
+            let grads = ids.iter().map(|&p| grads.get(p).expect("input gradient").clone());
+            (tape.value(out).clone(), grads.collect())
+        }
+
+        /// The serial scatter-add `out[to[e]] += rows[e]`, in edge order
+        /// from `+0`.
+        fn scatter(to: &[u32], rows: &[f32], nrows: usize, cols: usize) -> Vec<f32> {
+            let mut out = vec![0.0f32; nrows * cols];
+            if cols > 0 {
+                for (&t, row) in to.iter().zip(rows.chunks_exact(cols)) {
+                    let t = t as usize;
+                    for (o, &v) in out[t * cols..(t + 1) * cols].iter_mut().zip(row) {
+                        *o += v;
+                    }
+                }
+            }
+            out
+        }
+
+        /// Softmax weights as the kernels form them.
+        fn naive_alpha(fl: Flavour, scores: &[f32], segs: &Segments) -> Vec<f32> {
+            let mut alpha = Vec::with_capacity(scores.len());
+            for s in 0..segs.num_segments() {
+                let seg = &scores[segs.range(s)];
+                let max = seg.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+                let mut e: Vec<f32> = seg.iter().map(|&v| v - max).collect();
+                fl.exp(&mut e);
+                let mut sum = 0.0f32;
+                for &v in &e {
+                    sum += v;
+                }
+                let inv = 1.0 / sum;
+                alpha.extend(e.iter().map(|&v| v * inv));
+            }
+            alpha
+        }
+
+        #[test]
+        fn the_by_target_order_lists_every_edge_once_ascending() {
+            let (src, dst, s) = layout();
+            for idx in [&src, &dst] {
+                assert_eq!(idx.bound(), 1 + *idx.iter().max().expect("edges") as usize);
+                let mut seen = vec![0u32; idx.len()];
+                for t in 0..idx.bound() + 2 {
+                    let edges = idx.edges_into(t);
+                    assert!(edges.windows(2).all(|w| w[0] < w[1]), "row {t}: {edges:?}");
+                    for &e in edges {
+                        assert_eq!(idx[e as usize] as usize, t, "edge {e} listed under row {t}");
+                        seen[e as usize] += 1;
+                    }
+                }
+                assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
+            }
+            assert!(src.edges_into(6).is_empty(), "node 6 sends nothing");
+            // A grouped list sorts to the identity, its segments as offsets.
+            for v in 0..s.num_segments() {
+                let want: Vec<u32> = s.range(v).map(|e| e as u32).collect();
+                assert_eq!(dst.edges_into(v), &want[..]);
+            }
+            assert_eq!(s.owners(), &dst[..]);
+            let empty = EdgeIndex::new(Vec::new());
+            assert_eq!((empty.bound(), empty.edges_into(0)), (0, &[][..]));
+        }
+
+        #[test]
+        #[should_panic(expected = "gather_rows index out of bounds (source has 6 rows)")]
+        fn the_bounds_check_reads_the_largest_index() {
+            let mut tape = Tape::new(0);
+            let x = tape.constant(Matrix::zeros(6, 2));
+            let _ = tape.gather_rows(x, &Arc::new(EdgeIndex::new(vec![0, 6, 1])));
+        }
+
+        #[test]
+        fn gather_rows_matches_the_copy_and_the_scatter() {
+            let (src, _, _) = layout();
+            for cols in WIDTHS {
+                let x = features(NODES, cols, 0.4);
+                let g = upstream(src.len(), cols);
+                each_mode(|fl, threads| {
+                    let at = |w: &str| format!("{fl:?} at {threads} threads, {cols} wide: {w}");
+                    let (y, grads) = run(&[&x], &g, &|t, i| t.gather_rows(i[0], &src));
+                    let copied: Vec<f32> =
+                        src.iter().flat_map(|&u| x.row(u as usize).to_vec()).collect();
+                    same(&at("value"), y.data(), &copied);
+                    same(&at("d x"), grads[0].data(), &scatter(&src, g.data(), NODES, cols));
+                    let direct = x.gather_rows(&src);
+                    same(&at("Matrix::gather_rows"), direct.data(), &copied);
+                });
+            }
+        }
+
+        /// `out[s] = Σ α_e · m_e`: the first edge's plain product, then the
+        /// flavour's multiply-add per edge; an empty segment reads `+0`.
+        fn naive_forward(
+            fl: Flavour,
+            alpha: &[f32],
+            segs: &Segments,
+            rows: &[&[f32]],
+            cols: usize,
+        ) -> Vec<f32> {
+            let mut out = vec![0.0f32; segs.num_segments() * cols];
+            for s in 0..segs.num_segments() {
+                for (k, e) in segs.range(s).enumerate() {
+                    for (c, &m) in rows[e].iter().enumerate() {
+                        let o = &mut out[s * cols + c];
+                        *o = if k == 0 { alpha[e] * m } else { fl.madd(alpha[e], m, *o) };
+                    }
+                }
+            }
+            out
+        }
+
+        /// The score gradient and the per-edge message gradient rows.
+        fn naive_backward(
+            fl: Flavour,
+            alpha: &[f32],
+            segs: &Segments,
+            rows: &[&[f32]],
+            g: &Matrix,
+        ) -> (Vec<f32>, Vec<f32>) {
+            let cols = g.cols();
+            let mut gs = vec![0.0f32; alpha.len()];
+            let mut gm = vec![0.0f32; alpha.len() * cols];
+            for s in 0..segs.num_segments() {
+                let grow = g.row(s);
+                let mut dot_s = 0.0f32;
+                for e in segs.range(s) {
+                    gs[e] = fl.dot(rows[e], grow);
+                    dot_s += alpha[e] * gs[e];
+                    for (o, &gv) in gm[e * cols..(e + 1) * cols].iter_mut().zip(grow) {
+                        *o = alpha[e] * gv;
+                    }
+                }
+                for e in segs.range(s) {
+                    gs[e] = alpha[e] * (gs[e] - dot_s);
+                }
+            }
+            (gs, gm)
+        }
+
+        #[test]
+        fn attention_rows_match_the_streaming_loops() {
+            let (src, _, s) = layout();
+            let scores = saturated_scores();
+            for cols in WIDTHS {
+                let x = features(NODES, cols, 1.9);
+                let msgs = x.gather_rows(&src);
+                let g = upstream(NODES, cols);
+                each_mode(|fl, threads| {
+                    let at = |w: &str| format!("{fl:?} at {threads} threads, {cols} wide: {w}");
+                    let alpha = naive_alpha(fl, scores.data(), &s);
+                    let sub = alpha.iter().any(|&a| a != 0.0 && a.abs() < f32::MIN_POSITIVE);
+                    let tiny = alpha.iter().any(|&a| is_tiny(a) && a.abs() >= f32::MIN_POSITIVE);
+                    assert!(sub && tiny, "{fl:?}: weights not saturated: {alpha:?}");
+                    let rows: Vec<&[f32]> = (0..src.len()).map(|e| msgs.row(e)).collect();
+                    let want_y = naive_forward(fl, &alpha, &s, &rows, cols);
+                    let (gs, gm) = naive_backward(fl, &alpha, &s, &rows, &g);
+
+                    let (y, grads) =
+                        run(&[&scores, &x], &g, &|t, i| t.gather_attention(i[0], i[1], &src, &s));
+                    same(&at("gather value"), y.data(), &want_y);
+                    same(&at("gather d scores"), grads[0].data(), &gs);
+                    same(&at("gather d x"), grads[1].data(), &scatter(&src, &gm, NODES, cols));
+
+                    let (y, grads) =
+                        run(&[&scores, &msgs], &g, &|t, i| t.segment_attention(i[0], i[1], &s));
+                    same(&at("segment value"), y.data(), &want_y);
+                    same(&at("segment d scores"), grads[0].data(), &gs);
+                    same(&at("segment d messages"), grads[1].data(), &gm);
+                });
+            }
+        }
+
+        /// GAT-COS scores with upstream score gradients that are tiny (the
+        /// exact path), `±0`, NaN and `±inf`.
+        #[test]
+        fn gather_dot_sides_match_the_scatters() {
+            let (src, dst, _) = layout();
+            let mut ge = upstream(src.len(), 1);
+            ge.data_mut()[1] = 3.0e-39;
+            ge.data_mut()[5] = -2.5e-25;
+            ge.data_mut()[9] = f32::from_bits(1);
+            for cols in WIDTHS {
+                let x = features(NODES, cols, 0.2);
+                each_mode(|fl, threads| {
+                    let at = |w: &str| format!("{fl:?} at {threads} threads, {cols} wide: {w}");
+                    let scores: Vec<f32> = src
+                        .iter()
+                        .zip(dst.iter())
+                        .map(|(&u, &v)| {
+                            let (a, b) = (x.row(u as usize), x.row(v as usize));
+                            a.iter().zip(b).map(|(&a, &b)| a * b).sum()
+                        })
+                        .collect();
+                    let side = |to: &[u32], other: &[u32]| {
+                        let rows: Vec<f32> = ge
+                            .data()
+                            .iter()
+                            .zip(other)
+                            .flat_map(|(&d, &o)| x.row(o as usize).iter().map(move |&v| d * v))
+                            .collect();
+                        scatter(to, &rows, NODES, cols)
+                    };
+                    let mut gx = side(&dst, &src);
+                    for (a, b) in gx.iter_mut().zip(side(&src, &dst)) {
+                        *a += b;
+                    }
+                    let (y, grads) = run(&[&x], &ge, &|t, i| t.gather_dot(i[0], &src, &dst));
+                    same(&at("value"), y.data(), &scores);
+                    same(&at("d x"), grads[0].data(), &gx);
+                });
+            }
         }
     }
 

@@ -140,6 +140,7 @@ impl Tape {
         );
         let selected = self.value(logits).gather_rows(rows);
         let probs = softmax_rows_value(&selected);
+        pool::put(selected);
         let mut loss = 0.0;
         for (k, &r) in rows.iter().enumerate() {
             let p = probs.get(k, labels[r as usize] as usize).max(1e-12); // lint:allow(lossy-cast) -- u32 index widens losslessly

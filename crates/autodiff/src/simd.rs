@@ -118,6 +118,23 @@ impl Flavour {
         }
     }
 
+    /// `out[k] = dot(rows(k), y)` for `out.len()` rows against one shared
+    /// `y`, each exactly this flavour's [`Flavour::dot`]. The vector flavour
+    /// runs eight rows at a time: their lane accumulators advance together,
+    /// so the eight dependent FMA chains overlap, and `y`'s chunk is loaded
+    /// once for all eight.
+    #[inline]
+    pub(crate) fn dots<'a>(self, rows: impl Fn(usize) -> &'a [f32], y: &[f32], out: &mut [f32]) {
+        match self {
+            Flavour::Vector => dots8(rows, y, out),
+            Flavour::Reference => {
+                for (k, o) in out.iter_mut().enumerate() {
+                    *o = dot_scalar(rows(k), y);
+                }
+            }
+        }
+    }
+
     /// Fused `(dot(x, y), out[j] = a * y[j])` in one pass — the attention
     /// backward's per-edge pattern (gradient dot plus the weighted message
     /// gradient, both over the same upstream row `y`).
@@ -370,8 +387,9 @@ pub(crate) fn edge_mul(a: f32, b: f32) -> f32 {
 
 /// `out[j] += a * x[j]` for a per-edge factor `a`, the product rounded
 /// before the add (the plain two-rounding scatter, not [`axpy`]'s fused
-/// rounding), through [`Exact`] when `a` is tiny.
-#[inline]
+/// rounding), through [`Exact`] when `a` is tiny. The by-target folds call
+/// it on a block of register accumulators, hence `inline(always)`.
+#[inline(always)]
 pub(crate) fn edge_add_scaled(a: f32, x: &[f32], out: &mut [f32]) {
     debug_assert_eq!(x.len(), out.len());
     match Exact::tiny(a) {
@@ -463,6 +481,36 @@ fn dot8(a: &[f32], b: &[f32]) -> f32 {
         tree = x.mul_add(y, tree);
     }
     tree
+}
+
+/// [`dot8`] of each row against `y`, eight rows per block: each row's
+/// lanes, tree and tail are exactly `dot8`'s.
+fn dots8<'a>(rows: impl Fn(usize) -> &'a [f32], y: &[f32], out: &mut [f32]) {
+    let full = y.len() - y.len() % LANES;
+    let done = out.len() - out.len() % LANES;
+    let mut blocks = out.chunks_exact_mut(LANES);
+    for (b, o) in (&mut blocks).enumerate() {
+        let xs: [&[f32]; LANES] = std::array::from_fn(|r| &rows(b * LANES + r)[..y.len()]);
+        let mut acc = [[0.0f32; LANES]; LANES];
+        for q in (0..full).step_by(LANES) {
+            let yq = &y[q..q + LANES];
+            for (a, x) in acc.iter_mut().zip(&xs) {
+                for ((al, &xl), &yl) in a.iter_mut().zip(&x[q..q + LANES]).zip(yq) {
+                    *al = xl.mul_add(yl, *al);
+                }
+            }
+        }
+        for ((o, a), x) in o.iter_mut().zip(&acc).zip(&xs) {
+            let mut tree = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+            for (&xv, &yv) in x[full..].iter().zip(&y[full..]) {
+                tree = xv.mul_add(yv, tree);
+            }
+            *o = tree;
+        }
+    }
+    for (k, o) in blocks.into_remainder().iter_mut().enumerate() {
+        *o = dot8(rows(done + k), y);
+    }
 }
 
 fn axpy_vec(a: f32, x: &[f32], out: &mut [f32]) {
@@ -612,6 +660,35 @@ mod tests {
                 assert_eq!(fused_dot.to_bits(), fl.dot(&x, &y).to_bits(), "{fl:?} n={n}");
                 for (a, b) in fused_out.iter().zip(&plain_out) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{fl:?} n={n}");
+                }
+            }
+        }
+    }
+
+    /// Eight-row blocks and the leftover rows, at lengths that leave every
+    /// tail, with `±0`, NaN and `±inf` in the rows.
+    #[test]
+    fn dots_are_each_rows_dot() {
+        for n in [0, 1, 7, 8, 9, 17, 24] {
+            for len in [0, 1, 7, 8, 9, 32, 33, 40] {
+                let rows: Vec<Vec<f32>> = (0..n)
+                    .map(|r| {
+                        let mut row = seq(len, r as f32 * 0.7);
+                        if let Some(v) = row.get_mut(r % 5) {
+                            *v = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY][r % 5];
+                        }
+                        row
+                    })
+                    .collect();
+                let y = seq(len, 4.1);
+                for fl in [Flavour::Vector, Flavour::Reference] {
+                    let mut out = vec![f32::NAN; n];
+                    fl.dots(|k| &rows[k], &y, &mut out);
+                    for (k, &o) in out.iter().enumerate() {
+                        let want = fl.dot(&rows[k], &y);
+                        let same = o.to_bits() == want.to_bits() || (o.is_nan() && want.is_nan());
+                        assert!(same, "{fl:?} n={n} len={len} row {k}: {o:e} vs {want:e}");
+                    }
                 }
             }
         }

@@ -13,6 +13,7 @@
 
 use std::sync::OnceLock;
 
+use crate::fold::{by_blocks, madd_into, with_madd, Madd};
 use crate::matrix::Matrix;
 use crate::parallel::parallel_ranges;
 use crate::pool;
@@ -252,17 +253,33 @@ impl Csr {
             dense.cols()
         );
         let n = dense.cols();
-        let mut out = pool::zeros(self.rows, n);
-        let fl = crate::simd::flavour();
+        // Scratch: every output row is folded from +0 and stored whole, an
+        // empty row included.
+        let mut out = pool::scratch(self.rows, n);
+        with_madd!(crate::simd::flavour(), M => {
+            self.spmm_rows::<M>(dense, out.data_mut())
+        });
+        out
+    }
+
+    /// Each output row folded in registers: per column block, from `+0`,
+    /// one `madd` per nonzero in CSR order. That is the per-element order
+    /// of the row-streaming `axpy` loop, so the bits are the same.
+    fn spmm_rows<M: Madd>(&self, dense: &Matrix, out: &mut [f32]) {
+        let n = dense.cols();
+        if n == 0 {
+            return;
+        }
+        let d = dense.data();
         let run = |rows: std::ops::Range<usize>, chunk: &mut [f32]| {
-            let base = rows.start;
-            for r in rows {
-                let orow = &mut chunk[(r - base) * n..(r - base + 1) * n];
-                for k in self.indptr[r]..self.indptr[r + 1] {
-                    let c = self.indices[k] as usize; // lint:allow(lossy-cast) -- u32 index widens losslessly
-                    let v = self.values[k];
-                    fl.axpy(v, dense.row(c), orow);
-                }
+            for (orow, r) in chunk.chunks_exact_mut(n).zip(rows) {
+                let (cols, vals) = self.row(r);
+                by_blocks(orow, |j, acc| {
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        let at = c as usize * n + j; // lint:allow(lossy-cast) -- u32 index widens losslessly
+                        madd_into::<M>(v, &d[at..at + acc.len()], acc);
+                    }
+                });
             }
         };
         // `balanced_cuts` invariants at the call site: indptr is the
@@ -273,8 +290,7 @@ impl Csr {
             self.indptr.windows(2).all(|w| w[0] <= w[1]),
             "indptr must be non-decreasing"
         );
-        parallel_ranges(&self.indptr, &|r| r * n, self.nnz() * n, out.data_mut(), run);
-        out
+        parallel_ranges(&self.indptr, &|r| r * n, self.nnz() * n, out, run);
     }
 
     /// Dense representation (tests / tiny graphs only).
@@ -417,6 +433,58 @@ mod tests {
             m.values().to_vec(),
         );
         assert_eq!(m2.to_dense(), m.to_dense());
+    }
+
+    /// The register-folded rows against the row-streaming loop they
+    /// replace (zeroed rows, one flavour `axpy` per nonzero in CSR order),
+    /// bit for bit (any NaN matches any NaN), in both flavours at 1/2/4
+    /// threads. The operator has empty rows and repeated columns; the dense
+    /// operand holds `±0`, NaN and `±inf`.
+    #[test]
+    fn spmm_rows_match_the_streaming_axpy_loop() {
+        use crate::parallel::with_threads;
+        use crate::simd::{flavour, with_scalar};
+        let triplets: Vec<(u32, u32, f32)> = (0..40u32)
+            .filter(|k| k % 5 != 2)
+            .map(|k| (k * 7 % 9, k * 3 % 6, ((k as f32) * 0.61).sin() * 2.0))
+            .collect();
+        let m = Csr::from_coo(11, 6, &triplets);
+        assert!((0..11).any(|r| m.row(r).0.is_empty()), "an empty row");
+        for cols in [0, 1, 7, 8, 32, 33, 40] {
+            let d = Matrix::from_fn(6, cols, |r, c| match (r * cols + c) % 17 {
+                0 => -0.0,
+                5 => f32::NAN,
+                9 => f32::INFINITY,
+                13 => f32::NEG_INFINITY,
+                k => (k as f32 * 0.37).cos(),
+            });
+            for scalar in [false, true] {
+                for threads in [1, 2, 4] {
+                    let check = || {
+                        let fl = flavour();
+                        let mut want = Matrix::zeros(11, cols);
+                        for r in 0..11 {
+                            let (cs, vs) = m.row(r);
+                            for (&c, &v) in cs.iter().zip(vs) {
+                                fl.axpy(v, d.row(c as usize), want.row_mut(r));
+                            }
+                        }
+                        let got = with_threads(threads, || m.spmm(&d));
+                        for (k, (&x, &y)) in got.data().iter().zip(want.data()).enumerate() {
+                            assert!(
+                                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                                "{fl:?} at {threads} threads, {cols} wide, [{k}]: {x:e} vs {y:e}"
+                            );
+                        }
+                    };
+                    if scalar {
+                        with_scalar(check)
+                    } else {
+                        check()
+                    }
+                }
+            }
+        }
     }
 
     #[test]

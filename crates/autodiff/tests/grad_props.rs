@@ -10,7 +10,7 @@ use rand::SeedableRng;
 
 use sane_autodiff::gradcheck::check_gradient;
 use sane_autodiff::parallel::with_threads;
-use sane_autodiff::{uniform_init, Csr, Matrix, Segments, Tape, Tensor, VarStore};
+use sane_autodiff::{uniform_init, Csr, EdgeIndex, Matrix, Segments, Tape, Tensor, VarStore};
 
 const TOL: f32 = 0.02;
 
@@ -138,7 +138,7 @@ proptest! {
     #[test]
     fn gather_segment_grads(seed in 0u64..10_000, d in 1usize..4) {
         // 3 nodes, messages: [0,1 -> seg0], [1,2,0 -> seg1], [2 -> seg2]
-        let idx = Arc::new(vec![0u32, 1, 1, 2, 0, 2]);
+        let idx = Arc::new(EdgeIndex::new(vec![0u32, 1, 1, 2, 0, 2]));
         let segs = Arc::new(Segments::from_lengths(&[2, 3, 1]));
         let err = check(seed, 3, d, move |t, _, x| {
             let g = t.gather_rows(x, &idx);
@@ -154,8 +154,8 @@ proptest! {
     fn gather_dot_grads(seed in 0u64..10_000, d in 1usize..5) {
         // A self loop (0 -> 0), a repeated edge (1 -> 2 twice) and a node
         // that is only a source (3): both sides scatter into every row.
-        let src = Arc::new(vec![0u32, 1, 1, 3, 2, 3]);
-        let dst = Arc::new(vec![0u32, 2, 2, 0, 1, 2]);
+        let src = Arc::new(EdgeIndex::new(vec![0u32, 1, 1, 3, 2, 3]));
+        let dst = Arc::new(EdgeIndex::new(vec![0u32, 2, 2, 0, 1, 2]));
         let err = check(seed, 4, d, move |t, _, x| {
             let scores = t.gather_dot(x, &src, &dst);
             let squashed = t.tanh(scores);
@@ -193,7 +193,7 @@ proptest! {
     #[test]
     fn segment_softmax_attention_grads(seed in 0u64..10_000) {
         // Full attention pattern: scores -> segment softmax -> weighted sum.
-        let idx = Arc::new(vec![0u32, 1, 1, 2, 0]);
+        let idx = Arc::new(EdgeIndex::new(vec![0u32, 1, 1, 2, 0]));
         let segs = Arc::new(Segments::from_lengths(&[2, 2, 1]));
         let feats = input(seed ^ 6, 3, 3);
         let err = check(seed, 3, 1, move |t, _, x| {
@@ -368,7 +368,7 @@ proptest! {
         // The attention pipeline of `segment_softmax_attention_grads` plus
         // sum/mean/max heads, gradient-checked under forced 2- and 4-way
         // parallel segment kernels.
-        let idx = Arc::new(vec![0u32, 1, 1, 2, 0, 2]);
+        let idx = Arc::new(EdgeIndex::new(vec![0u32, 1, 1, 2, 0, 2]));
         let segs = Arc::new(Segments::from_lengths(&[2, 3, 1]));
         let feats = input(seed ^ 20, 3, 3);
         for threads in [2usize, 4] {
@@ -395,7 +395,7 @@ proptest! {
         // Fused softmax + weighted aggregation, gradient-checked w.r.t. the
         // scores — the path through the op-private alpha column — on both
         // the vectorized and the scalar reference kernels.
-        let idx = Arc::new(vec![0u32, 1, 1, 2, 0]);
+        let idx = Arc::new(EdgeIndex::new(vec![0u32, 1, 1, 2, 0]));
         let segs = Arc::new(Segments::from_lengths(&[2, 0, 2, 1]));
         let feats = input(seed ^ 21, 3, d);
         let case = move |t: &mut Tape, _: &VarStore, x: Tensor| {
@@ -414,7 +414,7 @@ proptest! {
     #[test]
     fn segment_attention_fused_message_grads(seed in 0u64..10_000, d in 1usize..4) {
         // Same op, gradient-checked w.r.t. the message features.
-        let idx = Arc::new(vec![0u32, 1, 1, 2, 0, 2]);
+        let idx = Arc::new(EdgeIndex::new(vec![0u32, 1, 1, 2, 0, 2]));
         let segs = Arc::new(Segments::from_lengths(&[2, 3, 1]));
         let scores = input(seed ^ 22, 6, 1);
         let case = move |t: &mut Tape, _: &VarStore, x: Tensor| {
@@ -432,7 +432,7 @@ proptest! {
     #[test]
     fn segment_attention_fused_grads_parallel(seed in 0u64..10_000, d in 1usize..4) {
         // The fused op under forced 2- and 4-way parallel segment kernels.
-        let idx = Arc::new(vec![0u32, 1, 1, 2, 0, 2]);
+        let idx = Arc::new(EdgeIndex::new(vec![0u32, 1, 1, 2, 0, 2]));
         let segs = Arc::new(Segments::from_lengths(&[2, 3, 1]));
         let feats = input(seed ^ 23, 3, d);
         for threads in [2usize, 4] {
@@ -457,7 +457,7 @@ proptest! {
         // forward pass and the direct scatter of the backward pass), on the
         // vectorized and scalar reference kernels. Repeated indices
         // exercise scatter collisions.
-        let idx = Arc::new(vec![0u32, 1, 1, 2, 0, 2]);
+        let idx = Arc::new(EdgeIndex::new(vec![0u32, 1, 1, 2, 0, 2]));
         let segs = Arc::new(Segments::from_lengths(&[2, 3, 1]));
         let scores = input(seed ^ 24, 6, 1);
         let case = move |t: &mut Tape, _: &VarStore, x: Tensor| {
@@ -475,7 +475,7 @@ proptest! {
     fn gather_attention_score_grads_parallel(seed in 0u64..10_000, d in 1usize..4) {
         // Same op, gradient-checked w.r.t. the scores under forced 2- and
         // 4-way parallel forward kernels (the backward scatter is serial).
-        let idx = Arc::new(vec![0u32, 1, 1, 2, 0]);
+        let idx = Arc::new(EdgeIndex::new(vec![0u32, 1, 1, 2, 0]));
         let segs = Arc::new(Segments::from_lengths(&[2, 0, 2, 1]));
         let feats = input(seed ^ 25, 3, d);
         for threads in [2usize, 4] {
@@ -499,8 +499,8 @@ proptest! {
         // weights) on the vectorized and the scalar reference kernels.
         // Repeated indices exercise scatter collisions; the projections of
         // 3 and 4 rows keep the two scatter targets distinct.
-        let src = Arc::new(vec![0u32, 1, 1, 2, 0, 2, 1]);
-        let dst = Arc::new(vec![3u32, 0, 2, 2, 1, 0, 3]);
+        let src = Arc::new(EdgeIndex::new(vec![0u32, 1, 1, 2, 0, 2, 1]));
+        let dst = Arc::new(EdgeIndex::new(vec![3u32, 0, 2, 2, 1, 0, 3]));
         let probe = input(seed ^ 26, src.len(), 1);
         let operands = [input(seed ^ 27, 3, d), input(seed ^ 28, 4, d), input(seed ^ 29, d, 1)];
         for which in 0..3 {
@@ -532,7 +532,7 @@ proptest! {
         let err = check(seed, 3, cols, move |t, _, x| {
             let o = t.constant(other.clone());
             let m = t.max_stack(&[x, o]);
-            let idx = Arc::new(vec![0u32, 1, 2, 0]);
+            let idx = Arc::new(EdgeIndex::new(vec![0u32, 1, 2, 0]));
             let segs = Arc::new(Segments::from_lengths(&[2, 2]));
             let g = t.gather_rows(m, &idx);
             let s = t.segment_max(g, None, &segs);
@@ -551,7 +551,7 @@ proptest! {
 /// the `simd` module backs — forward and backward.
 #[test]
 fn simd_kernels_stay_within_tolerance_of_scalar_reference() {
-    let idx = Arc::new(vec![0u32, 1, 1, 2, 0, 2, 3, 3]);
+    let idx = Arc::new(EdgeIndex::new(vec![0u32, 1, 1, 2, 0, 2, 3, 3]));
     let segs = Arc::new(Segments::from_lengths(&[2, 3, 0, 3]));
     let sparse = Arc::new(Csr::from_coo(
         4,

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use sane_autodiff::parallel::with_threads;
-use sane_autodiff::{pool, uniform_init, Csr, Matrix, Segments, Tape, VarStore};
+use sane_autodiff::{pool, uniform_init, Csr, EdgeIndex, Matrix, Segments, Tape, VarStore};
 
 const THREADS: [usize; 4] = [1, 2, 3, 4];
 
@@ -68,7 +68,7 @@ fn segment_pipeline(threads: usize) -> (Vec<f32>, Vec<f32>) {
         let lengths: Vec<usize> = (0..nodes).map(|_| rng.gen_range(0..6)).collect();
         let total: usize = lengths.iter().sum();
         let idx =
-            Arc::new((0..total).map(|_| rng.gen_range(0..nodes as u32)).collect::<Vec<u32>>());
+            Arc::new(EdgeIndex::new((0..total).map(|_| rng.gen_range(0..nodes as u32)).collect()));
         let segs = Arc::new(Segments::from_lengths(&lengths));
 
         let mut store = VarStore::new();
@@ -147,8 +147,9 @@ fn fused_attention_and_simd_kernels_are_bitwise_equal_across_thread_counts() {
             let segs = Arc::new(Segments::from_lengths(&[3, 0, 5, 2, 4, 1]));
             let total = segs.total_len();
             let mut rng = StdRng::seed_from_u64(44);
-            let mut edges = || Arc::new((0..total).map(|_| rng.gen_range(0..6u32)).collect());
-            let (src, dst): (Arc<Vec<u32>>, Arc<Vec<u32>>) = (edges(), edges());
+            let mut edges =
+                || Arc::new(EdgeIndex::new((0..total).map(|_| rng.gen_range(0..6u32)).collect()));
+            let (src, dst) = (edges(), edges());
             let mut store = VarStore::new();
             let pm = store.add("m", seeded(41, total, 9));
             let ps = store.add("s", seeded(42, total, 1));
@@ -193,6 +194,50 @@ fn fused_attention_and_simd_kernels_are_bitwise_equal_across_thread_counts() {
             assert_bitwise_eq(&format!("fused attention fwd ({mode})"), &fwd1, &fwd, threads);
             assert_bitwise_eq(&format!("fused attention bwd ({mode})"), &grad1, &grad, threads);
         }
+    }
+}
+
+/// The by-source folds: `gather_rows`, `gather_dot`, `gather_attention`
+/// and the indexed `segment_max` backwards each fold every node's gradient
+/// row over the edges that read it, with rows split across workers. The
+/// edge list has repeated edges and nodes that no edge reads, and the
+/// 40-wide rows run a 32-wide register block and an 8-wide one.
+#[test]
+fn by_source_folds_are_bitwise_equal_across_thread_counts() {
+    let pipeline = |threads: usize| {
+        with_threads(threads, || {
+            let mut rng = StdRng::seed_from_u64(81);
+            let (nodes, d) = (64usize, 40usize);
+            let lengths: Vec<usize> = (0..nodes).map(|_| rng.gen_range(0..9)).collect();
+            let segs = Arc::new(Segments::from_lengths(&lengths));
+            let total = segs.total_len();
+            // Sources drawn from the first 48 nodes only.
+            let src = Arc::new(EdgeIndex::new((0..total).map(|_| rng.gen_range(0..48)).collect()));
+            let dst = Arc::new(EdgeIndex::new(
+                (0..nodes as u32).flat_map(|v| vec![v; lengths[v as usize]]).collect(),
+            ));
+            let mut store = VarStore::new();
+            let px = store.add("x", seeded(82, nodes, d));
+            let mut tape = Tape::new(0);
+            let x = tape.param(&store, px);
+            let scores = tape.gather_dot(x, &src, &dst);
+            let agg = tape.gather_attention(scores, x, &src, &segs);
+            let smax = tape.segment_max(x, Some(&src), &segs);
+            let rows = tape.gather_rows(x, &src);
+            let summed = tape.segment_sum(rows, &segs);
+            let t = tape.add(agg, smax);
+            let out = tape.mul(t, summed);
+            let fwd = tape.value(out).data().to_vec();
+            let loss = tape.sum_all(out);
+            let grads = tape.backward(loss);
+            (fwd, grads.get(px).unwrap().data().to_vec())
+        })
+    };
+    let (fwd1, grad1) = pipeline(1);
+    for threads in THREADS {
+        let (fwd, grad) = pipeline(threads);
+        assert_bitwise_eq("by-source folds forward", &fwd1, &fwd, threads);
+        assert_bitwise_eq("by-source folds backward", &grad1, &grad, threads);
     }
 }
 
