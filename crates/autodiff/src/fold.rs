@@ -112,6 +112,60 @@ pub(crate) fn madd_into<M: Madd>(a: f32, x: &[f32], acc: &mut [f32]) {
     }
 }
 
+/// Independent dot-product chains advanced together:
+/// `out[i] = Σ_k a_i[k]·b_i[k]` with `(a_i, b_i) = pair(i)`.
+///
+/// Each sum is one serial chain, a `mul` then an `add` per term in `k`
+/// order from `-0`: term for term the `Iterator::sum` of the products,
+/// whose identity for `f32` is `-0` (an empty or all-`-0` sum is `-0`).
+/// The chains go eight, four, two or one at a time through a loop over
+/// `k`, so their add latencies overlap instead of queuing; no chain's own
+/// order changes, so neither do its bits.
+///
+/// # Panics
+/// Panics if the two slices of a pair differ in length from the first
+/// pair of their group.
+#[inline(always)]
+pub(crate) fn product_sums<'a>(out: &mut [f32], pair: impl Fn(usize) -> (&'a [f32], &'a [f32])) {
+    let n = out.len();
+    let mut i = 0;
+    while n - i >= 8 {
+        chains::<8>(&mut out[i..i + 8], i, &pair);
+        i += 8;
+    }
+    if n - i >= 4 {
+        chains::<4>(&mut out[i..i + 4], i, &pair);
+        i += 4;
+    }
+    if n - i >= 2 {
+        chains::<2>(&mut out[i..i + 2], i, &pair);
+        i += 2;
+    }
+    if n - i == 1 {
+        chains::<1>(&mut out[i..], i, &pair);
+    }
+}
+
+#[inline(always)]
+fn chains<'a, const N: usize>(
+    out: &mut [f32],
+    first: usize,
+    pair: &impl Fn(usize) -> (&'a [f32], &'a [f32]),
+) {
+    let pairs: [(&[f32], &[f32]); N] = std::array::from_fn(|k| pair(first + k));
+    let len = pairs[0].0.len();
+    for (a, b) in &pairs {
+        assert!(a.len() == len && b.len() == len, "product_sums: chain lengths differ");
+    }
+    let mut acc = [-0.0f32; N];
+    for k in 0..len {
+        for (s, (a, b)) in acc.iter_mut().zip(&pairs) {
+            *s += a[k] * b[k];
+        }
+    }
+    out.copy_from_slice(&acc);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,6 +185,66 @@ mod tests {
             });
             assert!(seen.iter().all(|&s| s == 1), "n = {n}: {seen:?}");
             assert!(out.iter().enumerate().all(|(c, &v)| v == c as f32), "n = {n}");
+        }
+    }
+
+    /// `Iterator::sum` of `f32` folds from `-0`, which `product_sums`
+    /// relies on: an empty sum and a sum of `-0`s are `-0`.
+    #[test]
+    fn iterator_sum_of_f32_starts_at_negative_zero() {
+        let neg = (-0.0f32).to_bits();
+        assert_eq!(std::iter::empty::<f32>().sum::<f32>().to_bits(), neg);
+        assert_eq!([-0.0f32, -0.0].iter().sum::<f32>().to_bits(), neg);
+        assert_eq!([-0.0f32, 0.0].iter().sum::<f32>().to_bits(), 0.0f32.to_bits());
+    }
+
+    /// Every chain against its own serial `Iterator::sum`, bit for bit (any
+    /// NaN matches any NaN), for 0 to 19 chains of length 0 to 37: random
+    /// values with `±0`, NaN, `±inf`, subnormals, and all-`-0` products.
+    #[test]
+    fn product_sums_are_each_chains_iterator_sum() {
+        let value = |i: usize, k: usize, salt: usize| match (i * 31 + k * 7 + salt) % 23 {
+            0 => -0.0,
+            1 => 0.0,
+            5 => f32::NAN,
+            9 => f32::INFINITY,
+            13 => f32::NEG_INFINITY,
+            17 => 1e-42,
+            m => ((m * 37 + i + k) as f32 * 0.613).sin() * 3.0,
+        };
+        for n in 0..20 {
+            for len in [0, 1, 2, 7, 8, 9, 31, 37] {
+                for all_negative_zero in [false, true] {
+                    let (a, b): (Vec<Vec<f32>>, Vec<Vec<f32>>) = (0..n)
+                        .map(|i| {
+                            let row = |salt| {
+                                (0..len)
+                                    .map(|k| {
+                                        if all_negative_zero {
+                                            if salt == 0 {
+                                                -0.0
+                                            } else {
+                                                1.5
+                                            }
+                                        } else {
+                                            value(i, k, salt)
+                                        }
+                                    })
+                                    .collect::<Vec<f32>>()
+                            };
+                            (row(0), row(3))
+                        })
+                        .unzip();
+                    let mut got = vec![f32::NAN; n];
+                    product_sums(&mut got, |i| (&a[i], &b[i]));
+                    for i in 0..n {
+                        let want: f32 = a[i].iter().zip(&b[i]).map(|(x, y)| x * y).sum();
+                        let ok = got[i].to_bits() == want.to_bits()
+                            || (got[i].is_nan() && want.is_nan());
+                        assert!(ok, "{n} chains of {len}, [{i}]: {:e} vs {want:e}", got[i]);
+                    }
+                }
+            }
         }
     }
 

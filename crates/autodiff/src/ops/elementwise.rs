@@ -5,8 +5,11 @@ use std::sync::Arc;
 use rand::Rng;
 
 use crate::audit::{require_eq, Arity};
+use crate::fold::product_sums;
 use crate::matrix::Matrix;
+use crate::ops::linalg::SparseView;
 use crate::pool;
+use crate::sparse::Csr;
 use crate::tape::{Op, Tape, Tensor};
 
 fn binary_shape_check(tape: &Tape, a: Tensor, b: Tensor, what: &str) {
@@ -199,11 +202,14 @@ impl Op for MixOp {
         // terms the chain this replaces sliced each weight's gradient into
         // a zeroed row and summed the rows, which turns a `-0` into `+0`;
         // `+ 0.0` does the same. Columns without a term get `+0`.
+        // Every `Σ g·o_i` is the chain `Iterator::sum` folds, all advanced
+        // in one pass over `g`.
         let dw = wants[0].then(|| {
             let mut dw = pool::zeros(1, w.len());
-            for (d, o) in dw.data_mut().iter_mut().zip(outs) {
-                let dot: f32 = grad.data().iter().zip(o.data()).map(|(g, a)| g * a).sum();
-                *d = if outs.len() >= 2 { dot + 0.0 } else { dot };
+            let dots = &mut dw.data_mut()[..outs.len()];
+            product_sums(dots, |i| (grad.data(), outs[i].data()));
+            if outs.len() >= 2 {
+                dots.iter_mut().for_each(|d| *d += 0.0);
             }
             dw
         });
@@ -573,8 +579,11 @@ impl Tape {
     /// callers can pass their configured rate and use `0.0` for evaluation.
     ///
     /// Over a constant leaf (an input with no parameter behind it, such as
-    /// the node features) no gradient can flow, so no mask is kept. The
-    /// random stream is the same either way: one draw per element.
+    /// the node features) no gradient can flow, so no mask is kept. When
+    /// that leaf has a sparse view and holds no `-0.0`, only its nonzeros
+    /// are scaled, into a zeroed output, and the output's view is built
+    /// from the leaf's entries at once (DESIGN.md §17). The random stream
+    /// is the same on every route: one draw per element, in element order.
     pub fn dropout(&mut self, a: Tensor, p: f32) -> Tensor {
         assert!((0.0..1.0).contains(&p), "dropout rate must be in [0,1), got {p}");
         if p == 0.0 {
@@ -583,6 +592,16 @@ impl Tape {
         let scale = 1.0 / (1.0 - p);
         let node = self.node(a.0);
         let constant = node.inputs.is_empty() && node.param.is_none();
+        if constant {
+            let viewed = self.sparse_view(a).filter(|v| !v.holds_negative_zero(self.value(a)));
+            if let Some(view) = viewed {
+                let out = dropout_entries(&view.csr, p, scale, self.rng());
+                let out_view = SparseView::within(&out, &view);
+                let t = self.push_op(out, Box::new(DropoutOp { mask: None }), vec![a]);
+                let _ = self.node(t.0).view.set(out_view);
+                return t;
+            }
+        }
         let mut out = pool::clone_of(self.value(a));
         let rng = self.rng();
         if constant {
@@ -598,6 +617,37 @@ impl Tape {
         }
         self.push_op(out, Box::new(DropoutOp { mask: Some(Arc::new(mask)) }), vec![a])
     }
+}
+
+/// The dropout of the matrix `x` views, which holds no `-0.0`: a zeroed
+/// matrix with `v · m` at each entry `v` of `x`.
+///
+/// `m` is `0` or `scale` as the scaling loop over every element would draw
+/// it: one draw per element in element order, the draws at `x`'s zeros
+/// discarded. That loop turns each `+0` into `+0` (the mask is never
+/// negative or NaN), and the multiply at an entry is the loop's own, so a
+/// dropped `-v` stays `-0` and a NaN or `±inf` entry becomes NaN: the bits
+/// are the loop's, and so is where the stream ends.
+fn dropout_entries(x: &Csr, p: f32, scale: f32, rng: &mut impl Rng) -> Matrix {
+    let (rows, cols) = (x.rows(), x.cols());
+    let mut out = pool::zeros(rows, cols);
+    let data = out.data_mut();
+    let mut drawn = 0;
+    for r in 0..rows {
+        let (cs, vs) = x.row(r);
+        for (&c, &v) in cs.iter().zip(vs) {
+            let at = r * cols + c as usize; // lint:allow(lossy-cast) -- u32 index widens losslessly
+            for _ in drawn..at {
+                let _: f32 = rng.gen();
+            }
+            data[at] = v * if rng.gen::<f32>() < p { 0.0 } else { scale };
+            drawn = at + 1;
+        }
+    }
+    for _ in drawn..data.len() {
+        let _: f32 = rng.gen();
+    }
+    out
 }
 
 #[cfg(test)]
@@ -795,5 +845,133 @@ mod tests {
         let node = tape.node(d.0);
         let grads = node.op.backward(&node.value, &node.value, &[tape.value(leaf)], &[true]);
         assert!(grads[0].is_none(), "a constant's dropout forms no gradient");
+    }
+
+    mod dropout_routes {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+
+        use super::*;
+
+        /// The scaling loop over every element that a constant without a
+        /// sparse view still takes, kept as the oracle for the route
+        /// through the view.
+        fn dropout_loop(x: &Matrix, p: f32, rng: &mut StdRng) -> Matrix {
+            let scale = 1.0 / (1.0 - p);
+            let mut out = x.clone();
+            for o in out.data_mut() {
+                *o *= if rng.gen::<f32>() < p { 0.0 } else { scale };
+            }
+            out
+        }
+
+        fn bits(xs: &[f32]) -> Vec<u32> {
+            xs.iter().map(|v| v.to_bits()).collect()
+        }
+
+        /// A `rows x cols` matrix with `nnz` nonzeros at random positions
+        /// outside every fifth row. `specials` go to the first positions
+        /// drawn; `last` puts a nonzero in the last element.
+        fn operand(
+            (rows, cols): (usize, usize),
+            nnz: usize,
+            specials: &[f32],
+            last: bool,
+            seed: u64,
+        ) -> Matrix {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut at: Vec<usize> = (0..rows * cols).filter(|i| (i / cols) % 5 != 1).collect();
+            at.shuffle(&mut rng);
+            at.truncate(nnz);
+            if last {
+                at.retain(|&i| i != rows * cols - 1);
+                at.insert(0, rows * cols - 1);
+                at.truncate(nnz);
+            }
+            let mut x = Matrix::zeros(rows, cols);
+            for (k, &i) in at.iter().enumerate() {
+                let v = rng.gen_range(0.25f32..2.0);
+                x.data_mut()[i] =
+                    specials.get(k).copied().unwrap_or(if k % 2 == 0 { v } else { -v });
+            }
+            x
+        }
+
+        /// Dropout of `x` as a shared input and as a constant, against the
+        /// loop: the value's bits, the view (equal to `SparseView::of` of
+        /// the value, and set at record time exactly when `direct`) and
+        /// the next draw of the tape's stream.
+        fn check(x: &Matrix, p: f32, direct: bool, what: &str) {
+            for shared in [false, true] {
+                let at = format!("{what}, p {p}, shared {shared}");
+                let mut tape = Tape::new(11);
+                let leaf =
+                    if shared { tape.input(Arc::new(x.clone())) } else { tape.constant(x.clone()) };
+                let d = tape.dropout(leaf, p);
+                assert_eq!(tape.node(d.0).view.get().is_some(), direct, "{at}: route");
+                let mut rng = StdRng::seed_from_u64(11);
+                let want = dropout_loop(x, p, &mut rng);
+                assert_eq!(bits(tape.value(d).data()), bits(want.data()), "{at}: value");
+                let view = tape.sparse_view(d);
+                let fresh = SparseView::of(tape.value(d));
+                match (view, fresh) {
+                    (Some(v), Some(f)) => {
+                        assert_eq!(v.csr.indptr(), f.csr.indptr(), "{at}: indptr");
+                        assert_eq!(v.csr.indices(), f.csr.indices(), "{at}: indices");
+                        assert_eq!(bits(v.csr.values()), bits(f.csr.values()), "{at}: values");
+                    }
+                    (None, None) => {}
+                    (v, f) => panic!("{at}: view {} vs {}", v.is_some(), f.is_some()),
+                }
+                assert_eq!(tape.rng().gen::<u64>(), rng.gen::<u64>(), "{at}: stream");
+            }
+        }
+
+        #[test]
+        fn the_view_route_is_the_scaling_loop() {
+            let shape = (37, 45);
+            let len = 37 * 45;
+            for p in [0.1, 0.5, 0.9] {
+                for (seed, nnz, direct, what) in [
+                    (1, 0, true, "all zeros"),
+                    (2, len / 100, true, "1%"),
+                    (3, len / 8, true, "one in eight"),
+                    (4, len / 8 + 1, false, "just over the bar"),
+                ] {
+                    check(&operand(shape, nnz, &[], false, seed), p, direct, what);
+                    check(&operand(shape, nnz, &[], true, seed), p, direct, what);
+                }
+                let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -f32::NAN];
+                check(&operand(shape, 40, &specials, true, 5), p, true, "NaN and inf");
+                let mut signed = operand(shape, 40, &[], false, 6);
+                let zero = signed.data().iter().position(|&v| v == 0.0).expect("a zero");
+                signed.data_mut()[zero] = -0.0;
+                check(&signed, p, false, "a -0.0");
+                check(&operand((1, 8), 1, &[], true, 7), p, true, "one row");
+                check(&operand((3, 0), 0, &[], false, 8), p, true, "no columns");
+            }
+        }
+
+        /// The route leaves the stream where the loop does, so the mask of
+        /// a later dropout, of a parameter, is the one the loop's stream
+        /// draws.
+        #[test]
+        fn a_later_mask_is_unchanged() {
+            let x = operand((20, 33), 30, &[], true, 9);
+            let y = Matrix::from_fn(5, 7, |r, c| (r * 7 + c) as f32 - 17.0);
+            let mut store = VarStore::new();
+            let py = store.add("y", y.clone());
+            let mut tape = Tape::new(4);
+            let leaf = tape.input(Arc::new(x.clone()));
+            let dx = tape.dropout(leaf, 0.3);
+            assert!(tape.node(dx.0).view.get().is_some(), "the view route was taken");
+            let ty = tape.param(&store, py);
+            let dy = tape.dropout(ty, 0.3);
+            let mut rng = StdRng::seed_from_u64(4);
+            let _ = dropout_loop(&x, 0.3, &mut rng);
+            let want = dropout_loop(&y, 0.3, &mut rng);
+            assert_eq!(bits(tape.value(dy).data()), bits(want.data()));
+        }
     }
 }

@@ -17,7 +17,7 @@ use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
 
 use crate::audit::{require_eq, Arity};
-use crate::fold::{by_blocks, madd_into, with_madd, Madd};
+use crate::fold::{by_blocks, madd_into, product_sums, with_madd, Madd};
 use crate::matrix::Matrix;
 use crate::parallel::{parallel_ranges, parallel_ranges_pair, parallel_rows, parallel_rows_pair};
 use crate::pool;
@@ -1367,11 +1367,12 @@ impl Tape {
         let edges = src.len();
         // Scratch: every edge's slot is assigned below.
         let mut out = pool::scratch(edges, 1);
+        // Each edge's dot is the chain `Iterator::sum` folds; eight edges'
+        // chains advance together.
         let run = |erange: Range<usize>, chunk: &mut [f32]| {
-            for ((o, &u), &v) in chunk.iter_mut().zip(&src[erange.clone()]).zip(&dst[erange]) {
-                let (a, b) = (xv.row(u as usize), xv.row(v as usize)); // lint:allow(lossy-cast) -- u32 row indices widen losslessly into usize
-                *o = a.iter().zip(b).map(|(&a, &b)| a * b).sum();
-            }
+            let (us, vs) = (&src[erange.clone()], &dst[erange]);
+            let row = |i: u32| xv.row(i as usize); // lint:allow(lossy-cast) -- u32 row indices widen losslessly into usize
+            product_sums(chunk, |e| (row(us[e]), row(vs[e])));
         };
         crate::parallel::timed("gather_dot", || {
             parallel_rows(edges, 1, edges * xv.cols() * 2, out.data_mut(), run)

@@ -1,7 +1,7 @@
 //! Linear-algebra tape ops: dense/sparse products, bias, concat/slice,
 //! reductions and row-wise softmaxes.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 use crate::audit::{require_eq, Arity};
 use crate::matrix::Matrix;
@@ -21,19 +21,67 @@ const VIEW_DENSITY_DENOM: usize = 8;
 const EXACT_PRODUCT_FLOOR: f64 = 7.888_609_052_210_118e-31;
 
 /// A CSR copy of a mostly-zero tape value, built at most once per node
-/// (the first time the node is the left operand of [`Tape::matmul`]).
+/// (the first time the node is the left operand of [`Tape::matmul`] or
+/// is dropped out), or once per shared input ([`SparseView::of_shared`]).
 pub(crate) struct SparseView {
-    csr: Csr,
+    pub(crate) csr: Csr,
     /// Smallest nonzero magnitude stored in `csr` (`inf` when none).
     min_abs: f32,
+    /// Whether the viewed value holds a `-0.0`, which `csr` cannot show;
+    /// scanned for on the first ask.
+    negative_zero: OnceLock<bool>,
+}
+
+/// The views of shared inputs ([`Tape::input`]), one per live `Arc`
+/// allocation. Each entry holds a `Weak` of its value, so the allocation
+/// cannot be freed and reused under a new value while the entry exists,
+/// and `Arc::get_mut` or `Arc::make_mut` on the value reach its data only
+/// in a new allocation. An address match is therefore the same value.
+/// Entries whose value has died are pruned on every lookup.
+static SHARED_VIEWS: Mutex<Vec<SharedView>> = Mutex::new(Vec::new());
+
+struct SharedView {
+    value: Weak<Matrix>,
+    view: Option<Arc<SparseView>>,
 }
 
 impl SparseView {
     /// The view of `value`, or `None` when `value` is too dense for one.
     pub(crate) fn of(value: &Matrix) -> Option<Arc<SparseView>> {
-        let csr = Csr::from_dense_within(value, value.len() / VIEW_DENSITY_DENOM)?;
+        Csr::from_dense_within(value, value.len() / VIEW_DENSITY_DENOM).map(Self::wrap)
+    }
+
+    /// The view of `value`, whose nonzeros all lie at `pattern`'s entries:
+    /// equal to [`SparseView::of`] but read at those entries only.
+    pub(crate) fn within(value: &Matrix, pattern: &SparseView) -> Option<Arc<SparseView>> {
+        Csr::from_dense_at(value, &pattern.csr, value.len() / VIEW_DENSITY_DENOM).map(Self::wrap)
+    }
+
+    /// [`SparseView::of`] the shared `value`, built by the first tape that
+    /// asks and reused by every later one while the allocation lives.
+    pub(crate) fn of_shared(value: &Arc<Matrix>) -> Option<Arc<SparseView>> {
+        // No update below can leave the table half-done, so a panic on
+        // another thread while it held the lock leaves it valid.
+        let mut cache = SHARED_VIEWS.lock().unwrap_or_else(PoisonError::into_inner);
+        cache.retain(|e| e.value.strong_count() > 0);
+        if let Some(e) = cache.iter().find(|e| std::ptr::eq(e.value.as_ptr(), Arc::as_ptr(value))) {
+            return e.view.clone();
+        }
+        let view = Self::of(value);
+        cache.push(SharedView { value: Arc::downgrade(value), view: view.clone() });
+        view
+    }
+
+    fn wrap(csr: Csr) -> Arc<SparseView> {
         let min_abs = csr.values().iter().fold(f32::INFINITY, |m, v| m.min(v.abs()));
-        Some(Arc::new(SparseView { csr, min_abs }))
+        Arc::new(SparseView { csr, min_abs, negative_zero: OnceLock::new() })
+    }
+
+    /// Whether `value`, the matrix this view was built from, holds a `-0.0`.
+    pub(crate) fn holds_negative_zero(&self, value: &Matrix) -> bool {
+        *self
+            .negative_zero
+            .get_or_init(|| value.data().iter().any(|v| v.to_bits() == (-0.0f32).to_bits()))
     }
 
     /// Whether multiplying through the view gives the dense kernel's bits
@@ -48,13 +96,39 @@ impl SparseView {
     /// nonzeros multiply to at least 2^-100, every term and every
     /// accumulator is a multiple of 2^-149, so that cannot happen.
     fn exact_against(&self, dense: &Matrix) -> bool {
-        let (finite, min_abs) =
-            dense.data().iter().fold((true, f32::INFINITY), |(finite, m), &v| {
-                let a = v.abs();
-                (finite & a.is_finite(), if a == 0.0 { m } else { m.min(a) })
-            });
+        let (finite, min_abs) = finite_and_min_nonzero_abs(dense.data());
         finite && f64::from(self.min_abs) * f64::from(min_abs) >= EXACT_PRODUCT_FLOOR
     }
+}
+
+/// Whether every element of `xs` is finite, and the smallest nonzero
+/// magnitude among the finite ones (`inf` when there is none).
+///
+/// Folded over eight independent lanes, then across them. The minimum of
+/// a set does not depend on the order it is taken in, so this is the
+/// serial fold's answer at the speed of a vector scan.
+fn finite_and_min_nonzero_abs(xs: &[f32]) -> (bool, f32) {
+    const LANES: usize = 8;
+    let mut finite = [true; LANES];
+    let mut min = [f32::INFINITY; LANES];
+    let mut fold = |k: usize, v: f32| {
+        let a = v.abs();
+        finite[k] &= a.is_finite();
+        // NaN and inf never compare below a finite minimum or inf, and a
+        // zero is skipped, so neither can become the minimum.
+        min[k] = if (a != 0.0) & (a < min[k]) { a } else { min[k] };
+    };
+    let chunks = xs.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (k, &v) in chunk.iter().enumerate() {
+            fold(k, v);
+        }
+    }
+    for (k, &v) in tail.iter().enumerate() {
+        fold(k, v);
+    }
+    (finite.iter().all(|&f| f), min.iter().fold(f32::INFINITY, |m, &v| m.min(v)))
 }
 
 pub(crate) struct MatMulOp {
@@ -422,6 +496,22 @@ pub(crate) fn softmax_rows_value(x: &Matrix) -> Matrix {
 }
 
 impl Tape {
+    /// The sparse view of `t`'s value, decided on the first ask: a shared
+    /// input's comes from [`SparseView::of_shared`], any other node's is
+    /// built for it alone.
+    pub(crate) fn sparse_view(&self, t: Tensor) -> Option<Arc<SparseView>> {
+        let node = self.node(t.0);
+        node.view
+            .get_or_init(|| {
+                if node.shared {
+                    SparseView::of_shared(&node.value)
+                } else {
+                    SparseView::of(&node.value)
+                }
+            })
+            .clone()
+    }
+
     /// Product `a · b`.
     ///
     /// When `a` is mostly zeros the product runs through its sparse view
@@ -429,7 +519,7 @@ impl Tape {
     /// provably changes no bit of the result (DESIGN.md §17); otherwise it
     /// is a dense GEMM.
     pub fn matmul(&mut self, a: Tensor, b: Tensor) -> Tensor {
-        let view = self.node(a.0).view.get_or_init(|| SparseView::of(self.value(a))).clone();
+        let view = self.sparse_view(a);
         let bv = self.value(b);
         let out = match &view {
             // A shape mismatch takes the dense kernel, whose assert names it.
@@ -696,6 +786,151 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// `exact_against`'s serial fold, as it was before the lane scan.
+        fn serial_scan(xs: &[f32]) -> (bool, f32) {
+            xs.iter().fold((true, f32::INFINITY), |(finite, m), &v| {
+                let a = v.abs();
+                (finite & a.is_finite(), if a == 0.0 { m } else { m.min(a) })
+            })
+        }
+
+        /// A value of kind `kind % 8`: NaN, ±inf, a subnormal, ±0 or a
+        /// normal float, drawn from `bits`.
+        fn special(kind: u8, bits: u32) -> f32 {
+            let sign = bits & 0x8000_0000;
+            match kind % 8 {
+                0 => f32::from_bits(0x7fc0_0000 | bits),
+                1 => f32::from_bits(sign | 0x7f80_0000),
+                2 => f32::from_bits(sign | (bits & 0x007f_ffff).max(1)),
+                3 => 0.0,
+                4 => -0.0,
+                _ => f32::from_bits(sign | (bits % 0x7f00_0000).max(0x0080_0000)),
+            }
+        }
+
+        fn assert_scans_agree(xs: &[f32]) {
+            let (f, m) = finite_and_min_nonzero_abs(xs);
+            let (sf, sm) = serial_scan(xs);
+            assert_eq!(f, sf, "finite, {} elements", xs.len());
+            assert_eq!(m.to_bits(), sm.to_bits(), "min, {} elements", xs.len());
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+            /// The eight-lane scan gives the serial fold's finiteness and
+            /// smallest nonzero magnitude, bit for bit.
+            #[test]
+            fn the_lane_scan_is_the_serial_fold(
+                elems in prop::collection::vec((0u8..16, 0u32..=u32::MAX), 0..18),
+            ) {
+                let xs: Vec<f32> = elems.iter().map(|&(k, b)| special(k, b)).collect();
+                assert_scans_agree(&xs);
+            }
+
+            /// The same at search-cora's gradient shape, 1354×32, normal
+            /// values with a few specials planted.
+            #[test]
+            fn the_lane_scan_is_the_serial_fold_on_a_gradient(
+                seed in 0u64..1_000_000,
+                plants in prop::collection::vec((0u8..=u8::MAX, 0u32..=u32::MAX), 0..4),
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut xs: Vec<f32> =
+                    (0..1354 * 32).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
+                for &(k, b) in &plants {
+                    let at = rng.gen_range(0..xs.len());
+                    xs[at] = special(k, b);
+                }
+                assert_scans_agree(&xs);
+            }
+        }
+
+        /// `a·W` and `dW` on a fresh tape over the shared input `x`: the
+        /// product and how many views the tape built.
+        fn shared_step(x: &Arc<Matrix>, w: &Matrix) -> (Matrix, Matrix, u64) {
+            let ((value, dw), calls) = with_kernel_calls(|| {
+                let mut store = VarStore::new();
+                let pw = store.add("w", w.clone());
+                let mut tape = Tape::new(0);
+                let (tx, tw) = (tape.input(Arc::clone(x)), tape.param(&store, pw));
+                let y = tape.matmul(tx, tw);
+                let loss = tape.sum_all(y);
+                let value = tape.value(y).clone();
+                let g = tape.backward(loss);
+                (value, g.get(pw).cloned().expect("dW"))
+            });
+            (value, dw, calls("sparse_view"))
+        }
+
+        /// Asserts that a shared step over `x` gives the dense kernels' bits.
+        fn assert_dense_bits(x: &Matrix, w: &Matrix, (value, dw, _): &(Matrix, Matrix, u64)) {
+            let grad = Matrix::full(x.rows(), w.cols(), 1.0);
+            assert_eq!(bits(value), bits(&x.matmul(w)), "x·W");
+            assert_eq!(bits(dw), bits(&x.matmul_at_b(&grad)), "dW");
+        }
+
+        #[test]
+        fn tapes_over_one_shared_input_build_one_view() {
+            let mut rng = StdRng::seed_from_u64(3);
+            let x = Arc::new(operand(&mut rng, 30, 40, 0.05, true));
+            let w = operand(&mut rng, 40, 5, 0.9, false);
+            let runs: Vec<_> = (0..3).map(|_| shared_step(&x, &w)).collect();
+            let builds: Vec<u64> = runs.iter().map(|r| r.2).collect();
+            assert_eq!(builds, [1, 0, 0], "the first tape builds the view, later ones reuse it");
+            runs.iter().for_each(|r| assert_dense_bits(&x, &w, r));
+            // A constant of the same matrix keeps its own view, per tape.
+            let ((), calls) = with_kernel_calls(|| {
+                for _ in 0..2 {
+                    let mut tape = Tape::new(0);
+                    let tx = tape.constant((*x).clone());
+                    let tw = tape.constant(w.clone());
+                    let _ = tape.matmul(tx, tw);
+                }
+            });
+            assert_eq!(calls("sparse_view"), 2);
+        }
+
+        /// A view never outlives its value's allocation: an input that was
+        /// dropped and reallocated, or mutated through `Arc::make_mut`
+        /// (alone, or with other holders), gets a fresh view that matches
+        /// the dense kernels.
+        #[test]
+        fn a_new_or_mutated_input_gets_a_fresh_view() {
+            let mut rng = StdRng::seed_from_u64(4);
+            let w = operand(&mut rng, 24, 3, 0.9, false);
+            let first = operand(&mut rng, 16, 24, 0.05, false);
+            let second = operand(&mut rng, 16, 24, 0.1, true);
+            let x = Arc::new(first.clone());
+            assert_eq!(shared_step(&x, &w).2, 1);
+            drop(x);
+            // Any lookup prunes the dead entry, freeing the old allocation
+            // for the next one of the same size.
+            let other = Arc::new(operand(&mut rng, 2, 16, 0.0, false));
+            assert_eq!(shared_step(&other, &operand(&mut rng, 16, 1, 1.0, false)).2, 1);
+            let x = Arc::new(second.clone());
+            let run = shared_step(&x, &w);
+            assert_eq!(run.2, 1, "a new allocation gets a new view");
+            assert_dense_bits(&second, &w, &run);
+
+            // Alone: `make_mut` moves the data away from the cached `Weak`.
+            let mut x = x;
+            Arc::make_mut(&mut x).data_mut().copy_from_slice(first.data());
+            let run = shared_step(&x, &w);
+            assert_eq!(run.2, 1, "a mutated input gets a new view");
+            assert_dense_bits(&first, &w, &run);
+
+            // Shared: `make_mut` clones, and the other holder keeps its view.
+            let held = Arc::clone(&x);
+            Arc::make_mut(&mut x).data_mut().copy_from_slice(second.data());
+            let run = shared_step(&x, &w);
+            assert_eq!(run.2, 1, "the clone gets its own view");
+            assert_dense_bits(&second, &w, &run);
+            let run = shared_step(&held, &w);
+            assert_eq!(run.2, 0, "the untouched holder still has its view");
+            assert_dense_bits(&first, &w, &run);
         }
 
         #[test]

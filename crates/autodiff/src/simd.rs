@@ -570,9 +570,13 @@ fn exp_lane(v: f32) -> f32 {
         1.0,
     );
     // 2^n through the exponent bits: n is an integer in [−126, 127]
-    // after the clamp, so the biased exponent stays in (0, 255).
-    let two_n = f32::from_bits((((n as i32) + 127) << 23) as u32); // lint:allow(lossy-cast) -- in-range by the clamp above
-    p * two_n
+    // after the clamp, so the biased exponent n + 127 is in [1, 254].
+    // Adding it to 2^23, where the float spacing is 1, leaves it exactly
+    // in the low mantissa bits: a float-only path that vectorizes, where a
+    // saturating `as i32` cast does not. A NaN `n` gives some exponent,
+    // and `p` is NaN then, so the product is that same NaN either way.
+    let biased = (n + (127.0 + 8_388_608.0)).to_bits() & 0xff;
+    p * f32::from_bits(biased << 23)
 }
 
 #[inline(always)]
@@ -823,6 +827,64 @@ mod tests {
         // Far below -88 both flavours are within MIN_POSITIVE of zero.
         let deep = apply(Flavour::Vector, Flavour::sigmoid, &[-88.5, -100.0, -1e30]);
         assert!(deep.iter().all(|&v| (0.0..f32::MIN_POSITIVE).contains(&v)), "{deep:?}");
+    }
+
+    /// `exp_lane` as it was before `2^n` was built from the float's bits:
+    /// through a saturating `as i32` cast, which blocks vectorization.
+    fn exp_lane_cast(v: f32) -> f32 {
+        use std::f32::consts::{LN_2, LOG2_E};
+        let x = v.clamp(-87.0, 88.0);
+        let n = (x * LOG2_E).round();
+        let f = (-n).mul_add(LN_2, x);
+        let p = f.mul_add(
+            f.mul_add(
+                f.mul_add(
+                    f.mul_add(
+                        f.mul_add(f.mul_add(1.0 / 720.0, 1.0 / 120.0), 1.0 / 24.0),
+                        1.0 / 6.0,
+                    ),
+                    0.5,
+                ),
+                1.0,
+            ),
+            1.0,
+        );
+        p * f32::from_bits((((n as i32) + 127) << 23) as u32) // lint:allow(lossy-cast) -- the formula under test
+    }
+
+    /// `exp` and `sigmoid` give the cast formula's bits on a strided sweep
+    /// of every bit pattern, on `±0`, `±inf`, NaN, around the clamps at
+    /// -87 and 88, and where `x·log2 e` is a `round` tie.
+    #[test]
+    fn exp_and_sigmoid_match_the_cast_formula_bitwise() {
+        use std::f32::consts::LOG2_E;
+        let mut xs: Vec<f32> = (0..=u32::MAX).step_by(4099).map(f32::from_bits).collect();
+        xs.extend([0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN]);
+        xs.extend([87.0, -87.0, 88.0, -88.0, 87.5, -87.5, 88.5, -88.5, 86.9, -88.1]);
+        let mut ties = 0;
+        for k in -126i16..=126 {
+            let t = f32::from(k) + 0.5;
+            let near = (t / LOG2_E).to_bits();
+            for d in -8..=8 {
+                let x = f32::from_bits(near.wrapping_add_signed(d));
+                if x * LOG2_E == t {
+                    xs.push(x);
+                    ties += 1;
+                }
+            }
+        }
+        assert!(ties > 50, "only {ties} round ties found");
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits();
+        for &x in &xs {
+            assert!(same(exp_lane(x), exp_lane_cast(x)), "exp({x:e}) [{:#010x}]", x.to_bits());
+        }
+        let exp = apply(Flavour::Vector, Flavour::exp, &xs);
+        let sigmoid = apply(Flavour::Vector, Flavour::sigmoid, &xs);
+        for ((&x, &e), &s) in xs.iter().zip(&exp).zip(&sigmoid) {
+            let want = if x < -88.0 { 0.0 } else { 1.0 / (1.0 + exp_lane_cast(-x)) };
+            assert!(same(e, exp_lane_cast(x)), "exp({x:e}) [{:#010x}]", x.to_bits());
+            assert!(same(s, want), "sigmoid({x:e}) [{:#010x}]", x.to_bits());
+        }
     }
 
     #[test]

@@ -151,6 +151,40 @@ impl Csr {
         }))
     }
 
+    /// CSR copy of `dense` when every nonzero of `dense` sits at one of
+    /// `pattern`'s entries, or `None` when it has more than `max_nnz`.
+    ///
+    /// Reads only `pattern`'s positions, in row order, and keeps those that
+    /// are not zero, so it gives the same arrays as
+    /// [`Csr::from_dense_within`] at a cost of `O(pattern.nnz())`. The
+    /// arrays are sized to the entries kept. As there, only the build is
+    /// timed, as the `sparse_view` kernel.
+    pub(crate) fn from_dense_at(dense: &Matrix, pattern: &Csr, max_nnz: usize) -> Option<Csr> {
+        let (rows, cols) = dense.shape();
+        assert_eq!((pattern.rows, pattern.cols), (rows, cols), "pattern shape");
+        let d = dense.data();
+        let at = |r: usize, c: u32| d[r * cols + c as usize]; // lint:allow(lossy-cast) -- u32 index widens losslessly
+        let kept = |r: usize| pattern.row(r).0.iter().filter(move |&&c| at(r, c) != 0.0);
+        let nnz: usize = (0..rows).map(|r| kept(r).count()).sum();
+        if nnz > max_nnz {
+            return None;
+        }
+        Some(crate::parallel::timed("sparse_view", || {
+            let mut indptr = Vec::with_capacity(rows + 1);
+            let mut indices = Vec::with_capacity(nnz);
+            let mut values = Vec::with_capacity(nnz);
+            indptr.push(0);
+            for r in 0..rows {
+                for &c in kept(r) {
+                    indices.push(c);
+                    values.push(at(r, c));
+                }
+                indptr.push(indices.len());
+            }
+            Self { rows, cols, indptr, indices, values, transpose: OnceLock::new() }
+        }))
+    }
+
     fn build_transpose(&self) -> Csr {
         let nnz = self.values.len();
         let mut indptr = vec![0usize; self.cols + 1];

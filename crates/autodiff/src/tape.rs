@@ -126,8 +126,12 @@ pub(crate) struct Node {
     /// `Some` when this node is a parameter leaf.
     pub(crate) param: Option<ParamId>,
     /// Sparse view of `value`, decided the first time the node is the left
-    /// operand of [`Tape::matmul`]: `Some` when `value` is mostly zeros.
+    /// operand of [`Tape::matmul`] or is dropped out, or set when the node
+    /// is recorded: `Some` when `value` is mostly zeros.
     pub(crate) view: OnceLock<Option<Arc<SparseView>>>,
+    /// Whether the node is a [`Tape::input`], whose view is shared with
+    /// every other tape that records the same allocation.
+    pub(crate) shared: bool,
 }
 
 /// A single forward computation, recorded for reverse-mode differentiation.
@@ -194,14 +198,18 @@ impl Tape {
     /// Records a constant (no gradient) from a shared matrix.
     ///
     /// Use this for large fixed inputs — node features, adjacency-derived
-    /// data — so each training step shares one allocation.
+    /// data — so each training step shares one allocation. Its sparse view,
+    /// if it has one, is built once for the allocation and shared by every
+    /// tape that records it (DESIGN.md §17).
     pub fn input(&mut self, value: Arc<Matrix>) -> Tensor {
-        self.push(value, Box::new(InputOp), Vec::new(), None)
+        let t = self.push(value, Box::new(InputOp), Vec::new(), None);
+        self.nodes[t.0].shared = true;
+        t
     }
 
     /// Records a constant (no gradient), taking ownership of the matrix.
     pub fn constant(&mut self, value: Matrix) -> Tensor {
-        self.input(Arc::new(value))
+        self.push(Arc::new(value), Box::new(InputOp), Vec::new(), None)
     }
 
     /// Records an all-zeros `rows x cols` constant drawn from the buffer
@@ -243,7 +251,7 @@ impl Tape {
         param: Option<ParamId>,
     ) -> Tensor {
         debug_assert!(inputs.iter().all(|t| t.0 < self.nodes.len()), "op wired to future tensor");
-        self.nodes.push(Node { value, op, inputs, param, view: OnceLock::new() });
+        self.nodes.push(Node { value, op, inputs, param, view: OnceLock::new(), shared: false });
         Tensor(self.nodes.len() - 1)
     }
 
